@@ -15,7 +15,7 @@ from scipy.special import expit
 
 from .errors import DomainError, FitError
 from .lifetable import AgeRange, MortalitySurface, SurfaceKind, YearRange, central_rate_to_q
-from .timeseries import RwdParams, forecast_states
+from .timeseries import RwdParams, forecast_q
 from .transforms import logit
 
 
@@ -167,10 +167,6 @@ def fit_cbd(q_surface: MortalitySurface) -> CbdParams:
     )
 
 
-def _forecast_years(years: YearRange, horizon: int) -> YearRange:
-    return YearRange(years.t_max + 1, years.t_max + horizon)
-
-
 def _check_rwd(rwd: RwdParams, dim: int, years: YearRange, what: str):
     if rwd.dim != dim:
         raise DomainError(f"{what} forecasting needs a {dim}-dimensional walk, got dim {rwd.dim}")
@@ -190,21 +186,18 @@ def lc_forecast(
 
     m at horizon h is exp(alpha_x + beta_x * kappa_{t+h}), converted to q
     under a constant force of mortality within each year. Central mode
-    returns one surface, sample mode a list of n_paths surfaces.
+    returns one surface; sample mode returns an (n_paths, n_ages, horizon)
+    array, built in chunks of paths (see
+    :func:`~mortcast.timeseries.forecast_q`).
     """
     _check_rwd(rwd1, 1, params.years, "Lee-Carter")
-    states = forecast_states(rwd1, horizon, mode, n_paths=n_paths, seed=seed)
-    years = _forecast_years(params.years, horizon)
+    alpha, beta = params.alpha_x[:, None], params.beta_x[:, None]
 
-    def build(path_states: np.ndarray) -> MortalitySurface:
-        m = np.exp(params.alpha_x[:, None] + params.beta_x[:, None] * path_states[:, 0][None, :])
-        return MortalitySurface(
-            ages=params.ages, years=years, kind=SurfaceKind.DEATH_PROB, values=central_rate_to_q(m)
-        )
+    def q_of(states: np.ndarray) -> np.ndarray:
+        kappa = states[..., None, :, 0]
+        return central_rate_to_q(np.exp(alpha + beta * kappa))
 
-    if mode == "central":
-        return build(states)
-    return [build(states[p]) for p in range(states.shape[0])]
+    return forecast_q(rwd1, horizon, q_of, params.ages, mode, n_paths=n_paths, seed=seed)
 
 
 def cbd_forecast(
@@ -218,19 +211,14 @@ def cbd_forecast(
     """Death-probability forecast from projected (kappa1, kappa2).
 
     q at horizon h is the logistic of kappa1 + kappa2 * (x - x_bar); always
-    inside (0, 1). Central mode returns one surface, sample mode a list.
+    inside (0, 1). Central mode returns one surface; sample mode returns an
+    (n_paths, n_ages, horizon) array, built in chunks of paths (see
+    :func:`~mortcast.timeseries.forecast_q`).
     """
     _check_rwd(rwd2, 2, params.years, "CBD")
-    states = forecast_states(rwd2, horizon, mode, n_paths=n_paths, seed=seed)
-    years = _forecast_years(params.years, horizon)
-    cx = params.ages.to_array() - params.x_bar
+    cx = (params.ages.to_array() - params.x_bar)[:, None]
 
-    def build(path_states: np.ndarray) -> MortalitySurface:
-        q = expit(path_states[:, 0][None, :] + cx[:, None] * path_states[:, 1][None, :])
-        return MortalitySurface(
-            ages=params.ages, years=years, kind=SurfaceKind.DEATH_PROB, values=q
-        )
+    def q_of(states: np.ndarray) -> np.ndarray:
+        return expit(states[..., None, :, 0] + cx * states[..., None, :, 1])
 
-    if mode == "central":
-        return build(states)
-    return [build(states[p]) for p in range(states.shape[0])]
+    return forecast_q(rwd2, horizon, q_of, params.ages, mode, n_paths=n_paths, seed=seed)

@@ -411,14 +411,14 @@ def cmd_forecast(args) -> int:
         _write_artifact(out_dir / "forecast.csv", header, buf.getvalue())
         print(f"wrote {out_dir / 'forecast.csv'}")
     else:
-        surfaces = forecast("sample", args.paths, args.seed)
-        stack = np.stack([s.values for s in surfaces])
-        lo, mid, hi = np.quantile(stack, [0.05, 0.5, 0.95], axis=0)
-        first = surfaces[0]
+        paths = forecast("sample", args.paths, args.seed)
+        # nothing else holds the paths array, so the quantiles may reorder it
+        lo, mid, hi = np.quantile(paths, [0.05, 0.5, 0.95], axis=0, overwrite_input=True)
+        years = YearRange(params.years.t_max + 1, params.years.t_max + args.horizon)
         body = io.StringIO()
         body.write("age,year,q05,q50,q95\n")
-        for i, x in enumerate(first.ages):
-            for j, t in enumerate(first.years):
+        for i, x in enumerate(params.ages):
+            for j, t in enumerate(years):
                 body.write(f"{x},{t},{lo[i, j]:.17g},{mid[i, j]:.17g},{hi[i, j]:.17g}\n")
         _write_artifact(out_dir / "quantiles.csv", header, body.getvalue())
         print(f"wrote {out_dir / 'quantiles.csv'}")

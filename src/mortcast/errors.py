@@ -11,7 +11,15 @@ class DomainError(MortcastError, ValueError):
     Raised for things like negative death rates, probabilities at or past
     their boundaries, or non-monotone survival curves. When the offending
     value sits in a surface, the message names the (age, year) cell.
+
+    ``cell`` is the index of the offending element when a check ran over a
+    bare array, so a caller that knows what the axes mean can name the
+    cell in its own terms; it is None otherwise.
     """
+
+    def __init__(self, message: str = "", cell: tuple[int, ...] | None = None):
+        super().__init__(message)
+        self.cell = cell
 
 
 class ParseError(MortcastError, ValueError):

@@ -189,11 +189,9 @@ def _sl_surfaces(q_surface, config):
     delta = build_l_diff(surv, t0=config.t0, fit_years=config.fit_years)
     params, diag = fit_sl(delta, config.fit)
 
-    fitted_delta = params.fitted_surface()
-    q_fit = np.empty_like(fitted_delta)
-    for j in range(fitted_delta.shape[1]):
-        s = invert_l_diff(fitted_delta[:, j], delta.base_survival)
-        q_fit[:, j] = survival_to_q(s)
+    # one survival curve per fit year, age on the last axis
+    fitted_delta = params.fitted_surface().T
+    q_fit = survival_to_q(invert_l_diff(fitted_delta, delta.base_survival)).T
 
     rwd = calibrate_rwd(
         np.column_stack([params.alpha1, params.alpha2]), config.fit_years.to_array()

@@ -289,9 +289,9 @@ def generate_sl_exact(ages: AgeRange, years: YearRange) -> MortalitySurface:
 
     q = np.empty((len(ages), len(years)))
     q[:, 0] = q0
-    for j in range(1, len(years)):
-        s = invert_l_diff(alpha1[j] + alpha2[j] * kappa, s0)
-        q[:, j] = survival_to_q(s)
+    # one survival curve per later year, age on the last axis
+    delta = alpha1[1:, None] + alpha2[1:, None] * kappa
+    q[:, 1:] = survival_to_q(invert_l_diff(delta, s0)).T
     return _q_grid_to_m(q, ages, years)
 
 

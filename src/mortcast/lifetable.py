@@ -100,6 +100,32 @@ def _freeze(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _first_cell(mask: np.ndarray, ages: AgeRange, years: YearRange, first_path: int) -> str:
+    *path, i, j = np.argwhere(mask)[0]
+    cell = f"age {ages.x_min + i}, year {years.t_min + j}"
+    return f"sample path {first_path + path[0]}, {cell}" if path else cell
+
+
+def check_surface_values(
+    values: np.ndarray, kind: SurfaceKind, ages: AgeRange, years: YearRange, first_path: int = 0
+) -> None:
+    """Finiteness and the admissible range of ``kind``, naming the first bad cell.
+
+    ``values`` is one (ages, years) grid, or a (paths, ages, years) block of
+    sample paths whose first path has index ``first_path``; the message then
+    names the path as well as the age and year.
+    """
+    if not np.all(np.isfinite(values)):
+        where = _first_cell(~np.isfinite(values), ages, years, first_path)
+        raise DomainError(f"non-finite {kind.value} at {where}")
+    if np.any(values < 0.0):
+        where = _first_cell(values < 0.0, ages, years, first_path)
+        raise DomainError(f"negative {kind.value} at {where}")
+    if kind is SurfaceKind.DEATH_PROB and np.any(values > 1.0):
+        where = _first_cell(values > 1.0, ages, years, first_path)
+        raise DomainError(f"death probability above 1 at {where}")
+
+
 @dataclass(frozen=True)
 class MortalitySurface:
     """Dense rectangular grid of one mortality quantity over ages x years.
@@ -123,24 +149,7 @@ class MortalitySurface:
                 f"values shape {values.shape} does not match "
                 f"{len(self.ages)} ages x {len(self.years)} years"
             )
-        if not np.all(np.isfinite(values)):
-            i, j = np.argwhere(~np.isfinite(values))[0]
-            raise DomainError(
-                f"non-finite {kind.value} at age {self.ages.x_min + i}, "
-                f"year {self.years.t_min + j}"
-            )
-        if np.any(values < 0.0):
-            i, j = np.argwhere(values < 0.0)[0]
-            raise DomainError(
-                f"negative {kind.value} at age {self.ages.x_min + i}, "
-                f"year {self.years.t_min + j}"
-            )
-        if kind is SurfaceKind.DEATH_PROB and np.any(values > 1.0):
-            i, j = np.argwhere(values > 1.0)[0]
-            raise DomainError(
-                f"death probability above 1 at age {self.ages.x_min + i}, "
-                f"year {self.years.t_min + j}"
-            )
+        check_surface_values(values, kind, self.ages, self.years)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "values", values)
 
@@ -264,24 +273,31 @@ def q_to_survival(q_col) -> np.ndarray:
 
 
 def survival_to_q(s_col) -> np.ndarray:
-    """One-year death probabilities from a survival curve.
+    """One-year death probabilities from survival curves.
 
-    Exact inverse of :func:`q_to_survival`:
-    q at the base age is 1 - S(x0), and q_x = 1 - S(x)/S(x-1) above it.
+    Exact inverse of :func:`q_to_survival` along the last axis: q at the
+    base age is 1 - S(x0), and q_x = 1 - S(x)/S(x-1) above it. Takes one
+    curve of shape (n_ages,) or a stack of shape (..., n_ages) and returns
+    the same shape. If a curve increases, the DomainError's ``cell`` is the
+    index of the last position before the first increase.
     """
     s, _ = _as_float_array(s_col, "survival values")
-    if s.ndim != 1 or s.size == 0:
-        raise DomainError("expected a non-empty 1-d survival vector")
+    if s.ndim == 0 or s.shape[-1] == 0:
+        raise DomainError("expected non-empty survival curves")
     if np.any(s <= 0.0):
         raise DomainError("survival values must be strictly positive")
-    if s[0] > 1.0:
-        raise DomainError(f"survival at the base age must be <= 1, got {s[0]}")
-    if np.any(s[1:] > s[:-1]):
-        x = int(np.argmax(s[1:] > s[:-1]))
-        raise DomainError(f"survival increases between positions {x} and {x + 1}")
+    if np.any(s[..., 0] > 1.0):
+        raise DomainError(f"survival at the base age must be <= 1, got {np.max(s[..., 0])}")
+    rising = s[..., 1:] > s[..., :-1]
+    if np.any(rising):
+        *curve, x = (int(i) for i in np.argwhere(rising)[0])
+        of = f" of curve {tuple(curve)}" if curve else ""
+        raise DomainError(
+            f"survival increases between positions {x} and {x + 1}{of}", cell=(*curve, x)
+        )
     q = np.empty_like(s)
-    q[0] = 1.0 - s[0]
-    q[1:] = 1.0 - s[1:] / s[:-1]
+    q[..., 0] = 1.0 - s[..., 0]
+    q[..., 1:] = 1.0 - s[..., 1:] / s[..., :-1]
     return q
 
 

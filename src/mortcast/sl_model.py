@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, FitError
-from .lifetable import AgeRange, MortalitySurface, SurfaceKind, YearRange, survival_to_q
-from .timeseries import RwdParams, forecast_states
+from .lifetable import AgeRange, YearRange, survival_to_q
+from .timeseries import RwdParams, forecast_q
 from .transforms import LDiffSurface, invert_l_diff
 
 
@@ -266,12 +266,15 @@ def sl_forecast(
 
     Projects (alpha1, alpha2) by the calibrated walk, rebuilds each future
     year's survival curve through the inverse transform against
-    base_survival, and converts to death probabilities. Central mode
-    returns one surface with years following the fit window; sample mode
-    returns a list of n_paths surfaces.
+    base_survival, and converts to death probabilities, all in one array
+    expression over the states (see :func:`~mortcast.timeseries.forecast_q`).
+    Central mode returns one surface with years following the fit window;
+    sample mode returns an (n_paths, n_ages, horizon) array, built in chunks
+    of paths, whose path p is reproducible from ``seed`` alone.
 
     A projected curve is always inside (0, 1); if a sampled path produces a
-    non-monotone curve the conversion to probabilities raises DomainError.
+    non-monotone curve, DomainError names the path, the year and the two
+    ages between which survival increases.
     """
     if rwd.dim != 2:
         raise DomainError("forecasting needs the two-dimensional (alpha1, alpha2) walk")
@@ -279,17 +282,21 @@ def sl_forecast(
         raise DomainError(
             f"walk calibrated through {rwd.last_year} but fit ends {params.years.t_max}"
         )
-    states = forecast_states(rwd, horizon, mode, n_paths=n_paths, seed=seed)
-    years = YearRange(params.years.t_max + 1, params.years.t_max + horizon)
+    x0, t1 = params.ages.x_min, params.years.t_max + 1
 
-    def build(path_states: np.ndarray) -> MortalitySurface:
-        q = np.empty((len(params.ages), horizon))
-        for h in range(horizon):
-            a1, a2 = path_states[h]
-            s = invert_l_diff(a1 + a2 * params.kappa, base_survival)
-            q[:, h] = survival_to_q(s)
-        return MortalitySurface(ages=params.ages, years=years, kind=SurfaceKind.DEATH_PROB, values=q)
+    def q_of(states: np.ndarray) -> np.ndarray:
+        # (..., horizon, 1) + (..., horizon, 1) * (ages,): age is the last axis
+        delta = states[..., :1] + states[..., 1:] * params.kappa
+        try:
+            q = survival_to_q(invert_l_diff(delta, base_survival))
+        except DomainError as exc:
+            if exc.cell is None:
+                raise
+            *path, h, i = exc.cell
+            raise DomainError(
+                f"survival increases from age {x0 + i} to {x0 + i + 1} in year {t1 + h}",
+                cell=tuple(path),
+            ) from None
+        return np.swapaxes(q, -1, -2)
 
-    if mode == "central":
-        return build(states)
-    return [build(states[p]) for p in range(states.shape[0])]
+    return forecast_q(rwd, horizon, q_of, params.ages, mode, n_paths=n_paths, seed=seed)

@@ -3,6 +3,8 @@
 The same machinery backs the two-dimensional time processes of the
 survival-transform and CBD models and the one-dimensional Lee-Carter time
 index: state_{t+1} = state_t + drift + factor @ z with standard normal z.
+:func:`forecast_q` turns projected states into death probabilities for
+all three models.
 """
 
 from __future__ import annotations
@@ -12,6 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .lifetable import AgeRange, MortalitySurface, SurfaceKind, YearRange, check_surface_values
+
+# Sample paths are mapped to death probabilities this many at a time, so
+# the temporaries of a model's array expression stay a few MB however many
+# paths are asked for.
+PATH_CHUNK = 256
 
 
 def _psd_cholesky(cov: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
@@ -125,11 +133,13 @@ def project_central(params: RwdParams, horizon: int) -> np.ndarray:
 
 
 def simulate_paths(params: RwdParams, horizon: int, n_paths: int, seed: int) -> np.ndarray:
-    """Simulate seeded sample paths of the walk.
+    """Simulate seeded sample paths of the walk; shape (n_paths, horizon, dim).
 
-    Each path draws its own RNG stream keyed by (seed, path index), so the
-    result is identical regardless of evaluation order and bit-reproducible
-    for a fixed seed. Returns shape (n_paths, horizon, dim).
+    Path p draws its (horizon, dim) standard normals from its own stream,
+    ``np.random.default_rng([seed, p])``, so any path can be reproduced on
+    its own and the result is bit-identical for a fixed seed whatever the
+    number of paths. Drift, innovation factor and the cumulative sum are
+    then applied to all paths at once.
     """
     if horizon < 1:
         raise DomainError(f"horizon must be positive, got {horizon}")
@@ -137,13 +147,11 @@ def simulate_paths(params: RwdParams, horizon: int, n_paths: int, seed: int) -> 
         raise DomainError(f"n_paths must be positive, got {n_paths}")
     if seed < 0:
         raise DomainError("seed must be a nonnegative integer")
-    out = np.empty((n_paths, horizon, params.dim))
+    z = np.empty((n_paths, horizon, params.dim))
     for p in range(n_paths):
-        rng = np.random.default_rng([seed, p])
-        z = rng.standard_normal((horizon, params.dim))
-        increments = params.drift + z @ params.innovation_factor.T
-        out[p] = params.last_state + np.cumsum(increments, axis=0)
-    return out
+        np.random.default_rng([seed, p]).standard_normal(out=z[p])
+    increments = params.drift + z @ params.innovation_factor.T
+    return params.last_state + np.cumsum(increments, axis=1)
 
 
 def forecast_states(
@@ -155,8 +163,9 @@ def forecast_states(
 ) -> np.ndarray:
     """Projected states for either forecast mode.
 
-    Central mode returns (horizon, dim); sample mode returns
-    (n_paths, horizon, dim) and requires ``n_paths`` and ``seed``.
+    Central mode returns the (horizon, dim) noise-free projection; sample
+    mode returns the (n_paths, horizon, dim) paths of :func:`simulate_paths`
+    and requires ``n_paths`` and ``seed``.
     """
     if mode == "central":
         return project_central(params, horizon)
@@ -165,3 +174,41 @@ def forecast_states(
             raise DomainError("sample mode requires n_paths and seed")
         return simulate_paths(params, horizon, n_paths, seed)
     raise DomainError(f"unknown forecast mode {mode!r}")
+
+
+def forecast_q(
+    params: RwdParams,
+    horizon: int,
+    q_of,
+    ages: AgeRange,
+    mode: str = "central",
+    n_paths: int | None = None,
+    seed: int | None = None,
+):
+    """Death probabilities for the years after ``params.last_year``.
+
+    ``q_of`` is a model's array expression: it maps states of shape
+    (..., horizon, dim) to death probabilities of shape (..., n_ages,
+    horizon). Central mode applies it to the central projection and returns
+    one validated MortalitySurface. Sample mode applies it to the simulated
+    paths PATH_CHUNK at a time, writes each block into one preallocated
+    (n_paths, n_ages, horizon) array, checks the block once (finite, inside
+    [0, 1], first bad cell named by path, age and year) and returns the
+    array. A DomainError that ``q_of`` raises with a ``cell`` has the path
+    ``cell[0]`` of the block, and is re-raised naming that sample path.
+    """
+    states = forecast_states(params, horizon, mode, n_paths=n_paths, seed=seed)
+    years = YearRange(params.last_year + 1, params.last_year + horizon)
+    if mode == "central":
+        return MortalitySurface(ages, years, SurfaceKind.DEATH_PROB, q_of(states))
+    out = np.empty((states.shape[0], len(ages), horizon))
+    for start in range(0, states.shape[0], PATH_CHUNK):
+        block = out[start : start + PATH_CHUNK]
+        try:
+            block[...] = q_of(states[start : start + PATH_CHUNK])
+        except DomainError as exc:
+            if not exc.cell:
+                raise
+            raise DomainError(f"{exc} on sample path {start + exc.cell[0]}") from None
+        check_surface_values(block, SurfaceKind.DEATH_PROB, ages, years, first_path=start)
+    return out

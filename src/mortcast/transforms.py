@@ -143,15 +143,17 @@ def build_l_diff(
 
 
 def invert_l_diff(delta_col, base_survival) -> np.ndarray:
-    """Survival curve implied by a difference column and the reference curve.
+    """Survival curves implied by difference values and the reference curve.
 
     Computes exp(-exp(L(base) + delta)) elementwise; with delta = 0 this
-    returns the base curve.
+    returns the base curve. ``delta`` has age as its last axis: one column
+    of shape (n_ages,) or a stack of shape (..., n_ages), and the result has
+    the same shape.
     """
     delta, _ = _as_float_array(delta_col, "difference values")
     base, _ = _as_float_array(base_survival, "base survival")
-    if delta.shape != base.shape or delta.ndim != 1:
-        raise DomainError("difference and base survival must be vectors of equal length")
+    if base.ndim != 1 or delta.ndim == 0 or delta.shape[-1] != base.shape[0]:
+        raise DomainError("base survival must be a vector as long as the last axis of the differences")
     if np.any(base <= 0.0) or np.any(base >= _ONE_BOUNDARY):
         raise DomainError("base survival must lie strictly inside (0, 1)")
     return np.exp(-np.exp(np.log(-np.log(base)) + delta))

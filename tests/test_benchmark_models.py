@@ -206,9 +206,10 @@ class TestLcForecast:
         params = self.params()
         rwd = walk([-0.2], [-0.5], 2001)
         central = lc_forecast(params, rwd, horizon=3)
-        paths = lc_forecast(params, rwd, horizon=3, mode="sample", n_paths=2, seed=1)
-        for p in paths:
-            np.testing.assert_array_equal(p.values, central.values)
+        out = lc_forecast(params, rwd, horizon=3, mode="sample", n_paths=2, seed=1)
+        assert out.shape == (2, 2, 3)
+        for p in range(2):
+            np.testing.assert_array_equal(out[p], central.values)
 
     def test_walk_validation(self):
         params = self.params()

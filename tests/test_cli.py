@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 import subprocess
 import sys
 
@@ -17,6 +18,7 @@ from mortcast import (
     read_surface_csv,
     surface_q_to_survival,
 )
+from mortcast import timeseries
 from mortcast.cli import main
 
 # data files cover 1989-2009 so the default reference year 1989 is present
@@ -253,6 +255,45 @@ class TestForecast:
             ["forecast", "--params", str(tmp_path / "nope.csv"), "--horizon", "2",
              "--out", str(tmp_path / "x")]
         ) == 3
+
+
+class TestInvalidSamplePath:
+    """A noisy SL fit whose sampled survival curves turn non-monotone by horizon 50."""
+
+    NAMED = re.compile(
+        r"survival increases from age (\d+) to (\d+) in year (\d+) on sample path (\d+)$"
+    )
+
+    def test_error_names_path_year_and_ages(self, tmp_path, capsys, monkeypatch):
+        fit_dir = tmp_path / "fit"
+        assert main(
+            ["fit", "--model", "sl", "--synth", "gompertz", "--noise-sd", "0.05",
+             "--seed", "0", "--x-min", "60", "--x-max", "94", "--t-min", "1960",
+             "--t-max", "2009", "--out", str(fit_dir)]
+        ) == 0
+
+        def forecast(paths, out):
+            code = main(
+                ["forecast", "--params", str(fit_dir / "params.csv"), "--horizon", "50",
+                 "--mode", "sample", "--paths", str(paths), "--seed", "0",
+                 "--out", str(tmp_path / out)]
+            )
+            return code, capsys.readouterr().err.strip()
+
+        code, err = forecast(500, "fc")
+        assert code == 3
+        assert not (tmp_path / "fc" / "quantiles.csv").exists()
+        match = self.NAMED.search(err)
+        assert match, err
+        x, x_next, year, path = (int(g) for g in match.groups())
+        assert 60 <= x and x_next == x + 1 <= 94
+        assert 2010 <= year <= 2059 and 0 <= path < 500
+
+        # the named path is the first bad one: the paths before it are valid
+        assert path == 0 or forecast(path, "before")[0] == 0
+        # and the name does not depend on how paths are chunked
+        monkeypatch.setattr(timeseries, "PATH_CHUNK", 16)
+        assert forecast(500, "chunked") == (3, err)
 
 
 class TestBacktest:

@@ -325,12 +325,12 @@ class TestForecast:
         base = np.array([0.9, 0.8])
         rwd = self.walk([0.05, -0.01], np.zeros((2, 2)), [-0.3, 0.4])
         central = sl_forecast(params, rwd, base, horizon=4)
-        sampled = sl_forecast(
+        out = sl_forecast(
             params, rwd, base, horizon=4, mode="sample", n_paths=3, seed=9
         )
-        assert len(sampled) == 3
-        for path in sampled:
-            np.testing.assert_array_equal(path.values, central.values)
+        assert out.shape == (3, 2, 4)
+        for p in range(3):
+            np.testing.assert_array_equal(out[p], central.values)
 
     def test_non_monotone_curve_raises(self):
         params = self.params_2x2()

@@ -144,6 +144,16 @@ class TestSimulatePaths:
         many = simulate_paths(params, 6, n_paths=5, seed=11)
         np.testing.assert_array_equal(few, many[:3])
 
+    def test_paths_match_independent_streams(self):
+        # path p is the (seed, p) stream pushed through drift, factor and cumsum
+        params = make_params([0.1, -0.05], [[0.3, 0.0], [0.1, 0.2]], [1.0, 2.0])
+        paths = simulate_paths(params, 9, n_paths=6, seed=13)
+        for p in range(6):
+            z = np.random.default_rng([13, p]).standard_normal((9, 2))
+            increments = params.drift + z @ params.innovation_factor.T
+            expected = params.last_state + np.cumsum(increments, axis=0)
+            np.testing.assert_array_equal(paths[p], expected)
+
     def test_moments(self):
         params = make_params([0.25, -0.1], [[0.4, 0.0], [0.2, 0.3]], [0.0, 0.0])
         h, n = 4, 20_000
