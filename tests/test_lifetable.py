@@ -189,6 +189,20 @@ class TestSurvivalConversions:
             q = rng.uniform(0.0, 0.99, size=rng.integers(1, 40))
             np.testing.assert_allclose(survival_to_q(q_to_survival(q)), q, atol=1e-12)
 
+    def test_survival_to_q_stack_matches_rows(self):
+        rng = np.random.default_rng(12)
+        s = np.sort(rng.uniform(0.05, 1.0, size=(4, 3, 9)), axis=-1)[..., ::-1]
+        out = survival_to_q(s)
+        for idx in np.ndindex(4, 3):
+            np.testing.assert_array_equal(out[idx], survival_to_q(s[idx]))
+
+    def test_survival_to_q_stack_names_curve(self):
+        s = np.tile([0.9, 0.8, 0.7], (2, 3, 1))
+        s[1, 2] = [0.9, 0.8, 0.85]
+        with pytest.raises(DomainError, match="positions 1 and 2 of curve \\(1, 2\\)") as err:
+            survival_to_q(s)
+        assert err.value.cell == (1, 2, 1)
+
     def test_monotonicity(self):
         q = np.array([0.0, 0.1, 0.0, 0.2])
         s = q_to_survival(q)

@@ -154,9 +154,19 @@ class TestInvertLDiff:
                 invert_l_diff(delta.values[:, 0], base), target, atol=1e-12
             )
 
+    def test_stack_matches_columns(self):
+        rng = np.random.default_rng(22)
+        base = np.array([0.95, 0.9, 0.7])
+        delta = rng.normal(scale=0.3, size=(5, 2, 3))
+        out = invert_l_diff(delta, base)
+        for idx in np.ndindex(5, 2):
+            np.testing.assert_array_equal(out[idx], invert_l_diff(delta[idx], base))
+
     def test_shape_mismatch(self):
         with pytest.raises(DomainError):
             invert_l_diff(np.zeros(3), np.array([0.9, 0.8]))
+        with pytest.raises(DomainError):
+            invert_l_diff(np.zeros((3, 2)), np.array([0.9, 0.8, 0.7]))
 
 
 class TestLDiffSurface:
