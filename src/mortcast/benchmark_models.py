@@ -15,7 +15,7 @@ from scipy.special import expit
 
 from .errors import DomainError, FitError
 from .lifetable import AgeRange, MortalitySurface, SurfaceKind, YearRange, central_rate_to_q
-from .timeseries import RwdParams, forecast_q
+from .timeseries import RwdParams, check_walk, forecast_q
 from .transforms import logit
 
 
@@ -49,6 +49,15 @@ class LcParams:
         object.__setattr__(self, "beta_x", b)
         object.__setattr__(self, "kappa_t", k)
 
+    def q_of(self, states: np.ndarray) -> np.ndarray:
+        """Death probabilities (..., n_ages, n_years) from states (..., n_years, 1).
+
+        m = exp(alpha_x + beta_x * kappa), converted to q under a constant
+        force of mortality within each year.
+        """
+        kappa = states[..., None, :, 0]
+        return central_rate_to_q(np.exp(self.alpha_x[:, None] + self.beta_x[:, None] * kappa))
+
 
 @dataclass(frozen=True)
 class CbdParams:
@@ -74,6 +83,15 @@ class CbdParams:
             arr.setflags(write=False)
         object.__setattr__(self, "kappa1_t", k1)
         object.__setattr__(self, "kappa2_t", k2)
+
+    def q_of(self, states: np.ndarray) -> np.ndarray:
+        """Death probabilities (..., n_ages, n_years) from states (..., n_years, 2).
+
+        q is the logistic of kappa1 + kappa2 * (x - x_bar), so always inside
+        (0, 1).
+        """
+        cx = (self.ages.to_array() - self.x_bar)[:, None]
+        return expit(states[..., None, :, 0] + cx * states[..., None, :, 1])
 
 
 def fit_lc(m_surface: MortalitySurface) -> LcParams:
@@ -167,13 +185,6 @@ def fit_cbd(q_surface: MortalitySurface) -> CbdParams:
     )
 
 
-def _check_rwd(rwd: RwdParams, dim: int, years: YearRange, what: str):
-    if rwd.dim != dim:
-        raise DomainError(f"{what} forecasting needs a {dim}-dimensional walk, got dim {rwd.dim}")
-    if rwd.last_year != years.t_max:
-        raise DomainError(f"walk calibrated through {rwd.last_year} but fit ends {years.t_max}")
-
-
 def lc_forecast(
     params: LcParams,
     rwd1: RwdParams,
@@ -182,22 +193,14 @@ def lc_forecast(
     n_paths: int | None = None,
     seed: int | None = None,
 ):
-    """Death-probability forecast from projected kappa_t.
+    """Death-probability forecast: :meth:`LcParams.q_of` of the projected kappa_t.
 
-    m at horizon h is exp(alpha_x + beta_x * kappa_{t+h}), converted to q
-    under a constant force of mortality within each year. Central mode
-    returns one surface; sample mode returns an (n_paths, n_ages, horizon)
-    array, built in chunks of paths (see
+    Central mode returns one surface; sample mode returns an
+    (n_paths, n_ages, horizon) array, built in chunks of paths (see
     :func:`~mortcast.timeseries.forecast_q`).
     """
-    _check_rwd(rwd1, 1, params.years, "Lee-Carter")
-    alpha, beta = params.alpha_x[:, None], params.beta_x[:, None]
-
-    def q_of(states: np.ndarray) -> np.ndarray:
-        kappa = states[..., None, :, 0]
-        return central_rate_to_q(np.exp(alpha + beta * kappa))
-
-    return forecast_q(rwd1, horizon, q_of, params.ages, mode, n_paths=n_paths, seed=seed)
+    check_walk(rwd1, 1, params.years, "Lee-Carter")
+    return forecast_q(rwd1, horizon, params.q_of, params.ages, mode, n_paths=n_paths, seed=seed)
 
 
 def cbd_forecast(
@@ -208,17 +211,11 @@ def cbd_forecast(
     n_paths: int | None = None,
     seed: int | None = None,
 ):
-    """Death-probability forecast from projected (kappa1, kappa2).
+    """Death-probability forecast: :meth:`CbdParams.q_of` of the projected kappa.
 
-    q at horizon h is the logistic of kappa1 + kappa2 * (x - x_bar); always
-    inside (0, 1). Central mode returns one surface; sample mode returns an
+    Central mode returns one surface; sample mode returns an
     (n_paths, n_ages, horizon) array, built in chunks of paths (see
     :func:`~mortcast.timeseries.forecast_q`).
     """
-    _check_rwd(rwd2, 2, params.years, "CBD")
-    cx = (params.ages.to_array() - params.x_bar)[:, None]
-
-    def q_of(states: np.ndarray) -> np.ndarray:
-        return expit(states[..., None, :, 0] + cx * states[..., None, :, 1])
-
-    return forecast_q(rwd2, horizon, q_of, params.ages, mode, n_paths=n_paths, seed=seed)
+    check_walk(rwd2, 2, params.years, "CBD")
+    return forecast_q(rwd2, horizon, params.q_of, params.ages, mode, n_paths=n_paths, seed=seed)

@@ -17,10 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .benchmark_models import CbdParams, LcParams, cbd_forecast, fit_cbd, fit_lc, lc_forecast
 from .errors import MortcastError, ParseError
 from .evaluation import BacktestConfig, run_backtest
 from .ingest import (
+    _MANIFOLDS,
     SynthConfig,
     export_csv,
     export_mi_csv,
@@ -29,17 +29,10 @@ from .ingest import (
     parse_hmd,
     write_hmd,
 )
-from .lifetable import (
-    AgeRange,
-    MortalitySurface,
-    SurfaceKind,
-    YearRange,
-    central_rate_to_q,
-    surface_q_to_survival,
-)
-from .sl_model import FitConfig, SlParams, fit_sl, sl_forecast
+from .lifetable import AgeRange, MortalitySurface, YearRange, surface_central_rate_to_q
+from .models import AGE, MODELS, YEAR
+from .sl_model import FitConfig
 from .timeseries import calibrate_rwd
-from .transforms import build_l_diff
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -47,6 +40,7 @@ EXIT_NO_CONVERGENCE = 2
 EXIT_DATA = 3
 
 _SEX_COLUMN = {"f": "female", "m": "male", "total": "total"}
+_SYNTH = ["gompertz", *_MANIFOLDS]
 
 
 class _UsageError(MortcastError):
@@ -78,7 +72,7 @@ def _add_data_flags(p):
     g.add_argument("--input", help="HMD 1x1 table to read")
     g.add_argument(
         "--synth",
-        choices=["gompertz", "lc", "cbd", "sl"],
+        choices=_SYNTH,
         help="generate data on the named manifold instead of reading a file",
     )
     p.add_argument("--sex", choices=sorted(_SEX_COLUMN), default="total")
@@ -98,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fit = sub.add_parser("fit", help="fit one model and write its parameters")
     fit.add_argument("--config", help="flat key = value file; flags override it")
-    fit.add_argument("--model", choices=["sl", "lc", "cbd"], required=True)
+    fit.add_argument("--model", choices=list(MODELS), required=True)
     _add_data_flags(fit)
     _add_window_flags(fit)
     fit.add_argument("--t-min", type=int, required=True, help="first fit year")
@@ -125,7 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     bt.add_argument("--forecast-from", type=int, default=1990)
     bt.add_argument("--forecast-to", type=int, default=2009)
     bt.add_argument("--t0", type=int, default=None, help="reference year, default fit-from - 1")
-    bt.add_argument("--models", default="sl,lc,cbd", help="comma list from sl,lc,cbd")
+    models = ",".join(MODELS)
+    bt.add_argument("--models", default=models, help=f"comma list from {models}")
     bt.add_argument("--mi-age", type=int, default=65)
     bt.add_argument("--mi-ref-year", type=int, default=None, help="default: last fit year")
     bt.add_argument("--mape-denominator", choices=["estimate", "observed"], default="estimate")
@@ -135,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sy = sub.add_parser("synth", help="write a synthetic surface as an HMD-format file")
     sy.add_argument("--config", help="flat key = value file; flags override it")
-    sy.add_argument("--manifold", choices=["gompertz", "lc", "cbd", "sl"], default="gompertz")
+    sy.add_argument("--manifold", choices=_SYNTH, default="gompertz")
     _add_window_flags(sy)
     sy.add_argument("--t-min", type=int, required=True)
     sy.add_argument("--t-max", type=int, required=True)
@@ -191,14 +186,15 @@ def _load_rates(args, ages: AgeRange, years: YearRange) -> tuple[MortalitySurfac
         raw = Path(args.input).read_bytes()
         surface = parse_hmd(io.StringIO(raw.decode("utf-8")), _SEX_COLUMN[args.sex], ages, years)
         return surface, _digest(raw)
-    if args.synth == "gompertz":
-        config = _checked(
-            SynthConfig, ages=ages, years=years, noise_sd=args.noise_sd, seed=args.seed
-        )
-        surface = generate_synthetic(config)
-    else:
-        surface = generate_manifold(args.synth, ages, years)
+    surface = _synthesize(args.synth, ages, years, noise_sd=args.noise_sd, seed=args.seed)
     return surface, _digest(_surface_bytes(surface))
+
+
+def _synthesize(name: str, ages: AgeRange, years: YearRange, **gompertz) -> MortalitySurface:
+    """The named synthetic rate surface; ``gompertz`` holds SynthConfig fields."""
+    if name == "gompertz":
+        return generate_synthetic(_checked(SynthConfig, ages=ages, years=years, **gompertz))
+    return generate_manifold(name, ages, years)
 
 
 def _resolved_header(args, skip=("command",)) -> list[str]:
@@ -215,115 +211,78 @@ def _write_artifact(path: Path, header: list[str], body: str):
     path.write_text(text, encoding="utf-8")
 
 
-def _rates_to_q(rates: MortalitySurface) -> MortalitySurface:
-    return MortalitySurface(
-        ages=rates.ages, years=rates.years, kind=SurfaceKind.DEATH_PROB,
-        values=central_rate_to_q(rates.values),
-    )
-
-
-def _params_rows(model: str, params, base_survival=None) -> str:
-    out = io.StringIO()
-    out.write("param,index,value\n")
-
-    def rows(name, indices, values):
-        for idx, v in zip(indices, values):
-            out.write(f"{name},{idx},{v:.17g}\n")
-
-    if model == "sl":
-        rows("alpha1", params.years, params.alpha1)
-        rows("alpha2", params.years, params.alpha2)
-        rows("kappa", params.ages, params.kappa)
-        rows("base_survival", params.ages, base_survival)
-        out.write(f"t0,,{params.t0}\n")
-    elif model == "lc":
-        rows("alpha_x", params.ages, params.alpha_x)
-        rows("beta_x", params.ages, params.beta_x)
-        rows("kappa_t", params.years, params.kappa_t)
-    else:
-        rows("kappa1", params.years, params.kappa1_t)
-        rows("kappa2", params.years, params.kappa2_t)
-        out.write(f"x_bar,,{params.x_bar:.17g}\n")
-    return out.getvalue()
+def _params_body(model, fitted) -> str:
+    windows = {AGE: fitted.params.ages, YEAR: fitted.params.years, None: [""]}
+    out = ["param,index,value\n"]
+    for (name, axis), values in zip(model.rows, model.row_values(fitted)):
+        out += [f"{name},{i},{v:.17g}\n" for i, v in zip(windows[axis], np.atleast_1d(values))]
+    return "".join(out)
 
 
 def _read_params(path: str):
-    """Rebuild the fitted model written by cmd_fit from its params.csv."""
-    meta: dict[str, str] = {}
-    series: dict[str, list[tuple[str, float]]] = {}
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    """Rebuild the model and fit written by cmd_fit from its params.csv.
+
+    The header names the model and its age and year windows, and the rows
+    must follow the model's layout exactly: each series over its whole
+    window in order, then each scalar once. Any departure is a ParseError
+    naming the line.
+    """
+    meta: dict[str, tuple[int, str]] = {}
+    rows: list[tuple[int, str]] = []
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for line_no, line in enumerate(lines, start=1):
         if line.startswith("#"):
-            stripped = line[1:].strip()
-            if "=" in stripped:
-                key, _, value = stripped.partition("=")
-                meta[key.strip()] = value.strip()
-            continue
-        if not line.strip() or line == "param,index,value":
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ParseError(f"line {line_no}: expected 3 fields, got {len(parts)}")
+            key, eq, value = line[1:].partition("=")
+            if eq:
+                meta[key.strip()] = (line_no, value.strip())
+        elif line.strip() and line != "param,index,value":
+            rows.append((line_no, line))
+
+    def header(key):
+        if key not in meta:
+            raise ParseError(f"params file carries no '# {key} =' header")
+        return meta[key]
+
+    def integer(key):
+        line_no, value = header(key)
         try:
-            series.setdefault(parts[0], []).append((parts[1], float(parts[2])))
+            return int(value)
         except ValueError:
-            raise ParseError(f"line {line_no}: unparseable value {parts[2]!r}") from None
-    if "model" not in meta:
-        raise ParseError("params file carries no '# model =' header")
-    model = meta["model"]
+            raise ParseError(f"line {line_no}: {key} {value!r} is not an integer") from None
 
-    def vec(name):
-        if name not in series:
-            raise ParseError(f"params file missing {name} rows")
-        return np.array([v for _, v in series[name]])
-
-    def year_range(name):
-        idx = [int(i) for i, _ in series[name]]
-        return YearRange(min(idx), max(idx))
-
-    def age_range(name):
-        idx = [int(i) for i, _ in series[name]]
-        return AgeRange(min(idx), max(idx))
-
-    if model == "sl":
-        params = SlParams(
-            alpha1=vec("alpha1"),
-            alpha2=vec("alpha2"),
-            kappa=vec("kappa"),
-            t0=int(series["t0"][0][1]),
-            ages=age_range("kappa"),
-            years=year_range("alpha1"),
-        )
-        return model, params, vec("base_survival")
-    if model == "lc":
-        params = LcParams(
-            alpha_x=vec("alpha_x"),
-            beta_x=vec("beta_x"),
-            kappa_t=vec("kappa_t"),
-            ages=age_range("alpha_x"),
-            years=year_range("kappa_t"),
-        )
-        return model, params, None
-    if model == "cbd":
-        if "x_min" not in meta or "x_max" not in meta:
-            raise ParseError("params file carries no age window in its header")
-        params = CbdParams(
-            kappa1_t=vec("kappa1"),
-            kappa2_t=vec("kappa2"),
-            x_bar=series["x_bar"][0][1],
-            ages=AgeRange(int(meta["x_min"]), int(meta["x_max"])),
-            years=year_range("kappa1"),
-        )
-        return model, params, None
-    raise ParseError(f"unknown model {model!r} in params file")
+    line_no, name = header("model")
+    if name not in MODELS:
+        raise ParseError(f"line {line_no}: unknown model {name!r} in params file")
+    model = MODELS[name]
+    ages = AgeRange(integer("x_min"), integer("x_max"))
+    years = YearRange(integer("t_min"), integer("t_max"))
+    windows = {AGE: ages, YEAR: years, None: [""]}
+    layout = [(name, f"{name},{i},") for name, axis in model.rows for i in windows[axis]]
+    got: dict[str, list[float]] = {name: [] for name, _ in model.rows}
+    for k, (name, prefix) in enumerate(layout):
+        if k == len(rows):
+            raise ParseError(f"params file ends at line {len(lines)}, before its {prefix} row")
+        line_no, line = rows[k]
+        if not line.startswith(prefix):
+            raise ParseError(f"line {line_no}: expected a {prefix} row, got {line!r}")
+        try:
+            got[name].append(float(line[len(prefix):]))
+        except ValueError:
+            raise ParseError(f"line {line_no}: unparseable value in {line!r}") from None
+    if len(rows) > len(layout):
+        raise ParseError(f"line {rows[len(layout)][0]}: more rows than the {model.name} layout")
+    values = {name: np.array(got[name]) if axis else got[name][0] for name, axis in model.rows}
+    return model, model.from_rows(values, ages, years)
 
 
 def cmd_fit(args) -> int:
+    model = MODELS[args.model]
     if args.t0 is None:
         args.t0 = args.t_min - 1
     ages = _checked(AgeRange, args.x_min, args.x_max)
     fit_years = _checked(YearRange, args.t_min, args.t_max)
     config = _checked(FitConfig, gamma=args.gamma, epsilon=args.epsilon, k_max=args.k_max)
-    if args.model == "sl":
+    if model.reference_year:
         span = _checked(YearRange, args.t0, args.t_max)
         if args.t0 >= args.t_min:
             raise _UsageError(f"t0 {args.t0} must precede the fit window")
@@ -335,14 +294,9 @@ def cmd_fit(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    converged = True
-    if args.model == "sl":
-        delta = build_l_diff(
-            surface_q_to_survival(_rates_to_q(rates)), t0=args.t0, fit_years=fit_years
-        )
-        params, diag = fit_sl(delta, config)
-        converged = diag.converged
-        body = _params_rows("sl", params, base_survival=delta.base_survival)
+    fitted = model.fit(rates, surface_central_rate_to_q(rates), fit_years, args.t0, config)
+    diag = fitted.diagnostics
+    if diag is not None:
         diag_body = "sweep,objective\n" + "".join(
             f"{k},{v:.17g}\n" for k, v in enumerate(diag.objective_trace)
         )
@@ -352,20 +306,14 @@ def cmd_fit(args) -> int:
             f"max_param_delta = {diag.max_param_delta:.17g}",
         ]
         _write_artifact(out_dir / "diagnostics.csv", diag_header, diag_body)
-    elif args.model == "lc":
-        params = fit_lc(rates)
-        body = _params_rows("lc", params)
-    else:
-        params = fit_cbd(_rates_to_q(rates))
-        body = _params_rows("cbd", params)
 
-    _write_artifact(out_dir / "params.csv", header, body)
+    _write_artifact(out_dir / "params.csv", header, _params_body(model, fitted))
     _write_artifact(
         out_dir / "config.txt", ["resolved configuration"],
         "".join(f"{line}\n" for line in header),
     )
     print(f"wrote {out_dir / 'params.csv'}")
-    if not converged:
+    if diag is not None and not diag.converged:
         print("fit did not converge within k_max sweeps", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
@@ -376,42 +324,22 @@ def cmd_forecast(args) -> int:
         raise _UsageError(f"horizon must be positive, got {args.horizon}")
     if args.mode == "sample" and args.paths < 1:
         raise _UsageError(f"paths must be positive, got {args.paths}")
-    model, params, base_survival = _read_params(args.params)
+    model, fitted = _read_params(args.params)
     raw = Path(args.params).read_bytes()
-    header = _resolved_header(args) + [f"input_sha256 = {_digest(raw)}", f"model = {model}"]
+    header = _resolved_header(args) + [f"input_sha256 = {_digest(raw)}", f"model = {model.name}"]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if model == "sl":
-        rwd = calibrate_rwd(
-            np.column_stack([params.alpha1, params.alpha2]), params.years.to_array()
-        )
-
-        def forecast(mode, n, s):
-            return sl_forecast(params, rwd, base_survival, args.horizon, mode, n_paths=n, seed=s)
-
-    elif model == "lc":
-        rwd = calibrate_rwd(params.kappa_t, params.years.to_array())
-
-        def forecast(mode, n, s):
-            return lc_forecast(params, rwd, args.horizon, mode, n_paths=n, seed=s)
-
-    else:
-        rwd = calibrate_rwd(
-            np.column_stack([params.kappa1_t, params.kappa2_t]), params.years.to_array()
-        )
-
-        def forecast(mode, n, s):
-            return cbd_forecast(params, rwd, args.horizon, mode, n_paths=n, seed=s)
-
+    params = fitted.params
+    rwd = calibrate_rwd(model.time_indices(params), params.years.to_array())
     if args.mode == "central":
-        surface = forecast("central", None, None)
-        buf = io.StringIO()
-        export_csv(surface, buf)
-        _write_artifact(out_dir / "forecast.csv", header, buf.getvalue())
+        surface = model.forecast(fitted, rwd, args.horizon, "central")
+        export_csv(surface, out_dir / "forecast.csv", comments=header)
         print(f"wrote {out_dir / 'forecast.csv'}")
     else:
-        paths = forecast("sample", args.paths, args.seed)
+        paths = model.forecast(
+            fitted, rwd, args.horizon, "sample", n_paths=args.paths, seed=args.seed
+        )
         # nothing else holds the paths array, so the quantiles may reorder it
         lo, mid, hi = np.quantile(paths, [0.05, 0.5, 0.95], axis=0, overwrite_input=True)
         years = YearRange(params.years.t_max + 1, params.years.t_max + args.horizon)
@@ -448,14 +376,10 @@ def cmd_backtest(args) -> int:
     report = run_backtest(rates, config, country=args.country, sex=args.sex)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    buf = io.StringIO()
-    export_csv(report, buf)
-    _write_artifact(out_dir / "report.csv", header, buf.getvalue())
+    export_csv(report, out_dir / "report.csv", comments=header)
     print(f"wrote {out_dir / 'report.csv'}")
     if report.mi_observed is not None:
-        buf = io.StringIO()
-        export_mi_csv(report, buf)
-        _write_artifact(out_dir / "mi_rates.csv", header, buf.getvalue())
+        export_mi_csv(report, out_dir / "mi_rates.csv", comments=header)
         print(f"wrote {out_dir / 'mi_rates.csv'}")
     if report.sl_converged is False:
         print("SL fit did not converge within k_max sweeps", file=sys.stderr)
@@ -466,20 +390,10 @@ def cmd_backtest(args) -> int:
 def cmd_synth(args) -> int:
     ages = _checked(AgeRange, args.x_min, args.x_max)
     years = _checked(YearRange, args.t_min, args.t_max)
-    if args.manifold == "gompertz":
-        config = _checked(
-            SynthConfig,
-            gompertz_a=args.gompertz_a,
-            gompertz_b=args.gompertz_b,
-            improvement=args.improvement,
-            ages=ages,
-            years=years,
-            noise_sd=args.noise_sd,
-            seed=args.seed,
-        )
-        surface = generate_synthetic(config)
-    else:
-        surface = generate_manifold(args.manifold, ages, years)
+    surface = _synthesize(
+        args.manifold, ages, years, gompertz_a=args.gompertz_a, gompertz_b=args.gompertz_b,
+        improvement=args.improvement, noise_sd=args.noise_sd, seed=args.seed,
+    )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     title = "synthetic " + args.manifold + "; " + "; ".join(_resolved_header(args))

@@ -12,24 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
-from .benchmark_models import cbd_forecast, fit_cbd, fit_lc, lc_forecast
 from .errors import DomainError
-from .lifetable import (
-    AgeRange,
-    MortalitySurface,
-    SurfaceKind,
-    YearRange,
-    central_rate_to_q,
-    surface_q_to_survival,
-    survival_to_q,
-)
-from .sl_model import FitConfig, fit_sl, sl_forecast
+from .lifetable import AgeRange, MortalitySurface, SurfaceKind, YearRange, surface_central_rate_to_q
+from .models import MODELS
+from .sl_model import FitConfig
 from .timeseries import calibrate_rwd
-from .transforms import build_l_diff, invert_l_diff
 
-MODEL_ORDER = ("SL", "LC", "CBD")
+MODEL_ORDER = tuple(name.upper() for name in MODELS)
 
 
 def mse(observed, estimated) -> float:
@@ -107,7 +97,6 @@ class BacktestConfig:
     forecast_years: YearRange = YearRange(1990, 2009)
     t0: int = 1959
     models: tuple[str, ...] = MODEL_ORDER
-    mode: str = "central"
     mape_denominator: str = "estimate"
     mi_age: int | None = 65
     mi_ref_year: int | None = None
@@ -126,8 +115,6 @@ class BacktestConfig:
         unknown = [m for m in self.models if m not in MODEL_ORDER]
         if unknown:
             raise DomainError(f"unknown models {unknown}; choose from {MODEL_ORDER}")
-        if self.mode != "central":
-            raise DomainError("backtests score central forecasts only")
         if self.mape_denominator not in ("estimate", "observed"):
             raise DomainError(f"unknown denominator convention {self.mape_denominator!r}")
         if self.mi_age is not None and self.mi_age not in self.ages:
@@ -183,42 +170,6 @@ class BacktestReport:
         raise KeyError(model)
 
 
-def _sl_surfaces(q_surface, config):
-    """Fitted and forecast q for the SL model, plus the convergence flag."""
-    surv = surface_q_to_survival(q_surface)
-    delta = build_l_diff(surv, t0=config.t0, fit_years=config.fit_years)
-    params, diag = fit_sl(delta, config.fit)
-
-    # one survival curve per fit year, age on the last axis
-    fitted_delta = params.fitted_surface().T
-    q_fit = survival_to_q(invert_l_diff(fitted_delta, delta.base_survival)).T
-
-    rwd = calibrate_rwd(
-        np.column_stack([params.alpha1, params.alpha2]), config.fit_years.to_array()
-    )
-    fc = sl_forecast(params, rwd, delta.base_survival, len(config.forecast_years), mode="central")
-    return q_fit, fc.values, diag.converged
-
-
-def _lc_surfaces(m_fit, config):
-    params = fit_lc(m_fit)
-    m_hat = np.exp(params.alpha_x[:, None] + params.beta_x[:, None] * params.kappa_t[None, :])
-    rwd = calibrate_rwd(params.kappa_t, config.fit_years.to_array())
-    fc = lc_forecast(params, rwd, len(config.forecast_years), mode="central")
-    return central_rate_to_q(m_hat), fc.values
-
-
-def _cbd_surfaces(q_fit_obs, config):
-    params = fit_cbd(q_fit_obs)
-    cx = params.ages.to_array() - params.x_bar
-    q_hat = expit(params.kappa1_t[None, :] + cx[:, None] * params.kappa2_t[None, :])
-    rwd = calibrate_rwd(
-        np.column_stack([params.kappa1_t, params.kappa2_t]), config.fit_years.to_array()
-    )
-    fc = cbd_forecast(params, rwd, len(config.forecast_years), mode="central")
-    return q_hat, fc.values
-
-
 def run_backtest(
     data: MortalitySurface,
     config: BacktestConfig | None = None,
@@ -244,39 +195,36 @@ def run_backtest(
         )
 
     sub = data.subset(ages=config.ages, years=span)
-    q_all = MortalitySurface(
-        ages=sub.ages, years=sub.years, kind=SurfaceKind.DEATH_PROB,
-        values=central_rate_to_q(sub.values),
-    )
+    q_all = surface_central_rate_to_q(sub)
     q_fit_obs = q_all.subset(years=config.fit_years)
     q_out_obs = q_all.subset(years=config.forecast_years)
-    m_fit = sub.subset(years=config.fit_years)
 
+    # per model: in-sample q from the fitted time indices, central forecast q
     estimates: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     sl_converged = None
-    for model in config.models:
-        if model == "SL":
-            q_hat_fit, q_hat_out, sl_converged = _sl_surfaces(q_all, config)
-        elif model == "LC":
-            q_hat_fit, q_hat_out = _lc_surfaces(m_fit, config)
-        else:
-            q_hat_fit, q_hat_out = _cbd_surfaces(q_fit_obs, config)
-        estimates[model] = (q_hat_fit, q_hat_out)
-
-    metrics = []
-    for model in MODEL_ORDER:
-        if model not in estimates:
+    for label in MODEL_ORDER:
+        if label not in config.models:
             continue
-        q_hat_fit, q_hat_out = estimates[model]
-        metrics.append(
-            ModelMetrics(
-                model=model,
-                fit_mse=mse(q_fit_obs.values, q_hat_fit),
-                fit_mape=mape(q_fit_obs.values, q_hat_fit, config.mape_denominator),
-                forecast_mse=mse(q_out_obs.values, q_hat_out),
-                forecast_mape=mape(q_out_obs.values, q_hat_out, config.mape_denominator),
-            )
+        model = MODELS[label.lower()]
+        fitted = model.fit(sub, q_all, config.fit_years, config.t0, config.fit)
+        indices = model.time_indices(fitted.params)
+        q_hat_fit = model.q_of(fitted, indices, config.fit_years.t_min)
+        rwd = calibrate_rwd(indices, config.fit_years.to_array())
+        forecast = model.forecast(fitted, rwd, len(config.forecast_years), "central")
+        estimates[label] = (q_hat_fit, forecast.values)
+        if fitted.diagnostics is not None:
+            sl_converged = fitted.diagnostics.converged
+
+    metrics = [
+        ModelMetrics(
+            model=label,
+            fit_mse=mse(q_fit_obs.values, q_hat_fit),
+            fit_mape=mape(q_fit_obs.values, q_hat_fit, config.mape_denominator),
+            forecast_mse=mse(q_out_obs.values, q_hat_out),
+            forecast_mape=mape(q_out_obs.values, q_hat_out, config.mape_denominator),
         )
+        for label, (q_hat_fit, q_hat_out) in estimates.items()
+    ]
 
     mi_observed = None
     mi_forecast = None
@@ -285,11 +233,7 @@ def run_backtest(
         ref = config.ref_year
         q_ref = float(q_all.values[i, q_all.years.index(ref)])
         mi_observed = mi_rate(q_out_obs.values[i, :], q_ref)
-        mi_forecast = {
-            model: mi_rate(estimates[model][1][i, :], q_ref)
-            for model in MODEL_ORDER
-            if model in estimates
-        }
+        mi_forecast = {label: mi_rate(out[i, :], q_ref) for label, (_, out) in estimates.items()}
 
     return BacktestReport(
         country=country,

@@ -314,6 +314,12 @@ def curve_of_deaths(q_col) -> np.ndarray:
     return r
 
 
+def surface_central_rate_to_q(m_surface: MortalitySurface) -> MortalitySurface:
+    """Elementwise :func:`central_rate_to_q` over a central-rate surface."""
+    q = central_rate_to_q(m_surface.values)
+    return MortalitySurface(m_surface.ages, m_surface.years, SurfaceKind.DEATH_PROB, q)
+
+
 def surface_q_to_survival(q_surface: MortalitySurface) -> SurvivalSurface:
     """Columnwise lift of :func:`q_to_survival` over a death-probability surface.
 

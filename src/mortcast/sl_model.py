@@ -8,12 +8,13 @@ projecting (alpha1, alpha2) as a two-dimensional random walk with drift.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import DomainError, FitError
 from .lifetable import AgeRange, YearRange, survival_to_q
-from .timeseries import RwdParams, forecast_q
+from .timeseries import RwdParams, check_walk, forecast_q
 from .transforms import LDiffSurface, invert_l_diff
 
 
@@ -51,6 +52,30 @@ class SlParams:
         object.__setattr__(self, "alpha1", a1)
         object.__setattr__(self, "alpha2", a2)
         object.__setattr__(self, "kappa", k)
+
+    def q_of(self, states: np.ndarray, base_survival: np.ndarray, first_year: int) -> np.ndarray:
+        """Death probabilities (..., n_ages, n_years) from states (..., n_years, 2).
+
+        The states are (alpha1, alpha2) of the years from ``first_year`` on.
+        Each year's survival curve is rebuilt through the inverse transform
+        against base_survival. A non-monotone curve raises DomainError
+        naming the year and the two ages, with ``cell`` holding the leading
+        (path) index, if any.
+        """
+        # (..., n_years, 1) + (..., n_years, 1) * (ages,): age is the last axis
+        delta = states[..., :1] + states[..., 1:] * self.kappa
+        try:
+            q = survival_to_q(invert_l_diff(delta, base_survival))
+        except DomainError as exc:
+            if exc.cell is None:
+                raise
+            *path, h, i = exc.cell
+            x = self.ages.x_min + i
+            raise DomainError(
+                f"survival increases from age {x} to {x + 1} in year {first_year + h}",
+                cell=tuple(path),
+            ) from None
+        return np.swapaxes(q, -1, -2)
 
     def fitted_surface(self) -> np.ndarray:
         """alpha1_t + alpha2_t * kappa_x as an (n_ages, n_years) array."""
@@ -264,39 +289,17 @@ def sl_forecast(
 ):
     """Death-probability forecast over the given horizon.
 
-    Projects (alpha1, alpha2) by the calibrated walk, rebuilds each future
-    year's survival curve through the inverse transform against
-    base_survival, and converts to death probabilities, all in one array
-    expression over the states (see :func:`~mortcast.timeseries.forecast_q`).
-    Central mode returns one surface with years following the fit window;
-    sample mode returns an (n_paths, n_ages, horizon) array, built in chunks
-    of paths, whose path p is reproducible from ``seed`` alone.
+    Projects (alpha1, alpha2) by the calibrated walk and applies
+    :meth:`SlParams.q_of` to the projected states in one array expression (see
+    :func:`~mortcast.timeseries.forecast_q`). Central mode returns one
+    surface with years following the fit window; sample mode returns an
+    (n_paths, n_ages, horizon) array, built in chunks of paths, whose path p
+    is reproducible from ``seed`` alone.
 
     A projected curve is always inside (0, 1); if a sampled path produces a
     non-monotone curve, DomainError names the path, the year and the two
     ages between which survival increases.
     """
-    if rwd.dim != 2:
-        raise DomainError("forecasting needs the two-dimensional (alpha1, alpha2) walk")
-    if rwd.last_year != params.years.t_max:
-        raise DomainError(
-            f"walk calibrated through {rwd.last_year} but fit ends {params.years.t_max}"
-        )
-    x0, t1 = params.ages.x_min, params.years.t_max + 1
-
-    def q_of(states: np.ndarray) -> np.ndarray:
-        # (..., horizon, 1) + (..., horizon, 1) * (ages,): age is the last axis
-        delta = states[..., :1] + states[..., 1:] * params.kappa
-        try:
-            q = survival_to_q(invert_l_diff(delta, base_survival))
-        except DomainError as exc:
-            if exc.cell is None:
-                raise
-            *path, h, i = exc.cell
-            raise DomainError(
-                f"survival increases from age {x0 + i} to {x0 + i + 1} in year {t1 + h}",
-                cell=tuple(path),
-            ) from None
-        return np.swapaxes(q, -1, -2)
-
+    check_walk(rwd, 2, params.years, "SL")
+    q_of = partial(params.q_of, base_survival=base_survival, first_year=params.years.t_max + 1)
     return forecast_q(rwd, horizon, q_of, params.ages, mode, n_paths=n_paths, seed=seed)

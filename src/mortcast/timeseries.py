@@ -121,6 +121,14 @@ def calibrate_rwd(series, years) -> RwdParams:
     )
 
 
+def check_walk(rwd: RwdParams, dim: int, years: YearRange, model: str) -> None:
+    """Reject a walk that cannot project a model fitted over ``years``."""
+    if rwd.dim != dim:
+        raise DomainError(f"{model} forecasting needs a {dim}-dimensional walk, got dim {rwd.dim}")
+    if rwd.last_year != years.t_max:
+        raise DomainError(f"walk calibrated through {rwd.last_year} but fit ends {years.t_max}")
+
+
 def project_central(params: RwdParams, horizon: int) -> np.ndarray:
     """Noise-free continuation: state after h steps is last_state + h * drift.
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from mortcast import (
     AgeRange,
@@ -255,6 +256,70 @@ class TestForecast:
             ["forecast", "--params", str(tmp_path / "nope.csv"), "--horizon", "2",
              "--out", str(tmp_path / "x")]
         ) == 3
+
+
+class TestParamsReader:
+    """A params.csv off its model's row layout is a data error naming the line."""
+
+    def fit(self, tmp_path, model):
+        fit_dir = tmp_path / "fit"
+        assert main(
+            ["fit", "--model", model, "--synth", "gompertz", *FIT_WINDOW, "--out", str(fit_dir)]
+        ) == 0
+        path = fit_dir / "params.csv"
+        return path, path.read_text().splitlines()
+
+    def forecast(self, path, lines, tmp_path, capsys):
+        path.write_text("\n".join(lines) + "\n")
+        code = main(
+            ["forecast", "--params", str(path), "--horizon", "2", "--out", str(tmp_path / "fc")]
+        )
+        assert not (tmp_path / "fc" / "forecast.csv").exists()
+        return code, capsys.readouterr().err
+
+    @staticmethod
+    def line_of(lines, prefix):
+        return next(k for k, line in enumerate(lines) if line.startswith(prefix))
+
+    @pytest.mark.parametrize("model, row", [("sl", "t0"), ("cbd", "x_bar")])
+    def test_missing_scalar_row(self, tmp_path, capsys, model, row):
+        path, lines = self.fit(tmp_path, model)
+        del lines[self.line_of(lines, f"{row},")]
+        code, err = self.forecast(path, lines, tmp_path, capsys)
+        assert code == 3
+        assert f"ends at line {len(lines)}, before its {row},, row" in err
+
+    def test_missing_series_row(self, tmp_path, capsys):
+        path, lines = self.fit(tmp_path, "lc")
+        k = self.line_of(lines, "kappa_t,1995,")
+        del lines[k]
+        code, err = self.forecast(path, lines, tmp_path, capsys)
+        assert code == 3
+        assert f"line {k + 1}: expected a kappa_t,1995, row, got '{lines[k]}'" in err
+
+    def test_non_integer_index(self, tmp_path, capsys):
+        path, lines = self.fit(tmp_path, "lc")
+        k = self.line_of(lines, "kappa_t,1995,")
+        lines[k] = lines[k].replace("1995", "1995.5", 1)
+        code, err = self.forecast(path, lines, tmp_path, capsys)
+        assert code == 3
+        assert f"line {k + 1}: expected a kappa_t,1995, row, got '{lines[k]}'" in err
+
+    def test_non_integer_header(self, tmp_path, capsys):
+        path, lines = self.fit(tmp_path, "cbd")
+        k = self.line_of(lines, "# x_min =")
+        lines[k] = "# x_min = sixty"
+        code, err = self.forecast(path, lines, tmp_path, capsys)
+        assert code == 3
+        assert f"line {k + 1}: x_min 'sixty' is not an integer" in err
+
+    def test_rows_out_of_order(self, tmp_path, capsys):
+        path, lines = self.fit(tmp_path, "lc")
+        first, last = self.line_of(lines, "kappa_t,1990,"), self.line_of(lines, "kappa_t,2009,")
+        lines[first], lines[last] = lines[last], lines[first]
+        code, err = self.forecast(path, lines, tmp_path, capsys)
+        assert code == 3
+        assert f"line {first + 1}: expected a kappa_t,1990, row, got '{lines[first]}'" in err
 
 
 class TestInvalidSamplePath:
