@@ -11,12 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DomainError, FitError
 from .lifetable import AgeRange, MortalitySurface, SurfaceKind, YearRange, central_rate_to_q
 from .timeseries import RwdParams, check_walk, forecast_q
-from .transforms import logit
+from .transforms import logistic, logit
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,7 @@ class CbdParams:
         (0, 1).
         """
         cx = (self.ages.to_array() - self.x_bar)[:, None]
-        return expit(states[..., None, :, 0] + cx * states[..., None, :, 1])
+        return logistic(states[..., None, :, 0] + cx * states[..., None, :, 1])
 
 
 def fit_lc(m_surface: MortalitySurface) -> LcParams:

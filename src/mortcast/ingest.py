@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DomainError, ParseError
 from .evaluation import BacktestReport
@@ -27,7 +26,7 @@ from .lifetable import (
     q_to_survival,
     survival_to_q,
 )
-from .transforms import invert_l_diff
+from .transforms import invert_l_diff, logistic
 
 _HMD_HEADER = ("Year", "Age", "Female", "Male", "Total")
 _COLUMNS = {"female": 2, "male": 3, "total": 4}
@@ -260,7 +259,7 @@ def generate_cbd_exact(ages: AgeRange, years: YearRange) -> MortalitySurface:
     dt = (years.to_array() - years.t_min).astype(float)
     k1 = -4.0 - 0.028 * dt
     k2 = 0.12 + 0.0009 * dt
-    q = expit(k1[None, :] + cx[:, None] * k2[None, :])
+    q = logistic(k1[None, :] + cx[:, None] * k2[None, :])
     return _q_grid_to_m(q, ages, years)
 
 

@@ -1,4 +1,4 @@
-"""The log(-log) survival transform, the logit, and difference surfaces.
+"""The log(-log) survival transform, the logit and logistic, and difference surfaces.
 
 The central object is the map L(s) = log(-log s) on (0, 1), applied to
 survival curves. Differencing L of a year's curve against a fixed
@@ -46,6 +46,12 @@ def logit(p):
         raise DomainError("logit requires probabilities strictly inside (0, 1)")
     out = np.log(arr / (1.0 - arr))
     return float(out) if scalar else out
+
+
+def logistic(x):
+    """Inverse of :func:`logit`, 1 / (1 + exp(-x)); exactly 0 where exp(-x) overflows."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
 
 
 @dataclass(frozen=True)

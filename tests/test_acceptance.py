@@ -12,7 +12,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from mortcast import (
     AgeRange,
