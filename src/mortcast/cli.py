@@ -238,24 +238,18 @@ def _read_params(path: str):
         elif line.strip() and line != "param,index,value":
             rows.append((line_no, line))
 
-    def header(key):
+    def header(key, convert=int):
         if key not in meta:
             raise ParseError(f"params file carries no '# {key} =' header")
-        return meta[key]
-
-    def integer(key):
-        line_no, value = header(key)
+        line_no, value = meta[key]
         try:
-            return int(value)
-        except ValueError:
-            raise ParseError(f"line {line_no}: {key} {value!r} is not an integer") from None
+            return convert(value)
+        except (ValueError, KeyError):
+            raise ParseError(f"line {line_no}: invalid {key} {value!r}") from None
 
-    line_no, name = header("model")
-    if name not in MODELS:
-        raise ParseError(f"line {line_no}: unknown model {name!r} in params file")
-    model = MODELS[name]
-    ages = AgeRange(integer("x_min"), integer("x_max"))
-    years = YearRange(integer("t_min"), integer("t_max"))
+    model = header("model", MODELS.__getitem__)
+    ages = AgeRange(header("x_min"), header("x_max"))
+    years = YearRange(header("t_min"), header("t_max"))
     windows = {AGE: ages, YEAR: years, None: [""]}
     layout = [(name, f"{name},{i},") for name, axis in model.rows for i in windows[axis]]
     got: dict[str, list[float]] = {name: [] for name, _ in model.rows}
@@ -331,7 +325,7 @@ def cmd_forecast(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     params = fitted.params
-    rwd = calibrate_rwd(model.time_indices(params), params.years.to_array())
+    rwd = calibrate_rwd(model.time_indices(fitted), params.years.to_array())
     if args.mode == "central":
         surface = model.forecast(fitted, rwd, args.horizon, "central")
         export_csv(surface, out_dir / "forecast.csv", comments=header)

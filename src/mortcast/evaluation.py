@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import DomainError
 from .lifetable import AgeRange, MortalitySurface, SurfaceKind, YearRange, surface_central_rate_to_q
+# unused here, but perfbench's tracer self-test checks that this copy is rebound
+from .lifetable import survival_to_q  # noqa: F401
 from .models import MODELS
 from .sl_model import FitConfig
 from .timeseries import calibrate_rwd
@@ -207,7 +209,7 @@ def run_backtest(
             continue
         model = MODELS[label.lower()]
         fitted = model.fit(sub, q_all, config.fit_years, config.t0, config.fit)
-        indices = model.time_indices(fitted.params)
+        indices = model.time_indices(fitted)
         q_hat_fit = model.q_of(fitted, indices, config.fit_years.t_min)
         rwd = calibrate_rwd(indices, config.fit_years.to_array())
         forecast = model.forecast(fitted, rwd, len(config.forecast_years), "central")

@@ -39,25 +39,24 @@ class Fitted:
 class Model:
     """What one model adds to the shared fit, forecast and scoring path.
 
-    ``fit(rates, q, fit_years, t0, config)`` fits central rates and their
-    death probabilities over years that cover the fit window (and t0 when
-    ``reference_year`` is set). ``time_indices(params)`` is the (n_years,
-    dim) series the random walk is calibrated on, and ``q_of(fitted,
-    states, first_year)`` the death-probability expression over such
-    states, which ``forecast(fitted, rwd, horizon, mode, n_paths, seed)``
-    applies to projected ones. ``rows`` is the params.csv layout, (param,
-    AGE | YEAR | None for a scalar); ``row_values(fitted)`` lists their
-    values and ``from_rows(values, ages, years)`` rebuilds the fit.
+    ``fit`` gets central rates and their death probabilities over years
+    that cover the fit window and, when ``reference_year`` is set, the
+    reference year t0. ``q_of`` maps states of shape (..., n_years, dim),
+    the years counted from ``first_year``, to death probabilities of shape
+    (..., n_ages, n_years): applied to the fitted time indices it gives the
+    in-sample fit, and the model's forecast applies it to projected states.
+    ``rows`` is the params.csv layout: (param, AGE | YEAR | None) pairs,
+    None marking a scalar.
     """
 
-    name: str
-    fit: Callable[..., Fitted]
-    time_indices: Callable[[object], np.ndarray]
-    q_of: Callable[[Fitted, np.ndarray, int], np.ndarray]
-    forecast: Callable[..., object]
+    name: str  # CLI name; backtest reports use name.upper()
+    fit: Callable[..., Fitted]  # (rates, q, fit_years, t0, config)
+    time_indices: Callable[[Fitted], np.ndarray]  # (n_years, dim), for calibrate_rwd
+    q_of: Callable[[Fitted, np.ndarray, int], np.ndarray]  # (fitted, states, first_year)
+    forecast: Callable[..., object]  # (fitted, rwd, horizon, mode, n_paths=None, seed=None)
     rows: tuple[tuple[str, str | None], ...]
-    row_values: Callable[[Fitted], tuple]
-    from_rows: Callable[..., Fitted]
+    row_values: Callable[[Fitted], tuple]  # values in the order of rows
+    from_rows: Callable[..., Fitted]  # (values by param, ages, years)
     reference_year: bool = False
 
 
@@ -70,7 +69,7 @@ def _fit_sl(rates, q, fit_years, t0, config) -> Fitted:
 SL = Model(
     name="sl",
     fit=_fit_sl,
-    time_indices=lambda p: np.column_stack([p.alpha1, p.alpha2]),
+    time_indices=lambda f: np.column_stack([f.params.alpha1, f.params.alpha2]),
     q_of=lambda f, states, first_year: f.params.q_of(states, f.base_survival, first_year),
     forecast=lambda f, rwd, *args, **kwargs: sl_forecast(
         f.params, rwd, f.base_survival, *args, **kwargs
@@ -89,7 +88,7 @@ SL = Model(
 LC = Model(
     name="lc",
     fit=lambda rates, q, fit_years, t0, config: Fitted(fit_lc(rates.subset(years=fit_years))),
-    time_indices=lambda p: p.kappa_t[:, None],
+    time_indices=lambda f: f.params.kappa_t[:, None],
     q_of=lambda f, states, first_year: f.params.q_of(states),
     forecast=lambda f, rwd, *args, **kwargs: lc_forecast(f.params, rwd, *args, **kwargs),
     rows=(("alpha_x", AGE), ("beta_x", AGE), ("kappa_t", YEAR)),
@@ -102,7 +101,7 @@ LC = Model(
 CBD = Model(
     name="cbd",
     fit=lambda rates, q, fit_years, t0, config: Fitted(fit_cbd(q.subset(years=fit_years))),
-    time_indices=lambda p: np.column_stack([p.kappa1_t, p.kappa2_t]),
+    time_indices=lambda f: np.column_stack([f.params.kappa1_t, f.params.kappa2_t]),
     q_of=lambda f, states, first_year: f.params.q_of(states),
     forecast=lambda f, rwd, *args, **kwargs: cbd_forecast(f.params, rwd, *args, **kwargs),
     rows=(("kappa1", YEAR), ("kappa2", YEAR), ("x_bar", None)),

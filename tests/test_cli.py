@@ -311,7 +311,7 @@ class TestParamsReader:
         lines[k] = "# x_min = sixty"
         code, err = self.forecast(path, lines, tmp_path, capsys)
         assert code == 3
-        assert f"line {k + 1}: x_min 'sixty' is not an integer" in err
+        assert f"line {k + 1}: invalid x_min 'sixty'" in err
 
     def test_rows_out_of_order(self, tmp_path, capsys):
         path, lines = self.fit(tmp_path, "lc")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from mortcast import (
     l_transform,
     logit,
 )
+from mortcast.transforms import logistic
 
 # log(log 2) and exp(-e), pinned at full double precision
 LOG_LOG_2 = -0.36651292058166433
@@ -85,6 +88,18 @@ class TestLogit:
         for bad in (0.0, 1.0, -0.1, 1.1):
             with pytest.raises(DomainError):
                 logit(bad)
+
+
+class TestLogistic:
+    def test_inverts_logit(self):
+        p = np.linspace(0.001, 0.999, 41)
+        np.testing.assert_allclose(logistic(logit(p)), p, rtol=1e-14)
+        assert logistic(0.0) == 0.5
+
+    def test_saturates_without_overflow_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(logistic([-1000.0, 1000.0]), [0.0, 1.0])
 
 
 class TestBuildLDiff:
