@@ -24,6 +24,7 @@ from .ingest import (
     SynthConfig,
     export_csv,
     export_mi_csv,
+    export_quantiles_csv,
     generate_manifold,
     generate_synthetic,
     parse_hmd,
@@ -32,7 +33,7 @@ from .ingest import (
 from .lifetable import AgeRange, MortalitySurface, YearRange, surface_central_rate_to_q
 from .models import AGE, MODELS, YEAR
 from .sl_model import FitConfig
-from .timeseries import calibrate_rwd
+from .timeseries import calibrate_rwd, path_quantiles
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -41,6 +42,7 @@ EXIT_DATA = 3
 
 _SEX_COLUMN = {"f": "female", "m": "male", "total": "total"}
 _SYNTH = ["gompertz", *_MANIFOLDS]
+_QUANTILE_PROBS = (0.05, 0.5, 0.95)
 
 
 class _UsageError(MortcastError):
@@ -318,6 +320,8 @@ def cmd_forecast(args) -> int:
         raise _UsageError(f"horizon must be positive, got {args.horizon}")
     if args.mode == "sample" and args.paths < 1:
         raise _UsageError(f"paths must be positive, got {args.paths}")
+    if args.mode == "sample" and args.seed < 0:
+        raise _UsageError(f"seed must be a nonnegative integer, got {args.seed}")
     model, fitted = _read_params(args.params)
     raw = Path(args.params).read_bytes()
     header = _resolved_header(args) + [f"input_sha256 = {_digest(raw)}", f"model = {model.name}"]
@@ -335,14 +339,11 @@ def cmd_forecast(args) -> int:
             fitted, rwd, args.horizon, "sample", n_paths=args.paths, seed=args.seed
         )
         # nothing else holds the paths array, so the quantiles may reorder it
-        lo, mid, hi = np.quantile(paths, [0.05, 0.5, 0.95], axis=0, overwrite_input=True)
+        bands = path_quantiles(paths, _QUANTILE_PROBS)
         years = YearRange(params.years.t_max + 1, params.years.t_max + args.horizon)
-        body = io.StringIO()
-        body.write("age,year,q05,q50,q95\n")
-        for i, x in enumerate(params.ages):
-            for j, t in enumerate(years):
-                body.write(f"{x},{t},{lo[i, j]:.17g},{mid[i, j]:.17g},{hi[i, j]:.17g}\n")
-        _write_artifact(out_dir / "quantiles.csv", header, body.getvalue())
+        export_quantiles_csv(
+            bands, _QUANTILE_PROBS, params.ages, years, out_dir / "quantiles.csv", comments=header
+        )
         print(f"wrote {out_dir / 'quantiles.csv'}")
     return EXIT_OK
 

@@ -199,6 +199,8 @@ class SynthConfig:
             raise DomainError("Gompertz level and slope must be positive")
         if self.noise_sd < 0.0:
             raise DomainError("noise_sd must be nonnegative")
+        if self.seed < 0:
+            raise DomainError(f"seed must be a nonnegative integer, got {self.seed}")
 
 
 def generate_synthetic(config: SynthConfig) -> MortalitySurface:
@@ -385,6 +387,31 @@ def export_mi_csv(report: BacktestReport, destination, comments=()) -> None:
         row = [f"{report.mi_observed[j]:.17g}"]
         row += [f"{report.mi_forecast[m][j]:.17g}" for m in models]
         out.write(f"{t}," + ",".join(row) + "\n")
+    _write_text(destination, _comment_block(comments) + out.getvalue())
+
+
+def export_quantiles_csv(
+    quantiles: np.ndarray, probs, ages: AgeRange, years: YearRange, destination, comments=()
+) -> None:
+    """Sample-forecast bands: one column per probability, by age then year.
+
+    ``quantiles`` has shape (len(probs), n_ages, n_years), as
+    :func:`~mortcast.timeseries.path_quantiles` returns it. Header
+    "age,year,q05,q50,q95" for probs (0.05, 0.5, 0.95): each column is
+    named by its probability in whole percent, two digits. Values carry 17
+    significant digits; ``comments`` are emitted first as "# " lines.
+    """
+    if quantiles.shape != (len(probs), len(ages), len(years)):
+        raise DomainError(
+            f"quantiles of shape {quantiles.shape} do not match {len(probs)} probabilities "
+            f"over {len(ages)} ages and {len(years)} years"
+        )
+    out = io.StringIO()
+    out.write("age,year," + ",".join(f"q{round(100 * q):02d}" for q in probs) + "\n")
+    cells = np.moveaxis(quantiles, 0, -1).tolist()
+    for x, row in zip(ages, cells):
+        for t, values in zip(years, row):
+            out.write(f"{x},{t}," + ",".join(f"{v:.17g}" for v in values) + "\n")
     _write_text(destination, _comment_block(comments) + out.getvalue())
 
 

@@ -9,6 +9,7 @@ all three models.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,18 @@ from .lifetable import AgeRange, MortalitySurface, SurfaceKind, YearRange, check
 # the temporaries of a model's array expression stay a few MB however many
 # paths are asked for.
 PATH_CHUNK = 256
+
+# numpy.random.SeedSequence's hash constants and pool size (O'Neill's
+# seed_seq_fe, as in numpy/random/bit_generator.pyx) and PCG64's 128-bit
+# LCG multiplier (O'Neill 2014, "PCG"). simulate_paths reproduces
+# default_rng([seed, p]) with them; numpy's own streams are the test oracle.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
 
 
 def _psd_cholesky(cov: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
@@ -140,26 +153,134 @@ def project_central(params: RwdParams, horizon: int) -> np.ndarray:
     return params.last_state + steps[:, None] * params.drift
 
 
+def _uint32_words(n: int) -> list[int]:
+    """Little-endian 32-bit words of n >= 0, as SeedSequence splits an int."""
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _seed_sequence_state(entropy: list[np.ndarray]) -> list[np.ndarray]:
+    """``SeedSequence(entropy).generate_state(8, np.uint32)`` for many entropies.
+
+    ``entropy`` lists the uint32 words in order, word k of every entropy
+    in array k. The hash constants advance the same way whatever the
+    words are, so the pool mix runs on whole arrays; uint32 arithmetic
+    wraps as SeedSequence's does.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+
+    hash_const = _INIT_B
+    state = []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        state.append(value ^ (value >> np.uint32(16)))
+    return state
+
+
+def _pcg64_streams(seed: int, n_paths: int):
+    """PCG64 (state, inc) of ``default_rng([seed, p])`` for p in range(n_paths).
+
+    The entropy of path p is the words of ``seed`` followed by the one word
+    of p. Its SeedSequence state gives two 128-bit words, high half first:
+    the initial state and the stream. PCG64 seeds with two LCG steps,
+    state = ((inc + initstate) * mult + inc), where inc = 2 * stream + 1.
+    """
+    entropy = [np.full(n_paths, w, dtype=np.uint32) for w in _uint32_words(seed)]
+    entropy.append(np.arange(n_paths, dtype=np.uint32))
+    words = _seed_sequence_state(entropy)
+    # little-endian pairs of uint32 words make the four uint64 words
+    w0, w1, w2, w3 = (
+        (words[2 * k].astype(np.uint64) | words[2 * k + 1].astype(np.uint64) << np.uint64(32))
+        .tolist()
+        for k in range(4)
+    )
+    for hi_state, lo_state, hi_seq, lo_seq in zip(w0, w1, w2, w3):
+        inc = ((hi_seq << 64 | lo_seq) << 1 | 1) & _MASK128
+        init_state = (hi_state << 64) | lo_state
+        yield ((inc + init_state) * _PCG_MULT + inc) & _MASK128, inc
+
+
 def simulate_paths(params: RwdParams, horizon: int, n_paths: int, seed: int) -> np.ndarray:
     """Simulate seeded sample paths of the walk; shape (n_paths, horizon, dim).
 
     Path p draws its (horizon, dim) standard normals from its own stream,
-    ``np.random.default_rng([seed, p])``, so any path can be reproduced on
-    its own and the result is bit-identical for a fixed seed whatever the
-    number of paths. Drift, innovation factor and the cumulative sum are
-    then applied to all paths at once.
+    bit for bit the stream of ``np.random.default_rng([seed, p])``, so any
+    path can be reproduced on its own and the result is bit-identical for
+    a fixed seed whatever the number of paths. The streams' seeds are
+    computed for all paths at once and loaded into one reused PCG64; drift,
+    innovation factor and the cumulative sum are then applied to all paths
+    at once. ``n_paths`` must be below 2**32, so that p is one seed word.
     """
     if horizon < 1:
         raise DomainError(f"horizon must be positive, got {horizon}")
-    if n_paths < 1:
-        raise DomainError(f"n_paths must be positive, got {n_paths}")
+    if not 1 <= n_paths < 2**32:
+        raise DomainError(f"n_paths must be in [1, 2**32), got {n_paths}")
     if seed < 0:
         raise DomainError("seed must be a nonnegative integer")
     z = np.empty((n_paths, horizon, params.dim))
-    for p in range(n_paths):
-        np.random.default_rng([seed, p]).standard_normal(out=z[p])
+    bit_generator = np.random.PCG64()
+    generator = np.random.Generator(bit_generator)
+    pcg = {"state": 0, "inc": 0}
+    full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    for p, (state, inc) in enumerate(_pcg64_streams(int(seed), n_paths)):
+        pcg["state"], pcg["inc"] = state, inc
+        bit_generator.state = full
+        generator.standard_normal(out=z[p])
     increments = params.drift + z @ params.innovation_factor.T
     return params.last_state + np.cumsum(increments, axis=1)
+
+
+def path_quantiles(paths: np.ndarray, probs) -> np.ndarray:
+    """Quantiles over the first (path) axis; shape (len(probs), *paths.shape[1:]).
+
+    Bit for bit ``np.quantile(paths, probs, axis=0)`` with numpy's default
+    ``"linear"`` method, method 7 of Hyndman & Fan (1996): with
+    v = (n - 1) * q, the order statistics a = x[floor(v)] and
+    b = x[min(floor(v) + 1, n - 1)] and g = v - floor(v), the result is
+    a + (b - a) * g, or b - (b - a) * (1 - g) when g >= 0.5, as numpy's
+    ``_lerp`` computes it. ``paths`` is sorted in place along its first
+    axis, so its rows come back reordered, and no copy of it is made. The
+    values must be finite, as forecast_q guarantees for its sample arrays.
+    """
+    if any(not 0.0 <= q <= 1.0 for q in probs):
+        raise DomainError(f"quantile probabilities must lie in [0, 1], got {list(probs)}")
+    np.moveaxis(paths, 0, -1).sort(axis=-1)
+    n = paths.shape[0]
+    out = np.empty((len(probs),) + paths.shape[1:])
+    for k, q in enumerate(probs):
+        v = (n - 1) * q
+        i = math.floor(v)
+        a, b = paths[i], paths[min(i + 1, n - 1)]
+        g = v - i
+        out[k] = a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g)
+    return out
 
 
 def forecast_states(

@@ -361,6 +361,39 @@ class TestInvalidSamplePath:
         assert forecast(500, "chunked") == (3, err)
 
 
+class TestNegativeSeed:
+    """A negative --seed is a usage error (exit 1) in every subcommand."""
+
+    @staticmethod
+    def lc_params(tmp_path):
+        data = synth_file(tmp_path, manifold="lc")
+        assert main(
+            ["fit", "--model", "lc", "--input", str(data), *FIT_WINDOW,
+             "--out", str(tmp_path / "fit")]
+        ) == 0
+        return tmp_path / "fit" / "params.csv"
+
+    @pytest.mark.parametrize("command", ["synth", "fit", "backtest", "forecast"])
+    def test_exit_usage_with_one_line(self, tmp_path, capsys, command):
+        out = str(tmp_path / "out")
+        gompertz = ["--synth", "gompertz", "--noise-sd", "0.01", "--seed", "-1"]
+        if command == "forecast":
+            argv = ["forecast", "--params", str(self.lc_params(tmp_path)), "--horizon", "3",
+                    "--mode", "sample", "--paths", "5", "--seed", "-1", "--out", out]
+        else:
+            argv = {
+                "synth": ["synth", *SYNTH_WINDOW, "--noise-sd", "0.01", "--seed", "-1",
+                          "--out", out],
+                "fit": ["fit", "--model", "lc", *gompertz, *FIT_WINDOW, "--out", out],
+                "backtest": ["backtest", *gompertz, *TestBacktest.ARGS, "--out", out],
+            }[command]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "mortcast: usage error: seed must be a nonnegative integer, got -1\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestBacktest:
     ARGS = ["--x-min", "60", "--x-max", "74", "--fit-from", "1980", "--fit-to", "1999",
             "--forecast-from", "2000", "--forecast-to", "2009"]

@@ -14,6 +14,7 @@ from mortcast import (
     estimate_m,
     export_csv,
     export_mi_csv,
+    export_quantiles_csv,
     generate_manifold,
     generate_synthetic,
     parse_hmd,
@@ -209,6 +210,8 @@ class TestGenerateSynthetic:
             SynthConfig(gompertz_a=0.0)
         with pytest.raises(DomainError):
             SynthConfig(noise_sd=-0.1)
+        with pytest.raises(DomainError, match="seed"):
+            SynthConfig(seed=-1)
 
     def test_overflow_rejected(self):
         with pytest.raises(DomainError):
@@ -304,6 +307,31 @@ class TestSurfaceCsv:
     def test_unserializable_object(self):
         with pytest.raises(DomainError):
             export_csv({"not": "a surface"}, io.StringIO())
+
+
+class TestQuantilesCsv:
+    def test_layout(self):
+        bands = np.arange(12, dtype=float).reshape(3, 2, 2) / 16
+        buf = io.StringIO()
+        export_quantiles_csv(
+            bands, (0.05, 0.5, 0.95), AgeRange(60, 61), YearRange(2010, 2011), buf,
+            comments=("demo",),
+        )
+        assert buf.getvalue() == (
+            "# demo\n"
+            "age,year,q05,q50,q95\n"
+            "60,2010,0,0.25,0.5\n"
+            "60,2011,0.0625,0.3125,0.5625\n"
+            "61,2010,0.125,0.375,0.625\n"
+            "61,2011,0.1875,0.4375,0.6875\n"
+        )
+
+    def test_shape_must_match_grid(self):
+        with pytest.raises(DomainError, match="do not match"):
+            export_quantiles_csv(
+                np.zeros((3, 2, 2)), (0.05, 0.95), AgeRange(60, 61), YearRange(2010, 2011),
+                io.StringIO(),
+            )
 
 
 class TestReportCsv:

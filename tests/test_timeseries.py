@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mortcast import (
     DomainError,
@@ -7,9 +10,12 @@ from mortcast import (
     YearRange,
     calibrate_rwd,
     forecast_states,
+    path_quantiles,
     project_central,
     simulate_paths,
 )
+from mortcast import timeseries
+from mortcast.timeseries import PATH_CHUNK
 
 
 def make_params(drift, factor, last_state, last_year=2009):
@@ -21,6 +27,20 @@ def make_params(drift, factor, last_state, last_year=2009):
         last_state=np.atleast_1d(np.asarray(last_state, dtype=float)),
         last_year=last_year,
     )
+
+
+def oracle_paths(params, horizon, n_paths, seed):
+    """Path p from its own numpy stream default_rng([seed, p]), one path at a time."""
+    out = np.empty((n_paths, horizon, params.dim))
+    for p in range(n_paths):
+        z = np.random.default_rng([seed, p]).standard_normal((horizon, params.dim))
+        increments = params.drift + z @ params.innovation_factor.T
+        out[p] = params.last_state + np.cumsum(increments, axis=0)
+    return out
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
 
 
 class TestCalibrate:
@@ -148,11 +168,42 @@ class TestSimulatePaths:
         # path p is the (seed, p) stream pushed through drift, factor and cumsum
         params = make_params([0.1, -0.05], [[0.3, 0.0], [0.1, 0.2]], [1.0, 2.0])
         paths = simulate_paths(params, 9, n_paths=6, seed=13)
-        for p in range(6):
-            z = np.random.default_rng([13, p]).standard_normal((9, 2))
-            increments = params.drift + z @ params.innovation_factor.T
-            expected = params.last_state + np.cumsum(increments, axis=0)
-            np.testing.assert_array_equal(paths[p], expected)
+        np.testing.assert_array_equal(bits(paths), bits(oracle_paths(params, 9, 6, 13)))
+
+    # one to seven seed words: the pool of four is padded, exactly filled,
+    # and overflowing into SeedSequence's extra-entropy loop
+    @pytest.mark.parametrize(
+        "seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**96 - 1, 2**96, 2**100 + 7, 2**200 + 3]
+    )
+    @pytest.mark.parametrize("n_paths", [1, PATH_CHUNK + 5])
+    def test_streams_are_default_rng_bit_for_bit(self, seed, n_paths):
+        params = make_params([0.1, -0.05], [[0.3, 0.0], [0.1, 0.2]], [1.0, 2.0])
+        paths = simulate_paths(params, 4, n_paths=n_paths, seed=seed)
+        np.testing.assert_array_equal(bits(paths), bits(oracle_paths(params, 4, n_paths, seed)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**160),
+        n_paths=st.integers(min_value=1, max_value=40),
+        horizon=st.integers(min_value=1, max_value=6),
+        dim=st.integers(min_value=1, max_value=2),
+    )
+    def test_streams_property(self, seed, n_paths, horizon, dim):
+        params = make_params([0.1] * dim, np.eye(dim) * 0.3, [0.5] * dim)
+        paths = simulate_paths(params, horizon, n_paths=n_paths, seed=seed)
+        expected = oracle_paths(params, horizon, n_paths, seed)
+        np.testing.assert_array_equal(bits(paths), bits(expected))
+
+    def test_path_count_must_fit_one_seed_word(self, monkeypatch):
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"numpy.{name} used before the path count was checked")
+
+        params = make_params([0.0], [[0.1]], [0.0])
+        monkeypatch.setattr(timeseries, "np", NoNumpy())
+        for n_paths in (2**32, 2**40):
+            with pytest.raises(DomainError, match="n_paths"):
+                simulate_paths(params, 3, n_paths=n_paths, seed=0)
 
     def test_moments(self):
         params = make_params([0.25, -0.1], [[0.4, 0.0], [0.2, 0.3]], [0.0, 0.0])
@@ -174,6 +225,57 @@ class TestSimulatePaths:
             simulate_paths(params, 3, n_paths=0, seed=1)
         with pytest.raises(DomainError):
             simulate_paths(params, 3, n_paths=2, seed=-1)
+
+
+QUANTILE_SIZES = [1, 2, 3, 7, 20, 299, 300, 1000, 4999, 5000]
+PROBS = [0.0, 0.05, 0.25, 0.5, 0.95, 1.0]
+
+
+class TestPathQuantiles:
+    @pytest.mark.parametrize("n", QUANTILE_SIZES)
+    def test_matches_numpy_linear_bit_for_bit(self, n):
+        values = np.random.default_rng(n).uniform(0.0, 0.3, size=(n, 3, 4))
+        values[::3] = np.round(values[::3], 2)  # ties
+        expected = np.quantile(values, PROBS, axis=0)
+        got = path_quantiles(values.copy(), PROBS)
+        assert got.shape == (len(PROBS), 3, 4)
+        np.testing.assert_array_equal(bits(got), bits(expected))
+
+    @pytest.mark.parametrize("n", [1, 2, 300])
+    def test_all_tied_paths(self, n):
+        values = np.full((n, 2, 2), 0.125)
+        np.testing.assert_array_equal(
+            path_quantiles(values, PROBS), np.full((len(PROBS), 2, 2), 0.125)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=hnp.arrays(
+            np.float64,
+            st.tuples(
+                st.integers(min_value=1, max_value=60),
+                st.integers(min_value=1, max_value=3),
+                st.integers(min_value=1, max_value=3),
+            ),
+            elements=st.floats(min_value=-1e9, max_value=1e9),
+        ),
+        probs=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=5),
+    )
+    def test_property_matches_numpy(self, values, probs):
+        expected = np.quantile(values, probs, axis=0)
+        np.testing.assert_array_equal(bits(path_quantiles(values.copy(), probs)), bits(expected))
+
+    def test_sorts_input_in_place(self):
+        values = np.random.default_rng(1).random((50, 2, 3))
+        original = values.copy()
+        path_quantiles(values, [0.5])
+        np.testing.assert_array_equal(values, np.sort(original, axis=0))
+
+    def test_probabilities_outside_unit_interval(self):
+        with pytest.raises(DomainError, match="probabilities"):
+            path_quantiles(np.zeros((3, 1, 1)), [0.5, 1.5])
+        with pytest.raises(DomainError, match="probabilities"):
+            path_quantiles(np.zeros((3, 1, 1)), [-0.1])
 
 
 class TestForecastStates:
