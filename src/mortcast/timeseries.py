@@ -24,8 +24,9 @@ PATH_CHUNK = 256
 
 # numpy.random.SeedSequence's hash constants and pool size (O'Neill's
 # seed_seq_fe, as in numpy/random/bit_generator.pyx) and PCG64's 128-bit
-# LCG multiplier (O'Neill 2014, "PCG"). simulate_paths reproduces
-# default_rng([seed, p]) with them; numpy's own streams are the test oracle.
+# LCG multiplier (O'Neill 2014, "PCG"). simulate_paths reproduces numpy's
+# Generator(PCG64(SeedSequence([seed, p]))) with them; numpy's own
+# generators are the test oracle.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
@@ -205,7 +206,7 @@ def _seed_sequence_state(entropy: list[np.ndarray]) -> list[np.ndarray]:
 
 
 def _pcg64_streams(seed: int, n_paths: int):
-    """PCG64 (state, inc) of ``default_rng([seed, p])`` for p in range(n_paths).
+    """PCG64 (state, inc) seeded by ``SeedSequence([seed, p])``, p < n_paths.
 
     The entropy of path p is the words of ``seed`` followed by the one word
     of p. Its SeedSequence state gives two 128-bit words, high half first:
@@ -231,7 +232,7 @@ def simulate_paths(params: RwdParams, horizon: int, n_paths: int, seed: int) -> 
     """Simulate seeded sample paths of the walk; shape (n_paths, horizon, dim).
 
     Path p draws its (horizon, dim) standard normals from its own stream,
-    bit for bit the stream of ``np.random.default_rng([seed, p])``, so any
+    bit for bit that of ``Generator(PCG64(SeedSequence([seed, p])))``, so any
     path can be reproduced on its own and the result is bit-identical for
     a fixed seed whatever the number of paths. The streams' seeds are
     computed for all paths at once and loaded into one reused PCG64; drift,
@@ -260,7 +261,7 @@ def simulate_paths(params: RwdParams, horizon: int, n_paths: int, seed: int) -> 
 def path_quantiles(paths: np.ndarray, probs) -> np.ndarray:
     """Quantiles over the first (path) axis; shape (len(probs), *paths.shape[1:]).
 
-    Bit for bit ``np.quantile(paths, probs, axis=0)`` with numpy's default
+    Bit for bit ``numpy.quantile(paths, probs, axis=0)`` with numpy's default
     ``"linear"`` method, method 7 of Hyndman & Fan (1996): with
     v = (n - 1) * q, the order statistics a = x[floor(v)] and
     b = x[min(floor(v) + 1, n - 1)] and g = v - floor(v), the result is
