@@ -21,6 +21,7 @@ from .errors import MortcastError, ParseError
 from .evaluation import BacktestConfig, run_backtest
 from .ingest import (
     _MANIFOLDS,
+    QUANTILE_PROBS,
     SynthConfig,
     export_csv,
     export_mi_csv,
@@ -42,9 +43,6 @@ EXIT_DATA = 3
 
 _SEX_COLUMN = {"f": "female", "m": "male", "total": "total"}
 _SYNTH = ["gompertz", *_MANIFOLDS]
-_QUANTILE_PROBS = (0.05, 0.5, 0.95)
-
-
 class _UsageError(MortcastError):
     """A flag value failed a module precondition before any computation."""
 
@@ -339,11 +337,9 @@ def cmd_forecast(args) -> int:
             fitted, rwd, args.horizon, "sample", n_paths=args.paths, seed=args.seed
         )
         # nothing else holds the paths array, so the quantiles may reorder it
-        bands = path_quantiles(paths, _QUANTILE_PROBS)
+        bands = path_quantiles(paths, QUANTILE_PROBS)
         years = YearRange(params.years.t_max + 1, params.years.t_max + args.horizon)
-        export_quantiles_csv(
-            bands, _QUANTILE_PROBS, params.ages, years, out_dir / "quantiles.csv", comments=header
-        )
+        export_quantiles_csv(bands, params.ages, years, out_dir / "quantiles.csv", comments=header)
         print(f"wrote {out_dir / 'quantiles.csv'}")
     return EXIT_OK
 

@@ -31,6 +31,8 @@ from .transforms import invert_l_diff, logistic
 _HMD_HEADER = ("Year", "Age", "Female", "Male", "Total")
 _COLUMNS = {"female": 2, "male": 3, "total": 4}
 _OPEN_AGE = 110
+# probabilities of the sample-forecast bands in quantiles.csv
+QUANTILE_PROBS = (0.05, 0.5, 0.95)
 
 
 @dataclass(frozen=True)
@@ -391,23 +393,22 @@ def export_mi_csv(report: BacktestReport, destination, comments=()) -> None:
 
 
 def export_quantiles_csv(
-    quantiles: np.ndarray, probs, ages: AgeRange, years: YearRange, destination, comments=()
+    quantiles: np.ndarray, ages: AgeRange, years: YearRange, destination, comments=()
 ) -> None:
-    """Sample-forecast bands: one column per probability, by age then year.
+    """Sample-forecast bands "age,year,q05,q50,q95", by age then year.
 
-    ``quantiles`` has shape (len(probs), n_ages, n_years), as
-    :func:`~mortcast.timeseries.path_quantiles` returns it. Header
-    "age,year,q05,q50,q95" for probs (0.05, 0.5, 0.95): each column is
-    named by its probability in whole percent, two digits. Values carry 17
-    significant digits; ``comments`` are emitted first as "# " lines.
+    ``quantiles`` has shape (3, n_ages, n_years): the QUANTILE_PROBS bands
+    as :func:`~mortcast.timeseries.path_quantiles` returns them. Values
+    carry 17 significant digits; ``comments`` are emitted first as "# "
+    lines.
     """
-    if quantiles.shape != (len(probs), len(ages), len(years)):
+    if quantiles.shape != (len(QUANTILE_PROBS), len(ages), len(years)):
         raise DomainError(
-            f"quantiles of shape {quantiles.shape} do not match {len(probs)} probabilities "
+            f"quantiles of shape {quantiles.shape} do not match {len(QUANTILE_PROBS)} bands "
             f"over {len(ages)} ages and {len(years)} years"
         )
     out = io.StringIO()
-    out.write("age,year," + ",".join(f"q{round(100 * q):02d}" for q in probs) + "\n")
+    out.write("age,year,q05,q50,q95\n")
     cells = np.moveaxis(quantiles, 0, -1).tolist()
     for x, row in zip(ages, cells):
         for t, values in zip(years, row):

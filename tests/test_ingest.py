@@ -314,8 +314,7 @@ class TestQuantilesCsv:
         bands = np.arange(12, dtype=float).reshape(3, 2, 2) / 16
         buf = io.StringIO()
         export_quantiles_csv(
-            bands, (0.05, 0.5, 0.95), AgeRange(60, 61), YearRange(2010, 2011), buf,
-            comments=("demo",),
+            bands, AgeRange(60, 61), YearRange(2010, 2011), buf, comments=("demo",)
         )
         assert buf.getvalue() == (
             "# demo\n"
@@ -329,8 +328,7 @@ class TestQuantilesCsv:
     def test_shape_must_match_grid(self):
         with pytest.raises(DomainError, match="do not match"):
             export_quantiles_csv(
-                np.zeros((3, 2, 2)), (0.05, 0.95), AgeRange(60, 61), YearRange(2010, 2011),
-                io.StringIO(),
+                np.zeros((2, 2, 2)), AgeRange(60, 61), YearRange(2010, 2011), io.StringIO()
             )
 
 

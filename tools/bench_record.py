@@ -6,12 +6,12 @@
 Each tree is a checkout of this repository. For every workload and seed the
 tool runs ``perfbench/run.py --trace 0`` in each tree, alternating which
 tree goes first from one seed to the next, then one traced run
-(``--trace 1``) per tree and workload at the first seed. It reads the full
-result that run.py leaves under the tree's ``.perfbench_out/`` and writes,
-per tree, workload and metric: unit, median, quartiles, IQR, n and the
-per-seed values, plus the tree's commit, the ops attempted and failed, and
-the machine facts run.py reports. Traced metrics are single runs (n = 1).
-An existing output file keeps the records of trees not run this time.
+(``--trace 1``) per tree and workload at seed 0, the seed of perfbench's
+reference check. It reads the full result that run.py writes under the
+tree's ``.perfbench_out/`` and writes, per tree, workload and metric: unit,
+median, quartiles, IQR, n and the per-seed values, plus the tree's commit,
+the ops attempted and failed, and the machine facts run.py reports. Traced
+metrics are single runs (n = 1). The output file is written afresh.
 """
 
 from __future__ import annotations
@@ -24,17 +24,26 @@ import sys
 from pathlib import Path
 
 WORKLOADS = ("sample_forecast", "backtest_sweep", "cli_pipeline")
+TRACE_SEED = 0
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run in ``tree``; its full result dict."""
+    """One perfbench run in ``tree``; the full result dict it writes.
+
+    run.py exits 1 both when some checked ops failed (the result is written)
+    and when the workload crashed (nothing is written), so the result file
+    is removed first and exit 1 is accepted only with a fresh result that
+    counts failed ops.
+    """
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     path = tree / ".perfbench_out" / f"result-{workload}-seed{seed}-trace{trace}.json"
-    if proc.returncode not in (0, 1) or not path.is_file():
+    path.unlink(missing_ok=True)
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    result = json.loads(path.read_text()) if path.is_file() else None
+    if result is None or proc.returncode != (1 if result["failed"] else 0):
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
-    return json.loads(path.read_text())
+    return result
 
 
 def summary(values: list[float]) -> dict:
@@ -55,10 +64,10 @@ def commit_of(tree: Path) -> str:
     return head.stdout.strip() + ("-dirty" if dirty else "")
 
 
-def record(trees: dict[str, Path], workloads, seeds, seconds: float) -> dict[str, dict]:
+def record(trees: dict[str, Path], seeds, seconds: float) -> dict[str, dict]:
     runs = {label: {"commit": commit_of(tree), "seconds": seconds, "seeds": list(seeds),
                     "rows": [], "machine": None} for label, tree in trees.items()}
-    for workload in workloads:
+    for workload in WORKLOADS:
         results: dict[str, list[dict]] = {label: [] for label in trees}
         for k, seed in enumerate(seeds):
             order = list(trees) if k % 2 == 0 else list(reversed(trees))
@@ -67,7 +76,7 @@ def record(trees: dict[str, Path], workloads, seeds, seconds: float) -> dict[str
                 results[label].append(run_once(trees[label], workload, seed, seconds, 0))
         for label, tree in trees.items():
             print(f"{workload} traced {label}", file=sys.stderr, flush=True)
-            traced = run_once(tree, workload, seeds[0], seconds, 1)
+            traced = run_once(tree, workload, TRACE_SEED, seconds, 1)
             untraced = results[label]
             run = runs[label]
             run["machine"] = untraced[-1]["env"]
@@ -91,7 +100,6 @@ def main(argv=None) -> int:
                         help="a labelled checkout to measure; repeat for each tree")
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     parser.add_argument("--out", required=True, help="BENCH_<n>.json to write")
     args = parser.parse_args(argv)
 
@@ -102,10 +110,9 @@ def main(argv=None) -> int:
             parser.error(f"--tree {item!r} is not LABEL=DIR of a checkout with perfbench/")
         trees[label] = Path(directory).resolve()
 
+    doc = {"command": "python3 perfbench/run.py --workload W --seed N --seconds S --trace 0|1",
+           "runs": record(trees, args.seeds, args.seconds)}
     out = Path(args.out)
-    doc = json.loads(out.read_text()) if out.is_file() else {}
-    doc["command"] = "python3 perfbench/run.py --workload W --seed N --seconds S --trace 0|1"
-    doc.setdefault("runs", {}).update(record(trees, args.workloads, args.seeds, args.seconds))
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
     return 0
