@@ -23,12 +23,14 @@ from .ingest import (
     _MANIFOLDS,
     QUANTILE_PROBS,
     SynthConfig,
+    decode_utf8,
     export_csv,
     export_mi_csv,
     export_quantiles_csv,
     generate_manifold,
     generate_synthetic,
     parse_hmd,
+    write_csv,
     write_hmd,
 )
 from .lifetable import AgeRange, MortalitySurface, YearRange, surface_central_rate_to_q
@@ -146,7 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    text = decode_utf8(Path(path).read_bytes(), path)
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -174,20 +177,17 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _surface_bytes(surface: MortalitySurface) -> bytes:
-    buf = io.StringIO()
-    export_csv(surface, buf)
-    return buf.getvalue().encode()
-
-
 def _load_rates(args, ages: AgeRange, years: YearRange) -> tuple[MortalitySurface, str]:
     """Rate surface over the requested window plus its content digest."""
     if args.input is not None:
         raw = Path(args.input).read_bytes()
-        surface = parse_hmd(io.StringIO(raw.decode("utf-8")), _SEX_COLUMN[args.sex], ages, years)
+        text = io.StringIO(decode_utf8(raw, args.input))
+        surface = parse_hmd(text, _SEX_COLUMN[args.sex], ages, years)
         return surface, _digest(raw)
     surface = _synthesize(args.synth, ages, years, noise_sd=args.noise_sd, seed=args.seed)
-    return surface, _digest(_surface_bytes(surface))
+    buf = io.StringIO()
+    export_csv(surface, buf)
+    return surface, _digest(buf.getvalue().encode())
 
 
 def _synthesize(name: str, ages: AgeRange, years: YearRange, **gompertz) -> MortalitySurface:
@@ -206,21 +206,8 @@ def _resolved_header(args, skip=("command",)) -> list[str]:
     return lines
 
 
-def _write_artifact(path: Path, header: list[str], body: str):
-    text = "".join(f"# {line}\n" for line in header) + body
-    path.write_text(text, encoding="utf-8")
-
-
-def _params_body(model, fitted) -> str:
-    windows = {AGE: fitted.params.ages, YEAR: fitted.params.years, None: [""]}
-    out = ["param,index,value\n"]
-    for (name, axis), values in zip(model.rows, model.row_values(fitted)):
-        out += [f"{name},{i},{v:.17g}\n" for i, v in zip(windows[axis], np.atleast_1d(values))]
-    return "".join(out)
-
-
-def _read_params(path: str):
-    """Rebuild the model and fit written by cmd_fit from its params.csv.
+def _read_params(raw: bytes, path: str):
+    """Rebuild the model and fit written by cmd_fit from its params.csv bytes.
 
     The header names the model and its age and year windows, and the rows
     must follow the model's layout exactly: each series over its whole
@@ -229,7 +216,7 @@ def _read_params(path: str):
     """
     meta: dict[str, tuple[int, str]] = {}
     rows: list[tuple[int, str]] = []
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = decode_utf8(raw, path).splitlines()
     for line_no, line in enumerate(lines, start=1):
         if line.startswith("#"):
             key, eq, value = line[1:].partition("=")
@@ -291,21 +278,24 @@ def cmd_fit(args) -> int:
     fitted = model.fit(rates, surface_central_rate_to_q(rates), fit_years, args.t0, config)
     diag = fitted.diagnostics
     if diag is not None:
-        diag_body = "sweep,objective\n" + "".join(
-            f"{k},{v:.17g}\n" for k, v in enumerate(diag.objective_trace)
-        )
         diag_header = header + [
             f"iterations = {diag.iterations}",
             f"converged = {diag.converged}",
             f"max_param_delta = {diag.max_param_delta:.17g}",
         ]
-        _write_artifact(out_dir / "diagnostics.csv", diag_header, diag_body)
+        trace = enumerate(diag.objective_trace.tolist())
+        write_csv(out_dir / "diagnostics.csv", ("sweep", "objective"), trace, diag_header)
 
-    _write_artifact(out_dir / "params.csv", header, _params_body(model, fitted))
-    _write_artifact(
-        out_dir / "config.txt", ["resolved configuration"],
-        "".join(f"{line}\n" for line in header),
-    )
+    windows = {AGE: fitted.params.ages, YEAR: fitted.params.years, None: [""]}
+    rows = [
+        (name, i, v)
+        for (name, axis), values in zip(model.rows, model.row_values(fitted))
+        for i, v in zip(windows[axis], np.atleast_1d(values).tolist())
+    ]
+    write_csv(out_dir / "params.csv", ("param", "index", "value"), rows, header)
+    # config.txt is plain "key = value" text, not CSV
+    text = "".join(f"{line}\n" for line in header)
+    (out_dir / "config.txt").write_text("# resolved configuration\n" + text, encoding="utf-8")
     print(f"wrote {out_dir / 'params.csv'}")
     if diag is not None and not diag.converged:
         print("fit did not converge within k_max sweeps", file=sys.stderr)
@@ -320,8 +310,8 @@ def cmd_forecast(args) -> int:
         raise _UsageError(f"paths must be positive, got {args.paths}")
     if args.mode == "sample" and args.seed < 0:
         raise _UsageError(f"seed must be a nonnegative integer, got {args.seed}")
-    model, fitted = _read_params(args.params)
     raw = Path(args.params).read_bytes()
+    model, fitted = _read_params(raw, args.params)
     header = _resolved_header(args) + [f"input_sha256 = {_digest(raw)}", f"model = {model.name}"]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

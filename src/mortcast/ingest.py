@@ -1,15 +1,13 @@
-"""Data ingestion and serialization.
+"""Data ingestion and every artifact format.
 
 Reads Human Mortality Database period 1x1 text tables, estimates central
 rates from deaths and exposures, generates synthetic surfaces for
-desk-scale verification, and serializes surfaces and backtest reports to
-CSV. The parser rejects malformed input with a line number; it never
-repairs.
+desk-scale verification, and writes HMD tables and every CSV artifact. The
+readers reject malformed input with a line number; they never repair.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,69 +27,35 @@ from .lifetable import (
 from .transforms import invert_l_diff, logistic
 
 _HMD_HEADER = ("Year", "Age", "Female", "Male", "Total")
-_COLUMNS = {"female": 2, "male": 3, "total": 4}
+_COLUMNS = {"female": 0, "male": 1, "total": 2}  # index among a row's three values
 _OPEN_AGE = 110
 # probabilities of the sample-forecast bands in quantiles.csv
 QUANTILE_PROBS = (0.05, 0.5, 0.95)
 
 
-@dataclass(frozen=True)
-class HmdRecord:
-    """One parsed HMD row. ``open_age`` marks the terminal "110+" group."""
-
-    year: int
-    age: int
-    female: float | None
-    male: float | None
-    total: float | None
-    open_age: bool = False
-
-    def __post_init__(self):
-        if self.year < 1750:
-            raise ParseError(f"implausible year {self.year}")
-        if not (0 <= self.age <= _OPEN_AGE):
-            raise ParseError(f"age {self.age} outside [0, {_OPEN_AGE}]")
-
-    def value(self, column: str) -> float | None:
-        return getattr(self, column)
+def decode_utf8(data: bytes, name) -> str:
+    """``data`` as UTF-8 text; a ParseError naming ``name`` and the line if it is not."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(
+            f"{name}: line {line_no}: invalid UTF-8 byte 0x{data[exc.start]:02x}"
+        ) from None
 
 
-def _open_stream(source):
+def _read_lines(source) -> list[str]:
+    """The lines of an open text stream, or of the UTF-8 file at a path."""
     if hasattr(source, "read"):
-        return source, False
-    return open(Path(source), "r", encoding="utf-8"), True
+        return source.read().splitlines()
+    return decode_utf8(Path(source).read_bytes(), source).splitlines()
 
 
-def _parse_value(token: str, line_no: int) -> float | None:
-    if token == ".":
-        return None
+def _number(token: str, convert, what: str, line_no: int):
     try:
-        return float(token)
+        return convert(token)
     except ValueError:
-        raise ParseError(f"line {line_no}: unparseable value {token!r}") from None
-
-
-def _parse_row(line: str, line_no: int) -> HmdRecord:
-    fields = line.split()
-    if len(fields) != 5:
-        raise ParseError(f"line {line_no}: expected 5 fields, got {len(fields)}")
-    try:
-        year = int(fields[0])
-    except ValueError:
-        raise ParseError(f"line {line_no}: unparseable year {fields[0]!r}") from None
-    open_age = fields[1] == f"{_OPEN_AGE}+"
-    if open_age:
-        age = _OPEN_AGE
-    else:
-        try:
-            age = int(fields[1])
-        except ValueError:
-            raise ParseError(f"line {line_no}: unparseable age {fields[1]!r}") from None
-    values = [_parse_value(tok, line_no) for tok in fields[2:]]
-    try:
-        return HmdRecord(year, age, values[0], values[1], values[2], open_age=open_age)
-    except ParseError as exc:
-        raise ParseError(f"line {line_no}: {exc}") from None
+        raise ParseError(f"line {line_no}: unparseable {what} {token!r}") from None
 
 
 def parse_hmd(
@@ -104,19 +68,15 @@ def parse_hmd(
     """Read one column of an HMD 1x1 table into a dense surface.
 
     The file must carry a title line, a blank line, and the header
-    "Year Age Female Male Total" before the data rows. Rows outside the
-    requested window are skipped; inside it, a "." (missing value), the
-    open "110+" group, a duplicate cell, or an uncovered cell is an error
-    naming the line.
+    "Year Age Female Male Total" before the data rows. Every row is checked
+    in full: five fields, a year from 1750, an age in [0, 110] or "110+",
+    and three numbers or "." (missing). Rows outside the requested window
+    are then skipped; inside it, a missing value, the open "110+" group, a
+    duplicate cell, or an uncovered cell is an error naming the line.
     """
     if column not in _COLUMNS:
         raise DomainError(f"unknown column {column!r}; choose female, male, or total")
-    stream, owned = _open_stream(source)
-    try:
-        lines = stream.read().splitlines()
-    finally:
-        if owned:
-            stream.close()
+    lines = _read_lines(source)
     if len(lines) < 3:
         raise ParseError(f"line {len(lines) + 1}: file ends before the header")
     if lines[1].strip():
@@ -124,37 +84,47 @@ def parse_hmd(
     if tuple(lines[2].split()) != _HMD_HEADER:
         raise ParseError(f"line 3: expected header {' '.join(_HMD_HEADER)}")
 
-    seen: dict[tuple[int, int], float] = {}
-    for offset, line in enumerate(lines[3:], start=4):
-        if not line.strip():
+    col = _COLUMNS[column]
+    open_token = f"{_OPEN_AGE}+"
+    values = np.empty((len(ages), len(years)))
+    seen = np.zeros(values.shape, dtype=bool)
+    for line_no, line in enumerate(lines[3:], start=4):
+        fields = line.split()
+        if not fields:
             continue
-        rec = _parse_row(line, offset)
-        if rec.year not in years:
+        if len(fields) != 5:
+            raise ParseError(f"line {line_no}: expected 5 fields, got {len(fields)}")
+        year = _number(fields[0], int, "year", line_no)
+        open_age = fields[1] == open_token
+        age = _OPEN_AGE if open_age else _number(fields[1], int, "age", line_no)
+        cells = [None if t == "." else _number(t, float, "value", line_no) for t in fields[2:]]
+        if year < 1750:
+            raise ParseError(f"line {line_no}: implausible year {year}")
+        if not 0 <= age <= _OPEN_AGE:
+            raise ParseError(f"line {line_no}: age {age} outside [0, {_OPEN_AGE}]")
+        if year not in years:
             continue
-        if rec.open_age:
-            if rec.age in ages:
+        if open_age:
+            if age in ages:
                 raise ParseError(
-                    f"line {offset}: open age group {_OPEN_AGE}+ inside requested window {ages}"
+                    f"line {line_no}: open age group {_OPEN_AGE}+ inside requested window {ages}"
                 )
             continue
-        if rec.age not in ages:
+        if age not in ages:
             continue
-        v = rec.value(column)
+        v = cells[col]
         if v is None:
-            raise ParseError(
-                f"line {offset}: missing {column} value at age {rec.age}, year {rec.year}"
-            )
-        key = (rec.year, rec.age)
-        if key in seen:
-            raise ParseError(f"line {offset}: duplicate row for age {rec.age}, year {rec.year}")
-        seen[key] = v
+            raise ParseError(f"line {line_no}: missing {column} value at age {age}, year {year}")
+        i, j = age - ages.x_min, year - years.t_min
+        if seen[i, j]:
+            raise ParseError(f"line {line_no}: duplicate row for age {age}, year {year}")
+        seen[i, j] = True
+        values[i, j] = v
 
-    values = np.empty((len(ages), len(years)))
-    for i, x in enumerate(ages):
-        for j, t in enumerate(years):
-            if (t, x) not in seen:
-                raise ParseError(f"requested window not covered: no row for age {x}, year {t}")
-            values[i, j] = seen[(t, x)]
+    if not seen.all():
+        i, j = np.argwhere(~seen)[0]  # the first by age, then year
+        x, t = ages.x_min + i, years.t_min + j
+        raise ParseError(f"requested window not covered: no row for age {x}, year {t}")
     return MortalitySurface(ages=ages, years=years, kind=kind, values=values)
 
 
@@ -332,49 +302,52 @@ def _write_text(destination, text: str) -> None:
         Path(destination).write_text(text, encoding="utf-8")
 
 
-def _comment_block(comments) -> str:
-    return "".join(f"# {line}\n" for line in comments)
+def write_csv(destination, header, rows, comments=()) -> None:
+    """Write "# " comment lines, the header and one comma-joined line per row.
+
+    Floats carry 17 significant digits, so they read back bit for bit;
+    every other cell is written with ``str``. ``destination`` is a path or
+    an open text stream.
+    """
+    out = [f"# {line}\n" for line in comments]
+    out.append(",".join(header) + "\n")
+    # one %-template per sequence of cell types; %.17g formats as f"{v:.17g}" does
+    templates = {}
+    for row in rows:
+        types = tuple(map(type, row))
+        if types not in templates:
+            templates[types] = ",".join("%.17g" if issubclass(k, float) else "%s" for k in types)
+        out.append(templates[types] % tuple(row) + "\n")
+    _write_text(destination, "".join(out))
 
 
 def export_csv(obj, destination, comments=()) -> None:
     """Serialize a surface or a backtest report to CSV.
 
-    Surfaces: header "age,year,value", rows sorted by age then year, 17
-    significant digits. Reports: header
-    "country,sex,model,period,mse,mse_star,mape", one fit row and one
-    forecast row per model. ``comments`` are emitted first as "# " lines.
+    Surfaces: header "age,year,value", rows sorted by age then year.
+    Reports: header "country,sex,model,period,mse,mse_star,mape", one fit
+    row and one forecast row per model.
     """
     if isinstance(obj, MortalitySurface):
-        text = _surface_csv(obj)
+        header = ("age", "year", "value")
+        rows = [
+            (x, t, v)
+            for x, row in zip(obj.ages, obj.values.tolist())
+            for t, v in zip(obj.years, row)
+        ]
     elif isinstance(obj, BacktestReport):
-        text = _report_csv(obj)
+        header = ("country", "sex", "model", "period", "mse", "mse_star", "mape")
+        rows = [
+            (obj.country, obj.sex, m.model, *scores)
+            for m in obj.metrics
+            for scores in (
+                ("fit", m.fit_mse, m.fit_mse_star, m.fit_mape),
+                ("forecast", m.forecast_mse, m.forecast_mse_star, m.forecast_mape),
+            )
+        ]
     else:
         raise DomainError(f"cannot serialize {type(obj).__name__} to CSV")
-    _write_text(destination, _comment_block(comments) + text)
-
-
-def _surface_csv(surface: MortalitySurface) -> str:
-    out = io.StringIO()
-    out.write("age,year,value\n")
-    for i, x in enumerate(surface.ages):
-        for j, t in enumerate(surface.years):
-            out.write(f"{x},{t},{surface.values[i, j]:.17g}\n")
-    return out.getvalue()
-
-
-def _report_csv(report: BacktestReport) -> str:
-    out = io.StringIO()
-    out.write("country,sex,model,period,mse,mse_star,mape\n")
-    for m in report.metrics:
-        for period, err, pct in (
-            ("fit", m.fit_mse, m.fit_mape),
-            ("forecast", m.forecast_mse, m.forecast_mape),
-        ):
-            out.write(
-                f"{report.country},{report.sex},{m.model},{period},"
-                f"{err:.17g},{1e4 * err:.17g},{pct:.17g}\n"
-            )
-    return out.getvalue()
+    write_csv(destination, header, rows, comments)
 
 
 def export_mi_csv(report: BacktestReport, destination, comments=()) -> None:
@@ -382,14 +355,9 @@ def export_mi_csv(report: BacktestReport, destination, comments=()) -> None:
     if report.mi_observed is None:
         raise DomainError("report carries no improvement-rate series")
     models = [m.model for m in report.metrics]
-    out = io.StringIO()
-    out.write("year," + ",".join(["observed"] + models) + "\n")
-    years = report.config.forecast_years.to_array()
-    for j, t in enumerate(years):
-        row = [f"{report.mi_observed[j]:.17g}"]
-        row += [f"{report.mi_forecast[m][j]:.17g}" for m in models]
-        out.write(f"{t}," + ",".join(row) + "\n")
-    _write_text(destination, _comment_block(comments) + out.getvalue())
+    columns = [report.mi_observed.tolist()] + [report.mi_forecast[m].tolist() for m in models]
+    rows = zip(report.config.forecast_years, *columns)
+    write_csv(destination, ("year", "observed", *models), rows, comments)
 
 
 def export_quantiles_csv(
@@ -398,42 +366,28 @@ def export_quantiles_csv(
     """Sample-forecast bands "age,year,q05,q50,q95", by age then year.
 
     ``quantiles`` has shape (3, n_ages, n_years): the QUANTILE_PROBS bands
-    as :func:`~mortcast.timeseries.path_quantiles` returns them. Values
-    carry 17 significant digits; ``comments`` are emitted first as "# "
-    lines.
+    as :func:`~mortcast.timeseries.path_quantiles` returns them.
     """
     if quantiles.shape != (len(QUANTILE_PROBS), len(ages), len(years)):
         raise DomainError(
             f"quantiles of shape {quantiles.shape} do not match {len(QUANTILE_PROBS)} bands "
             f"over {len(ages)} ages and {len(years)} years"
         )
-    out = io.StringIO()
-    out.write("age,year,q05,q50,q95\n")
     cells = np.moveaxis(quantiles, 0, -1).tolist()
-    for x, row in zip(ages, cells):
-        for t, values in zip(years, row):
-            out.write(f"{x},{t}," + ",".join(f"{v:.17g}" for v in values) + "\n")
-    _write_text(destination, _comment_block(comments) + out.getvalue())
+    rows = [(x, t, *bands) for x, row in zip(ages, cells) for t, bands in zip(years, row)]
+    write_csv(destination, ("age", "year", "q05", "q50", "q95"), rows, comments)
 
 
 def read_surface_csv(source, kind: SurfaceKind) -> MortalitySurface:
     """Rebuild a surface written by export_csv. Comment lines are skipped."""
-    stream, owned = _open_stream(source)
-    try:
-        lines = stream.read().splitlines()
-    finally:
-        if owned:
-            stream.close()
+    lines = [
+        (line_no, line) for line_no, line in enumerate(_read_lines(source), start=1)
+        if line.strip() and not line.startswith("#")
+    ]
+    if lines and lines[0][1].strip() != "age,year,value":
+        raise ParseError(f"line {lines[0][0]}: expected header age,year,value")
     rows: dict[tuple[int, int], float] = {}
-    header_seen = False
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        if not header_seen:
-            if line.strip() != "age,year,value":
-                raise ParseError(f"line {line_no}: expected header age,year,value")
-            header_seen = True
-            continue
+    for line_no, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != 3:
             raise ParseError(f"line {line_no}: expected 3 fields, got {len(parts)}")
@@ -447,14 +401,11 @@ def read_surface_csv(source, kind: SurfaceKind) -> MortalitySurface:
         rows[key] = value
     if not rows:
         raise ParseError("no data rows found")
-    age_vals = sorted({k[0] for k in rows})
-    year_vals = sorted({k[1] for k in rows})
-    ages = AgeRange(age_vals[0], age_vals[-1])
-    years = YearRange(year_vals[0], year_vals[-1])
-    values = np.empty((len(ages), len(years)))
-    for i, x in enumerate(ages):
-        for j, t in enumerate(years):
+    ages = AgeRange(min(x for x, _ in rows), max(x for x, _ in rows))
+    years = YearRange(min(t for _, t in rows), max(t for _, t in rows))
+    for x in ages:
+        for t in years:
             if (x, t) not in rows:
                 raise ParseError(f"grid not dense: no row for age {x}, year {t}")
-            values[i, j] = rows[(x, t)]
+    values = np.array([[rows[x, t] for t in years] for x in ages])
     return MortalitySurface(ages=ages, years=years, kind=kind, values=values)

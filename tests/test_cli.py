@@ -470,6 +470,45 @@ class TestConfigFile:
         ) == 1
 
 
+class TestNotUtf8:
+    """A file that is not UTF-8 is named in a one-line error, never a traceback."""
+
+    BAD = "S\xe9rie".encode("latin-1")
+
+    def test_input_file_is_data_error(self, tmp_path, capsys):
+        path = synth_file(tmp_path)
+        lines = path.read_bytes().split(b"\n")
+        path.write_bytes(b"\n".join([self.BAD, *lines[1:]]))
+        code = main(["fit", "--model", "lc", "--input", str(path), *FIT_WINDOW,
+                     "--out", str(tmp_path / "fit")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"mortcast: error: {path}: line 1: invalid UTF-8 byte 0xe9\n"
+        )
+
+    def test_params_file_is_data_error(self, tmp_path, capsys):
+        assert main(["fit", "--model", "cbd", "--synth", "gompertz", *FIT_WINDOW,
+                     "--out", str(tmp_path / "fit")]) == 0
+        path = tmp_path / "fit" / "params.csv"
+        path.write_bytes(path.read_bytes() + b"# " + self.BAD + b"\n")
+        n_lines = path.read_bytes().count(b"\n")
+        code = main(["forecast", "--params", str(path), "--horizon", "2",
+                     "--out", str(tmp_path / "fc")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"mortcast: error: {path}: line {n_lines}: invalid UTF-8 byte 0xe9\n"
+        )
+
+    def test_config_file_is_config_error(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_bytes(b"model = lc\ncountry = " + self.BAD + b"\n")
+        code = main(["fit", "--config", str(config), "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"mortcast: config error: {config}: line 2: invalid UTF-8 byte 0xe9\n"
+        )
+
+
 class TestEntryPoint:
     def test_module_invocation_help(self):
         proc = subprocess.run(

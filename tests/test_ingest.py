@@ -1,7 +1,11 @@
 import io
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mortcast import (
     AgeRange,
@@ -22,6 +26,7 @@ from mortcast import (
     run_backtest,
     write_hmd,
 )
+from mortcast.ingest import write_csv
 
 HMD_SAMPLE = """Sample population, Death rates (period 1x1)
 
@@ -133,19 +138,36 @@ class TestParseHmd:
             parse_hmd(io.StringIO("Title\n"), "male", AgeRange(60, 61), YearRange(1990, 1991))
 
     def test_malformed_rows_named_by_line(self):
+        # every row is checked in full, even outside the window or the column read
         for bad, pattern in (
             ("1990 61 0.011 0.021", "expected 5 fields"),
             ("1990 sixty 0.01 0.02 0.015", "unparseable age"),
             ("199O 60 0.01 0.02 0.015", "unparseable year"),
             ("1990 60 0.01 zero 0.015", "unparseable value"),
             ("1700 60 0.01 0.02 0.015", "implausible year"),
+            ("1990 111 0.01 0.02 0.015", r"age 111 outside \[0, 110\]"),
+            ("1990 -1 0.01 0.02 0.015", r"age -1 outside \[0, 110\]"),
+            ("1985 60 0.01 zero 0.015", "unparseable value 'zero'"),
+            ("1990 60 zero 0.02 0.015", "unparseable value 'zero'"),
         ):
             lines = sample_lines()
             lines.append(bad)
-            with pytest.raises(ParseError, match=pattern):
+            with pytest.raises(ParseError, match=f"^line 9: {pattern}"):
                 parse_hmd(
                     io.StringIO("\n".join(lines)), "male", AgeRange(60, 61), YearRange(1990, 1991)
                 )
+
+
+class TestUtf8:
+    @pytest.mark.parametrize("read", [
+        lambda path: parse_hmd(path, "male", AgeRange(60, 61), YearRange(1990, 1991)),
+        lambda path: read_surface_csv(path, SurfaceKind.CENTRAL_RATE),
+    ])
+    def test_file_not_utf8_names_file_and_line(self, tmp_path, read):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(HMD_SAMPLE.replace("Sample", "S\xe9rie").encode("latin-1"))
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 1: invalid UTF-8 byte 0xe9$"):
+            read(path)
 
 
 class TestEstimateM:
@@ -261,7 +283,30 @@ class TestManifoldGenerators:
         assert s[2] < 1e-12 * s[0]
 
 
+# small windows anywhere in ages 0-110 and years from 1750, positive finite rates
+windows = st.tuples(
+    st.integers(0, 110), st.integers(1, 4), st.integers(1750, 2100), st.integers(1, 4)
+).filter(lambda w: w[0] + w[1] <= 111)
+rates = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def rate_surfaces(draw):
+    x_min, n_ages, t_min, n_years = draw(windows)
+    values = draw(hnp.arrays(np.float64, (n_ages, n_years), elements=rates))
+    return surface(values, SurfaceKind.CENTRAL_RATE, x_min=x_min, t_min=t_min)
+
+
 class TestWriteHmd:
+    @settings(max_examples=60, deadline=None)
+    @given(rate_surfaces(), st.sampled_from(["female", "male", "total"]))
+    def test_round_trip_property(self, out, column):
+        buf = io.StringIO()
+        write_hmd(out, buf)
+        buf.seek(0)
+        back = parse_hmd(buf, column, out.ages, out.years)
+        np.testing.assert_array_equal(back.values.view(np.uint64), out.values.view(np.uint64))
+
     def test_round_trip(self, tmp_path):
         out = generate_synthetic(
             SynthConfig(ages=AgeRange(60, 64), years=YearRange(2000, 2003), noise_sd=0.02, seed=5)
@@ -292,6 +337,16 @@ class TestSurfaceCsv:
         assert back.ages == out.ages and back.years == out.years
         np.testing.assert_array_equal(back.values, out.values)
 
+    @settings(max_examples=60, deadline=None)
+    @given(rate_surfaces())
+    def test_round_trip_property(self, out):
+        buf = io.StringIO()
+        export_csv(out, buf, comments=("property",))
+        buf.seek(0)
+        back = read_surface_csv(buf, SurfaceKind.CENTRAL_RATE)
+        assert back.ages == out.ages and back.years == out.years
+        np.testing.assert_array_equal(back.values.view(np.uint64), out.values.view(np.uint64))
+
     def test_reader_rejects_bad_input(self):
         with pytest.raises(ParseError, match="header"):
             read_surface_csv(io.StringIO("x,y,z\n"), SurfaceKind.CENTRAL_RATE)
@@ -307,6 +362,22 @@ class TestSurfaceCsv:
     def test_unserializable_object(self):
         with pytest.raises(DomainError):
             export_csv({"not": "a surface"}, io.StringIO())
+
+
+class TestWriteCsv:
+    def test_layout(self):
+        buf = io.StringIO()
+        rows = [("a", 1, 0.1), ("", np.int64(2), np.float64(1 / 3)), ("b", 3, -0.0),
+                ("c", 4, 5e-324), ("d", 5, float("inf")), ("e", 6, float("nan")), ("f", 7, 1e22)]
+        write_csv(buf, ("name", "index", "value"), rows, comments=("x = 1", "y = 2"))
+        body = "".join(f"{name},{i},{v:.17g}\n" for name, i, v in rows)
+        assert buf.getvalue() == "# x = 1\n# y = 2\nname,index,value\n" + body
+        assert "0.10000000000000001" in body and ",-0\n" in body
+
+    def test_empty_rows(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        write_csv(path, ("a", "b"), [])
+        assert path.read_text() == "a,b\n"
 
 
 class TestQuantilesCsv:
