@@ -8,6 +8,7 @@ readers reject malformed input with a line number; they never repair.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -287,7 +288,7 @@ def write_hmd(surface: MortalitySurface, destination, title: str = "synthetic") 
 
     The surface's values land in all three sex columns.
     """
-    lines = [title, "", "Year   Age   Female   Male   Total"]
+    lines = [title, "", "   ".join(_HMD_HEADER)]
     for j, t in enumerate(surface.years):
         for i, x in enumerate(surface.ages):
             v = f"{surface.values[i, j]:.17g}"
@@ -306,19 +307,22 @@ def write_csv(destination, header, rows, comments=()) -> None:
     """Write "# " comment lines, the header and one comma-joined line per row.
 
     Floats carry 17 significant digits, so they read back bit for bit;
-    every other cell is written with ``str``. ``destination`` is a path or
-    an open text stream.
+    every other cell is written with ``str``. ``rows`` may be a generator:
+    lines are buffered one at a time, so a sample forecast, written while
+    its paths array is alive, adds no list of rows or lines to peak memory.
+    ``destination`` is a path or an open text stream.
     """
-    out = [f"# {line}\n" for line in comments]
-    out.append(",".join(header) + "\n")
+    out = io.StringIO()
+    out.writelines(f"# {line}\n" for line in comments)
+    out.write(",".join(header) + "\n")
     # one %-template per sequence of cell types; %.17g formats as f"{v:.17g}" does
     templates = {}
     for row in rows:
         types = tuple(map(type, row))
         if types not in templates:
             templates[types] = ",".join("%.17g" if issubclass(k, float) else "%s" for k in types)
-        out.append(templates[types] % tuple(row) + "\n")
-    _write_text(destination, "".join(out))
+        out.write(templates[types] % tuple(row) + "\n")
+    _write_text(destination, out.getvalue())
 
 
 def export_csv(obj, destination, comments=()) -> None:
@@ -330,11 +334,8 @@ def export_csv(obj, destination, comments=()) -> None:
     """
     if isinstance(obj, MortalitySurface):
         header = ("age", "year", "value")
-        rows = [
-            (x, t, v)
-            for x, row in zip(obj.ages, obj.values.tolist())
-            for t, v in zip(obj.years, row)
-        ]
+        cells = obj.values.tolist()
+        rows = ((x, t, v) for x, row in zip(obj.ages, cells) for t, v in zip(obj.years, row))
     elif isinstance(obj, BacktestReport):
         header = ("country", "sex", "model", "period", "mse", "mse_star", "mape")
         rows = [
@@ -374,7 +375,7 @@ def export_quantiles_csv(
             f"over {len(ages)} ages and {len(years)} years"
         )
     cells = np.moveaxis(quantiles, 0, -1).tolist()
-    rows = [(x, t, *bands) for x, row in zip(ages, cells) for t, bands in zip(years, row)]
+    rows = ((x, t, *bands) for x, row in zip(ages, cells) for t, bands in zip(years, row))
     write_csv(destination, ("age", "year", "q05", "q50", "q95"), rows, comments)
 
 

@@ -166,7 +166,8 @@ class TestUtf8:
     def test_file_not_utf8_names_file_and_line(self, tmp_path, read):
         path = tmp_path / "latin1.txt"
         path.write_bytes(HMD_SAMPLE.replace("Sample", "S\xe9rie").encode("latin-1"))
-        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 1: invalid UTF-8 byte 0xe9$"):
+        message = f"{path}: line 1: invalid UTF-8 byte 0xe9"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             read(path)
 
 
