@@ -306,22 +306,22 @@ def _write_text(destination, text: str) -> None:
 def write_csv(destination, header, rows, comments=()) -> None:
     """Write "# " comment lines, the header and one comma-joined line per row.
 
-    Floats carry 17 significant digits, so they read back bit for bit;
-    every other cell is written with ``str``. ``rows`` may be a generator:
-    lines are buffered one at a time, so a sample forecast, written while
-    its paths array is alive, adds no list of rows or lines to peak memory.
-    ``destination`` is a path or an open text stream.
+    Floats carry 17 significant digits, so they read back bit for bit; other
+    cells are written with ``str``. ``destination`` is a path or an open text
+    stream. ``rows`` may be a generator and lines are buffered one at a time:
+    a sample forecast is written while its paths array is alive.
     """
     out = io.StringIO()
     out.writelines(f"# {line}\n" for line in comments)
     out.write(",".join(header) + "\n")
     # one %-template per sequence of cell types; %.17g formats as f"{v:.17g}" does
-    templates = {}
+    fmt = {}
     for row in rows:
-        types = tuple(map(type, row))
-        if types not in templates:
-            templates[types] = ",".join("%.17g" if issubclass(k, float) else "%s" for k in types)
-        out.write(templates[types] % tuple(row) + "\n")
+        key = tuple(map(type, row))
+        line = fmt.get(key)
+        if line is None:
+            line = fmt[key] = ",".join("%.17g" if issubclass(t, float) else "%s" for t in key) + "\n"
+        out.write(line % tuple(row))
     _write_text(destination, out.getvalue())
 
 
