@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FitError
-from .lifetable import AgeRange, MortalitySurface, SurfaceKind, YearRange, central_rate_to_q
+from .lifetable import AGE, YEAR, AgeRange, MortalitySurface, SurfaceKind, YearRange, central_rate_to_q
 from .timeseries import RwdParams, check_walk, forecast_q
 from .transforms import logistic, logit
 
@@ -21,6 +21,9 @@ from .transforms import logistic, logit
 @dataclass(frozen=True)
 class LcParams:
     """Lee-Carter parameters under sum(beta) = 1, sum(kappa) = 0."""
+
+    # params.csv layout: (row name, attribute, AGE | YEAR | type of a scalar)
+    ROWS = (("alpha_x", "alpha_x", AGE), ("beta_x", "beta_x", AGE), ("kappa_t", "kappa_t", YEAR))
 
     alpha_x: np.ndarray
     beta_x: np.ndarray
@@ -61,6 +64,9 @@ class LcParams:
 @dataclass(frozen=True)
 class CbdParams:
     """CBD parameters; x_bar is the midpoint of the fitted age window."""
+
+    # params.csv layout: (row name, attribute, AGE | YEAR | type of a scalar)
+    ROWS = (("kappa1", "kappa1_t", YEAR), ("kappa2", "kappa2_t", YEAR), ("x_bar", "x_bar", float))
 
     kappa1_t: np.ndarray
     kappa2_t: np.ndarray

@@ -33,8 +33,8 @@ from .ingest import (
     write_csv,
     write_hmd,
 )
-from .lifetable import AgeRange, MortalitySurface, YearRange, surface_central_rate_to_q
-from .models import AGE, MODELS, YEAR
+from .lifetable import AGE, YEAR, AgeRange, MortalitySurface, YearRange, surface_central_rate_to_q
+from .models import MODELS, time_indices
 from .sl_model import FitConfig
 from .timeseries import calibrate_rwd, path_quantiles
 
@@ -207,12 +207,12 @@ def _resolved_header(args, skip=("command",)) -> list[str]:
 
 
 def _read_params(raw: bytes, path: str):
-    """Rebuild the model and fit written by cmd_fit from its params.csv bytes.
+    """Rebuild the model and params written by cmd_fit from its params.csv bytes.
 
     The header names the model and its age and year windows, and the rows
-    must follow the model's layout exactly: each series over its whole
-    window in order, then each scalar once. Any departure is a ParseError
-    naming the line.
+    must follow the ROWS layout of the model's params class exactly: each
+    series over its whole window in order, each scalar once and of its
+    type. Any departure is a ParseError naming the line.
     """
     meta: dict[str, tuple[int, str]] = {}
     rows: list[tuple[int, str]] = []
@@ -237,23 +237,30 @@ def _read_params(raw: bytes, path: str):
     model = header("model", MODELS.__getitem__)
     ages = AgeRange(header("x_min"), header("x_max"))
     years = YearRange(header("t_min"), header("t_max"))
-    windows = {AGE: ages, YEAR: years, None: [""]}
-    layout = [(name, f"{name},{i},") for name, axis in model.rows for i in windows[axis]]
-    got: dict[str, list[float]] = {name: [] for name, _ in model.rows}
-    for k, (name, prefix) in enumerate(layout):
+    windows = {AGE: ages, YEAR: years}
+    layout = [
+        (attr, f"{name},{i},", float if axis in windows else axis)
+        for name, attr, axis in model.params.ROWS
+        for i in windows.get(axis, [""])
+    ]
+    got: dict[str, list] = {attr: [] for _, attr, _ in model.params.ROWS}
+    for k, (attr, prefix, convert) in enumerate(layout):
         if k == len(rows):
             raise ParseError(f"params file ends at line {len(lines)}, before its {prefix} row")
         line_no, line = rows[k]
         if not line.startswith(prefix):
             raise ParseError(f"line {line_no}: expected a {prefix} row, got {line!r}")
         try:
-            got[name].append(float(line[len(prefix):]))
+            got[attr].append(convert(line[len(prefix):]))
         except ValueError:
-            raise ParseError(f"line {line_no}: unparseable value in {line!r}") from None
+            raise ParseError(f"line {line_no}: unparseable {convert.__name__} in {line!r}") from None
     if len(rows) > len(layout):
         raise ParseError(f"line {rows[len(layout)][0]}: more rows than the {model.name} layout")
-    values = {name: np.array(got[name]) if axis else got[name][0] for name, axis in model.rows}
-    return model, model.from_rows(values, ages, years)
+    values = {
+        attr: np.array(got[attr]) if axis in windows else got[attr][0]
+        for _, attr, axis in model.params.ROWS
+    }
+    return model, model.params(**values, ages=ages, years=years)
 
 
 def cmd_fit(args) -> int:
@@ -275,8 +282,7 @@ def cmd_fit(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    fitted = model.fit(rates, surface_central_rate_to_q(rates), fit_years, args.t0, config)
-    diag = fitted.diagnostics
+    params, diag = model.fit(rates, surface_central_rate_to_q(rates), fit_years, args.t0, config)
     if diag is not None:
         diag_header = header + [
             f"iterations = {diag.iterations}",
@@ -286,11 +292,11 @@ def cmd_fit(args) -> int:
         trace = enumerate(diag.objective_trace.tolist())
         write_csv(out_dir / "diagnostics.csv", ("sweep", "objective"), trace, diag_header)
 
-    windows = {AGE: fitted.params.ages, YEAR: fitted.params.years, None: [""]}
+    windows = {AGE: params.ages, YEAR: params.years}
     rows = [
         (name, i, v)
-        for (name, axis), values in zip(model.rows, model.row_values(fitted))
-        for i, v in zip(windows[axis], np.atleast_1d(values).tolist())
+        for name, attr, axis in params.ROWS
+        for i, v in zip(windows.get(axis, [""]), np.atleast_1d(getattr(params, attr)).tolist())
     ]
     write_csv(out_dir / "params.csv", ("param", "index", "value"), rows, header)
     # config.txt is plain "key = value" text, not CSV
@@ -311,20 +317,19 @@ def cmd_forecast(args) -> int:
     if args.mode == "sample" and args.seed < 0:
         raise _UsageError(f"seed must be a nonnegative integer, got {args.seed}")
     raw = Path(args.params).read_bytes()
-    model, fitted = _read_params(raw, args.params)
+    model, params = _read_params(raw, args.params)
     header = _resolved_header(args) + [f"input_sha256 = {_digest(raw)}", f"model = {model.name}"]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    params = fitted.params
-    rwd = calibrate_rwd(model.time_indices(fitted), params.years.to_array())
+    rwd = calibrate_rwd(time_indices(params), params.years.to_array())
     if args.mode == "central":
-        surface = model.forecast(fitted, rwd, args.horizon, "central")
+        surface = model.forecast(params, rwd, args.horizon, "central")
         export_csv(surface, out_dir / "forecast.csv", comments=header)
         print(f"wrote {out_dir / 'forecast.csv'}")
     else:
         paths = model.forecast(
-            fitted, rwd, args.horizon, "sample", n_paths=args.paths, seed=args.seed
+            params, rwd, args.horizon, "sample", n_paths=args.paths, seed=args.seed
         )
         # nothing else holds the paths array, so the quantiles may reorder it
         bands = path_quantiles(paths, QUANTILE_PROBS)
@@ -335,6 +340,9 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_backtest(args) -> int:
+    # the label is one cell of report.csv and one line of every artifact header
+    if "," in args.country or not args.country.isprintable():
+        raise _UsageError(f"--country must be printable and hold no comma, got {args.country!r}")
     if args.t0 is None:
         args.t0 = args.fit_from - 1
     models = tuple(m.strip().upper() for m in args.models.split(",") if m.strip())

@@ -17,7 +17,7 @@ from .errors import DomainError
 from .lifetable import AgeRange, MortalitySurface, SurfaceKind, YearRange, surface_central_rate_to_q
 # unused here, but perfbench's tracer self-test checks that this copy is rebound
 from .lifetable import survival_to_q  # noqa: F401
-from .models import MODELS
+from .models import MODELS, time_indices
 from .sl_model import FitConfig
 from .timeseries import calibrate_rwd
 
@@ -208,14 +208,14 @@ def run_backtest(
         if label not in config.models:
             continue
         model = MODELS[label.lower()]
-        fitted = model.fit(sub, q_all, config.fit_years, config.t0, config.fit)
-        indices = model.time_indices(fitted)
-        q_hat_fit = model.q_of(fitted, indices, config.fit_years.t_min)
+        params, diagnostics = model.fit(sub, q_all, config.fit_years, config.t0, config.fit)
+        indices = time_indices(params)
+        q_hat_fit = params.q_of(indices)
         rwd = calibrate_rwd(indices, config.fit_years.to_array())
-        forecast = model.forecast(fitted, rwd, len(config.forecast_years), "central")
+        forecast = model.forecast(params, rwd, len(config.forecast_years), "central")
         estimates[label] = (q_hat_fit, forecast.values)
-        if fitted.diagnostics is not None:
-            sl_converged = fitted.diagnostics.converged
+        if diagnostics is not None:
+            sl_converged = diagnostics.converged
 
     metrics = [
         ModelMetrics(

@@ -289,9 +289,9 @@ def write_hmd(surface: MortalitySurface, destination, title: str = "synthetic") 
     The surface's values land in all three sex columns.
     """
     lines = [title, "", "   ".join(_HMD_HEADER)]
-    for j, t in enumerate(surface.years):
-        for i, x in enumerate(surface.ages):
-            v = f"{surface.values[i, j]:.17g}"
+    for t, column in zip(surface.years, surface.values.T.tolist()):
+        for x, value in zip(surface.ages, column):
+            v = f"{value:.17g}"
             lines.append(f"{t}   {x}   {v}   {v}   {v}")
     _write_text(destination, "\n".join(lines) + "\n")
 

@@ -16,6 +16,9 @@ import numpy as np
 
 from .errors import DomainError
 
+# The axis of a params.csv series: one row per age or per fit year.
+AGE, YEAR = "age", "year"
+
 
 @dataclass(frozen=True)
 class AgeRange:

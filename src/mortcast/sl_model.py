@@ -7,29 +7,41 @@ projecting (alpha1, alpha2) as a two-dimensional random walk with drift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
 from .errors import DomainError, FitError
-from .lifetable import AgeRange, YearRange, survival_to_q
+from .lifetable import AGE, YEAR, AgeRange, YearRange, survival_to_q
 from .timeseries import RwdParams, check_walk, forecast_q
-from .transforms import LDiffSurface, invert_l_diff
+from .transforms import _ONE_BOUNDARY, LDiffSurface, invert_l_diff
 
 
 @dataclass(frozen=True)
 class SlParams:
-    """Fitted model parameters.
+    """Fitted model parameters and the reference year's survival curve.
 
-    alpha1/alpha2 are indexed by fit year, kappa by age. Parameters are only
-    identified up to an affine gauge; fit_sl returns them normalized to
-    sum(kappa) = 0, sum(kappa^2) = 1, kappa at the oldest age nonnegative.
+    alpha1/alpha2 are indexed by fit year, kappa and base_survival by age.
+    base_survival is S_t0, the age constant every fitted and projected
+    curve is rebuilt against. The other parameters are only identified up
+    to an affine gauge; fit_sl returns them normalized to sum(kappa) = 0,
+    sum(kappa^2) = 1, kappa at the oldest age nonnegative.
     """
+
+    # params.csv layout: (row name, attribute, AGE | YEAR | type of a scalar)
+    ROWS = (
+        ("alpha1", "alpha1", YEAR),
+        ("alpha2", "alpha2", YEAR),
+        ("kappa", "kappa", AGE),
+        ("base_survival", "base_survival", AGE),
+        ("t0", "t0", int),
+    )
 
     alpha1: np.ndarray
     alpha2: np.ndarray
     kappa: np.ndarray
+    base_survival: np.ndarray
     t0: int
     ages: AgeRange
     years: YearRange
@@ -38,34 +50,42 @@ class SlParams:
         a1 = np.asarray(self.alpha1, dtype=float)
         a2 = np.asarray(self.alpha2, dtype=float)
         k = np.asarray(self.kappa, dtype=float)
+        base = np.asarray(self.base_survival, dtype=float)
         n_t, n_x = len(self.years), len(self.ages)
         if a1.shape != (n_t,) or a2.shape != (n_t,):
             raise DomainError(f"alpha1/alpha2 must have one entry per fit year ({n_t})")
-        if k.shape != (n_x,):
-            raise DomainError(f"kappa must have one entry per age ({n_x})")
+        if k.shape != (n_x,) or base.shape != (n_x,):
+            raise DomainError(f"kappa and base_survival must have one entry per age ({n_x})")
         if not (np.all(np.isfinite(a1)) and np.all(np.isfinite(a2)) and np.all(np.isfinite(k))):
             raise DomainError("parameters must be finite")
+        if not np.all((base > 0.0) & (base < _ONE_BOUNDARY)):
+            raise DomainError("base_survival must lie strictly inside (0, 1)")
+        if not isinstance(self.t0, (int, np.integer)):
+            raise DomainError(f"reference year must be an integer, got {self.t0!r}")
         if self.t0 >= self.years.t_min:
             raise DomainError(f"reference year {self.t0} must precede fit years")
-        for arr in (a1, a2, k):
+        for arr in (a1, a2, k, base):
             arr.setflags(write=False)
         object.__setattr__(self, "alpha1", a1)
         object.__setattr__(self, "alpha2", a2)
         object.__setattr__(self, "kappa", k)
+        object.__setattr__(self, "base_survival", base)
 
-    def q_of(self, states: np.ndarray, base_survival: np.ndarray, first_year: int) -> np.ndarray:
+    def q_of(self, states: np.ndarray, first_year: int | None = None) -> np.ndarray:
         """Death probabilities (..., n_ages, n_years) from states (..., n_years, 2).
 
-        The states are (alpha1, alpha2) of the years from ``first_year`` on.
-        Each year's survival curve is rebuilt through the inverse transform
-        against base_survival. A non-monotone curve raises DomainError
-        naming the year and the two ages, with ``cell`` holding the leading
-        (path) index, if any.
+        The states are (alpha1, alpha2) of the years from ``first_year`` on,
+        by default the first fit year. Each year's survival curve is rebuilt
+        through the inverse transform against base_survival. A non-monotone
+        curve raises DomainError naming the year and the two ages, with
+        ``cell`` holding the leading (path) index, if any.
         """
+        if first_year is None:
+            first_year = self.years.t_min
         # (..., n_years, 1) + (..., n_years, 1) * (ages,): age is the last axis
         delta = states[..., :1] + states[..., 1:] * self.kappa
         try:
-            q = survival_to_q(invert_l_diff(delta, base_survival))
+            q = survival_to_q(invert_l_diff(delta, self.base_survival))
         except DomainError as exc:
             if exc.cell is None:
                 raise
@@ -161,6 +181,7 @@ def init_sl(delta: LDiffSurface, config: FitConfig | None = None) -> SlParams:
         alpha1=intercept,
         alpha2=slope,
         kappa=kappa,
+        base_survival=delta.base_survival,
         t0=delta.t0,
         ages=delta.ages,
         years=delta.years,
@@ -182,13 +203,11 @@ def normalize_gauge(params: SlParams) -> SlParams:
         raise DomainError("gauge undefined for constant kappa")
     if centered[-1] < 0.0:
         c = -c
-    return SlParams(
+    return replace(
+        params,
         alpha1=params.alpha1 + mean * params.alpha2,
         alpha2=c * params.alpha2,
         kappa=centered / c,
-        t0=params.t0,
-        ages=params.ages,
-        years=params.years,
     )
 
 
@@ -260,14 +279,7 @@ def fit_sl(delta: LDiffSurface, config: FitConfig | None = None) -> tuple[SlPara
             converged = True
             break
 
-    raw = SlParams(
-        alpha1=alpha1,
-        alpha2=alpha2,
-        kappa=kappa,
-        t0=delta.t0,
-        ages=delta.ages,
-        years=delta.years,
-    )
+    raw = replace(start, alpha1=alpha1, alpha2=alpha2, kappa=kappa)
     diagnostics = FitDiagnostics(
         iterations=sweeps,
         converged=converged,
@@ -281,7 +293,6 @@ def fit_sl(delta: LDiffSurface, config: FitConfig | None = None) -> tuple[SlPara
 def sl_forecast(
     params: SlParams,
     rwd: RwdParams,
-    base_survival: np.ndarray,
     horizon: int,
     mode: str = "central",
     n_paths: int | None = None,
@@ -301,5 +312,5 @@ def sl_forecast(
     ages between which survival increases.
     """
     check_walk(rwd, 2, params.years, "SL")
-    q_of = partial(params.q_of, base_survival=base_survival, first_year=params.years.t_max + 1)
+    q_of = partial(params.q_of, first_year=params.years.t_max + 1)
     return forecast_q(rwd, horizon, q_of, params.ages, mode, n_paths=n_paths, seed=seed)

@@ -81,7 +81,8 @@ def random_delta(rng, n_ages, n_years, noise_sd=0.0):
         values=values,
     )
     truth = SlParams(
-        alpha1=alpha1, alpha2=alpha2, kappa=kappa, t0=1999, ages=ages, years=years
+        alpha1=alpha1, alpha2=alpha2, kappa=kappa, base_survival=delta.base_survival,
+        t0=1999, ages=ages, years=years,
     )
     return delta, truth
 

@@ -305,6 +305,14 @@ class TestParamsReader:
         assert code == 3
         assert f"line {k + 1}: expected a kappa_t,1995, row, got '{lines[k]}'" in err
 
+    def test_non_integer_t0(self, tmp_path, capsys):
+        path, lines = self.fit(tmp_path, "sl")
+        k = self.line_of(lines, "t0,,")
+        lines[k] = "t0,,1988.7"
+        code, err = self.forecast(path, lines, tmp_path, capsys)
+        assert code == 3
+        assert f"line {k + 1}: unparseable int in 't0,,1988.7'" in err
+
     def test_non_integer_header(self, tmp_path, capsys):
         path, lines = self.fit(tmp_path, "cbd")
         k = self.line_of(lines, "# x_min =")
@@ -435,6 +443,17 @@ class TestBacktest:
         )
         assert code == 2
         assert (out_dir / "report.csv").exists()
+
+    @pytest.mark.parametrize("country", ["A,B", "A\nB", "A\rB"])
+    def test_country_breaking_a_cell_or_line_is_usage_error(self, tmp_path, capsys, country):
+        out_dir = tmp_path / "bt"
+        code = main(
+            ["backtest", "--synth", "sl", *self.ARGS, "--country", country, "--out", str(out_dir)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--country" in err
+        assert not out_dir.exists()
 
     def test_window_contiguity_is_usage_error(self, tmp_path):
         code = main(

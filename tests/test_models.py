@@ -1,0 +1,84 @@
+"""Properties of the model table that must hold for every MODELS entry."""
+
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mortcast import (
+    AgeRange,
+    BacktestConfig,
+    SynthConfig,
+    YearRange,
+    evaluation,
+    generate_synthetic,
+    run_backtest,
+    write_hmd,
+)
+from mortcast.cli import _read_params, main
+from mortcast.lifetable import surface_central_rate_to_q
+from mortcast.models import MODELS, time_indices
+
+T0 = 1989
+FIT_YEARS = YearRange(1990, 2004)
+HOLDOUT = YearRange(2005, 2007)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+@settings(max_examples=45, deadline=None)
+@given(
+    name=st.sampled_from(sorted(MODELS)),
+    noise_sd=st.sampled_from([0.0, 0.001, 0.01, 0.03]),
+    seed=st.integers(0, 2**32 - 1),
+    x_min=st.integers(30, 80),
+    n_ages=st.integers(2, 16),
+)
+def test_params_csv_round_trip(name, noise_sd, seed, x_min, n_ages):
+    """Fit, write params.csv through the CLI, read it back: nothing moves by a bit.
+
+    The declared attributes and the derived time indices come back
+    bit-identical, and q_of over the read time indices is bit for bit the
+    in-sample estimate that run_backtest scores.
+    """
+    model = MODELS[name]
+    ages = AgeRange(x_min, x_min + n_ages - 1)
+    years = YearRange(T0, HOLDOUT.t_max)
+    rates = generate_synthetic(SynthConfig(ages=ages, years=years, noise_sd=noise_sd, seed=seed))
+    config = BacktestConfig(
+        ages=ages, fit_years=FIT_YEARS, forecast_years=HOLDOUT, t0=T0,
+        models=(name.upper(),), mi_age=None,
+    )
+    params, diag = model.fit(rates, surface_central_rate_to_q(rates), FIT_YEARS, T0, config.fit)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp) / "rates.txt"
+        write_hmd(rates, data)
+        code = main([
+            "fit", "--model", name, "--input", str(data),
+            "--x-min", str(ages.x_min), "--x-max", str(ages.x_max),
+            "--t-min", str(FIT_YEARS.t_min), "--t-max", str(FIT_YEARS.t_max), "--out", tmp,
+        ])
+        raw = (Path(tmp) / "params.csv").read_bytes()
+    assert code == (2 if diag is not None and not diag.converged else 0)
+    read_model, read = _read_params(raw, "params.csv")
+    assert read_model is model and type(read) is model.params
+
+    for _, attr, axis in model.params.ROWS:
+        got, want = getattr(read, attr), getattr(params, attr)
+        if axis is int:
+            assert type(got) is int and got == want
+        else:
+            np.testing.assert_array_equal(bits(got), bits(want), err_msg=attr)
+    indices = time_indices(read)
+    np.testing.assert_array_equal(bits(indices), bits(time_indices(params)))
+
+    with mock.patch.object(evaluation, "mse", wraps=evaluation.mse) as scored:
+        run_backtest(rates, config)
+    _, in_sample = scored.call_args_list[0].args  # the fit-window score comes first
+    np.testing.assert_array_equal(bits(read.q_of(indices)), bits(in_sample))

@@ -41,15 +41,15 @@ def sl_model():
         alpha1=np.linspace(0.0, -0.1, len(YEARS)),
         alpha2=np.full(len(YEARS), 0.02),
         kappa=kappa,
+        base_survival=np.cumprod(np.full(N_AGES, 0.97)),
         t0=YEARS.t_min - 1,
         ages=AGES,
         years=YEARS,
     )
-    base = np.cumprod(np.full(N_AGES, 0.97))
     rwd = walk([-0.02, 0.001], [[0.01, 0.0], [0.001, 0.002]], [-0.1, 0.02])
 
     def forecast(**kw):
-        return sl_forecast(params, rwd, base, **kw)
+        return sl_forecast(params, rwd, **kw)
 
     return forecast
 
@@ -110,21 +110,21 @@ class TestInvalidPaths:
     def test_non_monotone_path_is_named(self):
         kappa = np.array([-1.0, 1.0]) / np.sqrt(2.0)
         params = SlParams(
-            alpha1=np.zeros(2), alpha2=np.zeros(2), kappa=kappa, t0=1999,
+            alpha1=np.zeros(2), alpha2=np.zeros(2), kappa=kappa,
+            base_survival=np.array([0.9, 0.8]), t0=1999,
             ages=AgeRange(60, 61), years=YearRange(2000, 2001),
         )
-        base = np.array([0.9, 0.8])
         # alpha2 drifts down by 0.2 a year; past -0.53 survival at 61 overtakes 60
         rwd = RwdParams(
             dim=2, drift=np.array([0.0, -0.2]), innovation_factor=np.zeros((2, 2)),
             last_state=np.zeros(2), last_year=2001,
         )
         with pytest.raises(DomainError, match="from age 60 to 61 in year 2004$"):
-            sl_forecast(params, rwd, base, horizon=4)
+            sl_forecast(params, rwd, horizon=4)
         with pytest.raises(
             DomainError, match="from age 60 to 61 in year 2004 on sample path 0$"
         ):
-            sl_forecast(params, rwd, base, horizon=4, mode="sample", n_paths=3, seed=0)
+            sl_forecast(params, rwd, horizon=4, mode="sample", n_paths=3, seed=0)
 
     def test_check_names_path_age_and_year(self):
         block = np.full((3, N_AGES, 2), 0.01)

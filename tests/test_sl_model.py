@@ -45,7 +45,8 @@ def manifold_delta(rng, n_ages=8, n_years=10, x_min=60, t_min=2000, noise_sd=0.0
         t0=t_min - 1, base_survival=base, ages=ages, years=years, values=values
     )
     truth = SlParams(
-        alpha1=alpha1, alpha2=alpha2, kappa=kappa, t0=t_min - 1, ages=ages, years=years
+        alpha1=alpha1, alpha2=alpha2, kappa=kappa, base_survival=base, t0=t_min - 1,
+        ages=ages, years=years,
     )
     return delta, truth
 
@@ -72,6 +73,7 @@ class TestObjective:
             alpha1=np.array([1.0, 0.0]),
             alpha2=np.zeros(2),
             kappa=np.array([-1.0, 1.0]),
+            base_survival=delta.base_survival,
             t0=1999,
             ages=delta.ages,
             years=delta.years,
@@ -85,6 +87,24 @@ class TestObjective:
         _, truth = manifold_delta(rng, t_min=2005)
         with pytest.raises(DomainError):
             sl_objective(delta, truth)
+
+
+class TestParams:
+    def test_base_survival_and_t0_are_checked(self):
+        good = dict(
+            alpha1=np.zeros(2), alpha2=np.zeros(2), kappa=np.array([-1.0, 1.0]),
+            base_survival=np.array([0.9, 0.8]), t0=1999,
+            ages=AgeRange(60, 61), years=YearRange(2000, 2001),
+        )
+        assert not SlParams(**good).base_survival.flags.writeable
+        for bad in (
+            {"base_survival": np.array([0.9])},
+            {"base_survival": np.array([0.9, 1.0])},
+            {"base_survival": np.array([0.9, np.nan])},
+            {"t0": 1999.5},
+        ):
+            with pytest.raises(DomainError):
+                SlParams(**{**good, **bad})
 
 
 class TestInit:
@@ -151,6 +171,7 @@ class TestNormalizeGauge:
             alpha1=np.array([0.0]),
             alpha2=np.array([1.0]),
             kappa=np.array([1.0, 2.0, 3.0]),
+            base_survival=np.array([0.9, 0.8, 0.7]),
             t0=1999,
             ages=AgeRange(60, 62),
             years=YearRange(2000, 2000),
@@ -169,6 +190,7 @@ class TestNormalizeGauge:
                 alpha1=params.alpha1,
                 alpha2=params.alpha2 * 0.2,
                 kappa=params.kappa * 5.0 + 3.0,
+                base_survival=params.base_survival,
                 t0=params.t0,
                 ages=params.ages,
                 years=params.years,
@@ -195,6 +217,7 @@ class TestNormalizeGauge:
             alpha1=np.zeros(2),
             alpha2=np.zeros(2),
             kappa=np.full(3, 2.0),
+            base_survival=np.array([0.9, 0.8, 0.7]),
             t0=1999,
             ages=AgeRange(60, 62),
             years=YearRange(2000, 2001),
@@ -283,6 +306,7 @@ class TestForecast:
             alpha1=np.array([0.0, -0.2]),
             alpha2=np.array([0.01, 0.0]),
             kappa=np.array([-INV_SQRT_2, INV_SQRT_2]),
+            base_survival=np.array([0.9, 0.8]),
             t0=1999,
             ages=AgeRange(60, 61),
             years=YearRange(2000, 2001),
@@ -301,9 +325,9 @@ class TestForecast:
 
     def test_one_step_hand_check(self):
         params = self.params_2x2()
-        base = np.array([0.9, 0.8])
+        base = params.base_survival
         rwd = self.walk([0.1, 0.05], np.zeros((2, 2)), [-0.2, 0.0])
-        out = sl_forecast(params, rwd, base, horizon=1)
+        out = sl_forecast(params, rwd, horizon=1)
         assert out.years == YearRange(2002, 2002)
         delta = -0.1 + 0.05 * params.kappa
         s = np.array(
@@ -313,36 +337,30 @@ class TestForecast:
 
     def test_zero_drift_repeats_state(self):
         params = self.params_2x2()
-        base = np.array([0.9, 0.8])
         rwd = self.walk([0.0, 0.0], np.zeros((2, 2)), [-0.3, 0.4])
-        out = sl_forecast(params, rwd, base, horizon=5)
-        expected = survival_to_q(invert_l_diff(-0.3 + 0.4 * params.kappa, base))
+        out = sl_forecast(params, rwd, horizon=5)
+        expected = survival_to_q(invert_l_diff(-0.3 + 0.4 * params.kappa, params.base_survival))
         for h in range(5):
             np.testing.assert_allclose(out.values[:, h], expected, atol=1e-14)
 
     def test_degenerate_sample_matches_central(self):
         params = self.params_2x2()
-        base = np.array([0.9, 0.8])
         rwd = self.walk([0.05, -0.01], np.zeros((2, 2)), [-0.3, 0.4])
-        central = sl_forecast(params, rwd, base, horizon=4)
-        out = sl_forecast(
-            params, rwd, base, horizon=4, mode="sample", n_paths=3, seed=9
-        )
+        central = sl_forecast(params, rwd, horizon=4)
+        out = sl_forecast(params, rwd, horizon=4, mode="sample", n_paths=3, seed=9)
         assert out.shape == (3, 2, 4)
         for p in range(3):
             np.testing.assert_array_equal(out[p], central.values)
 
     def test_non_monotone_curve_raises(self):
         params = self.params_2x2()
-        base = np.array([0.9, 0.8])
         # a large negative alpha2 state pushes old-age survival above young-age
         rwd = self.walk([0.0, 0.0], np.zeros((2, 2)), [0.0, -3.0])
         with pytest.raises(DomainError):
-            sl_forecast(params, rwd, base, horizon=1)
+            sl_forecast(params, rwd, horizon=1)
 
     def test_walk_shape_validation(self):
         params = self.params_2x2()
-        base = np.array([0.9, 0.8])
         bad_dim = RwdParams(
             dim=1,
             drift=np.zeros(1),
@@ -351,7 +369,7 @@ class TestForecast:
             last_year=2001,
         )
         with pytest.raises(DomainError):
-            sl_forecast(params, bad_dim, base, horizon=1)
+            sl_forecast(params, bad_dim, horizon=1)
         stale = self.walk([0.0, 0.0], np.zeros((2, 2)), [0.0, 0.0], last_year=2000)
         with pytest.raises(DomainError):
-            sl_forecast(params, stale, base, horizon=1)
+            sl_forecast(params, stale, horizon=1)
