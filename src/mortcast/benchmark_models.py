@@ -13,7 +13,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FitError
-from .lifetable import AGE, YEAR, AgeRange, MortalitySurface, SurfaceKind, YearRange, central_rate_to_q
+from .lifetable import (
+    AGE,
+    YEAR,
+    AgeRange,
+    MortalitySurface,
+    SurfaceKind,
+    YearRange,
+    _first_cell,
+    _freeze_series,
+    central_rate_to_q,
+)
 from .timeseries import RwdParams, check_walk, forecast_q
 from .transforms import logistic, logit
 
@@ -32,24 +42,11 @@ class LcParams:
     years: YearRange
 
     def __post_init__(self):
-        a = np.asarray(self.alpha_x, dtype=float)
-        b = np.asarray(self.beta_x, dtype=float)
-        k = np.asarray(self.kappa_t, dtype=float)
-        if a.shape != (len(self.ages),) or b.shape != (len(self.ages),):
-            raise DomainError("alpha_x and beta_x must have one entry per age")
-        if k.shape != (len(self.years),):
-            raise DomainError("kappa_t must have one entry per fit year")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b)) and np.all(np.isfinite(k))):
-            raise DomainError("parameters must be finite")
-        if abs(b.sum() - 1.0) > 1e-10:
-            raise DomainError(f"beta_x must sum to 1, got {b.sum()}")
-        if abs(k.sum()) > 1e-10:
-            raise DomainError(f"kappa_t must sum to 0, got {k.sum()}")
-        for arr in (a, b, k):
-            arr.setflags(write=False)
-        object.__setattr__(self, "alpha_x", a)
-        object.__setattr__(self, "beta_x", b)
-        object.__setattr__(self, "kappa_t", k)
+        _freeze_series(self)
+        if abs(self.beta_x.sum() - 1.0) > 1e-10:
+            raise DomainError(f"beta_x must sum to 1, got {self.beta_x.sum()}")
+        if abs(self.kappa_t.sum()) > 1e-10:
+            raise DomainError(f"kappa_t must sum to 0, got {self.kappa_t.sum()}")
 
     def q_of(self, states: np.ndarray) -> np.ndarray:
         """Death probabilities (..., n_ages, n_years) from states (..., n_years, 1).
@@ -75,19 +72,10 @@ class CbdParams:
     years: YearRange
 
     def __post_init__(self):
-        k1 = np.asarray(self.kappa1_t, dtype=float)
-        k2 = np.asarray(self.kappa2_t, dtype=float)
-        n_t = len(self.years)
-        if k1.shape != (n_t,) or k2.shape != (n_t,):
-            raise DomainError("kappa1_t and kappa2_t must have one entry per fit year")
-        if not (np.all(np.isfinite(k1)) and np.all(np.isfinite(k2)) and np.isfinite(self.x_bar)):
-            raise DomainError("parameters must be finite")
-        if abs(self.x_bar - (self.ages.x_min + self.ages.x_max) / 2.0) > 1e-12:
+        _freeze_series(self)
+        # written so that a NaN x_bar fails too
+        if not abs(self.x_bar - (self.ages.x_min + self.ages.x_max) / 2.0) <= 1e-12:
             raise DomainError("x_bar must be the midpoint of the age window")
-        for arr in (k1, k2):
-            arr.setflags(write=False)
-        object.__setattr__(self, "kappa1_t", k1)
-        object.__setattr__(self, "kappa2_t", k2)
 
     def q_of(self, states: np.ndarray) -> np.ndarray:
         """Death probabilities (..., n_ages, n_years) from states (..., n_years, 2).
@@ -111,13 +99,9 @@ def fit_lc(m_surface: MortalitySurface) -> LcParams:
     """
     if m_surface.kind is not SurfaceKind.CENTRAL_RATE:
         raise DomainError(f"expected a central_rate surface, got {m_surface.kind.value}")
-    bad = np.argwhere(m_surface.values <= 0.0)
-    if bad.size:
-        i, j = bad[0]
-        raise DomainError(
-            f"nonpositive central rate at age {m_surface.ages.x_min + i}, "
-            f"year {m_surface.years.t_min + j}: log rate undefined"
-        )
+    if (m_surface.values <= 0.0).any():
+        x, t = _first_cell(m_surface.values <= 0.0, m_surface.ages, m_surface.years)
+        raise DomainError(f"nonpositive central rate at age {x}, year {t}: log rate undefined")
     log_m = np.log(m_surface.values)
     alpha = log_m.mean(axis=1)
     centered = log_m - alpha[:, None]
@@ -169,13 +153,10 @@ def fit_cbd(q_surface: MortalitySurface) -> CbdParams:
         raise DomainError(f"expected a death_prob surface, got {q_surface.kind.value}")
     if len(q_surface.ages) < 2:
         raise DomainError("need at least 2 ages to fit an age slope")
-    bad = np.argwhere((q_surface.values <= 0.0) | (q_surface.values >= 1.0))
-    if bad.size:
-        i, j = bad[0]
-        raise DomainError(
-            f"death probability outside (0, 1) at age {q_surface.ages.x_min + i}, "
-            f"year {q_surface.years.t_min + j}: logit undefined"
-        )
+    outside = (q_surface.values <= 0.0) | (q_surface.values >= 1.0)
+    if outside.any():
+        x, t = _first_cell(outside, q_surface.ages, q_surface.years)
+        raise DomainError(f"death probability outside (0, 1) at age {x}, year {t}: logit undefined")
     x_bar = (q_surface.ages.x_min + q_surface.ages.x_max) / 2.0
     cx = q_surface.ages.to_array() - x_bar
     y = logit(q_surface.values)

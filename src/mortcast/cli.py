@@ -340,9 +340,9 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_backtest(args) -> int:
-    # the label is one cell of report.csv and one line of every artifact header
-    if "," in args.country or not args.country.isprintable():
-        raise _UsageError(f"--country must be printable and hold no comma, got {args.country!r}")
+    # the label is one cell of report.csv
+    if "," in args.country:
+        raise _UsageError(f"--country must hold no comma, got {args.country!r}")
     if args.t0 is None:
         args.t0 = args.fit_from - 1
     models = tuple(m.strip().upper() for m in args.models.split(",") if m.strip())
@@ -413,6 +413,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
+        # every flag value is written into the artifact headers, one line each
+        for key, value in vars(args).items():
+            if isinstance(value, str) and not value.isprintable():
+                raise _UsageError(f"--{key.replace('_', '-')} must be printable, got {value!r}")
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"mortcast: usage error: {exc}", file=sys.stderr)

@@ -29,6 +29,5 @@ class ParseError(MortcastError, ValueError):
 class FitError(MortcastError, RuntimeError):
     """A fit reached a degenerate state it cannot recover from on its own.
 
-    The message says what to change (typically: re-initialize with a
-    different starting vector).
+    The message names that state.
     """

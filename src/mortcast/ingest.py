@@ -21,6 +21,7 @@ from .lifetable import (
     MortalitySurface,
     SurfaceKind,
     YearRange,
+    _first_cell,
     q_to_central_rate,
     q_to_survival,
     survival_to_q,
@@ -123,8 +124,7 @@ def parse_hmd(
         values[i, j] = v
 
     if not seen.all():
-        i, j = np.argwhere(~seen)[0]  # the first by age, then year
-        x, t = ages.x_min + i, years.t_min + j
+        x, t = _first_cell(~seen, ages, years)
         raise ParseError(f"requested window not covered: no row for age {x}, year {t}")
     return MortalitySurface(ages=ages, years=years, kind=kind, values=values)
 
@@ -137,13 +137,9 @@ def estimate_m(deaths: MortalitySurface, exposures: MortalitySurface) -> Mortali
         raise DomainError(f"expected an exposures surface, got {exposures.kind.value}")
     if deaths.ages != exposures.ages or deaths.years != exposures.years:
         raise DomainError("deaths and exposures must cover the same grid")
-    bad = np.argwhere(exposures.values <= 0.0)
-    if bad.size:
-        i, j = bad[0]
-        raise DomainError(
-            f"nonpositive exposure at age {exposures.ages.x_min + i}, "
-            f"year {exposures.years.t_min + j}"
-        )
+    if (exposures.values <= 0.0).any():
+        x, t = _first_cell(exposures.values <= 0.0, exposures.ages, exposures.years)
+        raise DomainError(f"nonpositive exposure at age {x}, year {t}")
     return MortalitySurface(
         ages=deaths.ages,
         years=deaths.years,

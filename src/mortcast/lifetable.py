@@ -95,6 +95,8 @@ class SurfaceKind(str, Enum):
     EXPOSURES = "exposures"
     CENTRAL_RATE = "central_rate"
     DEATH_PROB = "death_prob"
+    # S_t(x): the chance of surviving from the lowest age of the window past age x
+    SURVIVAL = "survival"
 
 
 def _freeze(values: np.ndarray) -> np.ndarray:
@@ -103,30 +105,65 @@ def _freeze(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _first_cell(mask: np.ndarray, ages: AgeRange, years: YearRange, first_path: int) -> str:
-    *path, i, j = np.argwhere(mask)[0]
-    cell = f"age {ages.x_min + i}, year {years.t_min + j}"
-    return f"sample path {first_path + path[0]}, {cell}" if path else cell
+def _first_cell(mask: np.ndarray, ages: AgeRange, years: YearRange) -> tuple[int, ...]:
+    """(age, year) of the first True cell of ``mask``, by age, then year.
+
+    ``mask`` is one (ages, years) grid, or a (paths, ages, years) block, for
+    which the result is (path, age, year) with the path as a block index.
+    """
+    *path, i, j = np.argwhere(mask)[0].tolist()
+    return (*path, ages.x_min + i, years.t_min + j)
+
+
+def _freeze_series(params) -> None:
+    """Store each AGE and YEAR series of ``params.ROWS`` as a read-only float vector.
+
+    Each must hold one finite entry per age, or per fit year, of the
+    params' windows.
+    """
+    for _, attr, axis in params.ROWS:
+        if axis in (AGE, YEAR):
+            n = len(params.ages if axis == AGE else params.years)
+            values = np.asarray(getattr(params, attr), dtype=float)
+            if values.shape != (n,) or not np.isfinite(values).all():
+                per = "age" if axis == AGE else "fit year"
+                raise DomainError(f"{attr} must hold one finite entry per {per} ({n})")
+            values.setflags(write=False)
+            object.__setattr__(params, attr, values)
 
 
 def check_surface_values(
     values: np.ndarray, kind: SurfaceKind, ages: AgeRange, years: YearRange, first_path: int = 0
 ) -> None:
-    """Finiteness and the admissible range of ``kind``, naming the first bad cell.
+    """Finiteness and the admissible values of ``kind``, naming the first bad cell.
 
-    ``values`` is one (ages, years) grid, or a (paths, ages, years) block of
-    sample paths whose first path has index ``first_path``; the message then
-    names the path as well as the age and year.
+    Death probabilities lie in [0, 1], survival in (0, 1] and non-increasing
+    in age, anything else is nonnegative. ``values`` is one (ages, years)
+    grid, or a (paths, ages, years) block of sample paths whose first path
+    has index ``first_path``; the message then names the path as well as
+    the age and year.
     """
-    if not np.all(np.isfinite(values)):
-        where = _first_cell(~np.isfinite(values), ages, years, first_path)
-        raise DomainError(f"non-finite {kind.value} at {where}")
-    if np.any(values < 0.0):
-        where = _first_cell(values < 0.0, ages, years, first_path)
-        raise DomainError(f"negative {kind.value} at {where}")
-    if kind is SurfaceKind.DEATH_PROB and np.any(values > 1.0):
-        where = _first_cell(values > 1.0, ages, years, first_path)
-        raise DomainError(f"death probability above 1 at {where}")
+
+    def at(mask):
+        *path, x, t = _first_cell(mask, ages, years)
+        cell = f"age {x}, year {t}"
+        return f"sample path {first_path + path[0]}, {cell}" if path else cell
+
+    survival = kind is SurfaceKind.SURVIVAL
+    if not np.isfinite(values).all():
+        raise DomainError(f"non-finite {kind.value} at {at(~np.isfinite(values))}")
+    low = values <= 0.0 if survival else values < 0.0
+    if low.any():
+        raise DomainError(f"{'nonpositive' if survival else 'negative'} {kind.value} at {at(low)}")
+    if (survival or kind is SurfaceKind.DEATH_PROB) and (values > 1.0).any():
+        name = "survival" if survival else "death probability"
+        raise DomainError(f"{name} above 1 at {at(values > 1.0)}")
+    if survival:
+        rising = values[..., 1:, :] > values[..., :-1, :]
+        if rising.any():
+            *path, x, t = _first_cell(rising, ages, years)
+            on = f" on sample path {first_path + path[0]}" if path else ""
+            raise DomainError(f"survival increases from age {x} to {x + 1} in year {t}{on}")
 
 
 @dataclass(frozen=True)
@@ -135,7 +172,8 @@ class MortalitySurface:
 
     ``values[i, j]`` belongs to age ``ages.x_min + i`` and year
     ``years.t_min + j``. Construction validates shape, finiteness, and the
-    admissible range for the given kind; the stored matrix is read-only.
+    admissible values for the given kind; the stored matrix is read-only.
+    A survival surface holds per-year curves anchored at its lowest age.
     """
 
     ages: AgeRange
@@ -168,58 +206,25 @@ class MortalitySurface:
         return self.values[self.ages.index(age), :].copy()
 
     def subset(self, ages: AgeRange | None = None, years: YearRange | None = None) -> "MortalitySurface":
-        """Restrict to a smaller age/year window."""
+        """Restrict to a smaller age/year window.
+
+        A survival surface keeps its lowest age, where its curves are anchored.
+        """
         ages = ages or self.ages
         years = years or self.years
         if not self.ages.covers(ages):
             raise DomainError(f"requested ages {ages} not covered by {self.ages}")
         if not self.years.covers(years):
             raise DomainError(f"requested years {years} not covered by {self.years}")
+        if self.kind is SurfaceKind.SURVIVAL and ages.x_min != self.ages.x_min:
+            raise DomainError(
+                f"survival curves are anchored at age {self.ages.x_min}, "
+                f"so a subset cannot start at age {ages.x_min}"
+            )
         i0 = self.ages.index(ages.x_min)
         j0 = self.years.index(years.t_min)
         block = self.values[i0 : i0 + len(ages), j0 : j0 + len(years)]
         return MortalitySurface(ages, years, self.kind, block)
-
-
-@dataclass(frozen=True)
-class SurvivalSurface:
-    """Per-year survival curves S_t(x), anchored at the base age.
-
-    ``values[i, j]`` is the probability that someone aged ``base_age`` in
-    year ``years.t_min + j`` survives past age ``ages.x_min + i``, built
-    from the same year's one-year death probabilities.
-    """
-
-    base_age: int
-    ages: AgeRange
-    years: YearRange
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.ages.x_min != self.base_age:
-            raise DomainError(
-                f"survival ages must start at the base age {self.base_age}, "
-                f"got x_min {self.ages.x_min}"
-            )
-        values = _freeze(self.values)
-        expected = (len(self.ages), len(self.years))
-        if values.shape != expected:
-            raise DomainError(
-                f"values shape {values.shape} does not match "
-                f"{len(self.ages)} ages x {len(self.years)} years"
-            )
-        if not np.all(np.isfinite(values)) or np.any(values <= 0.0) or np.any(values > 1.0):
-            raise DomainError("survival values must lie in (0, 1]")
-        if np.any(values[1:, :] > values[:-1, :]):
-            i, j = np.argwhere(values[1:, :] > values[:-1, :])[0]
-            raise DomainError(
-                f"survival increases from age {self.ages.x_min + i} to "
-                f"{self.ages.x_min + i + 1} in year {self.years.t_min + j}"
-            )
-        object.__setattr__(self, "values", values)
-
-    def column(self, year: int) -> np.ndarray:
-        return self.values[:, self.years.index(year)].copy()
 
 
 def _as_float_array(x, name: str) -> tuple[np.ndarray, bool]:
@@ -323,25 +328,16 @@ def surface_central_rate_to_q(m_surface: MortalitySurface) -> MortalitySurface:
     return MortalitySurface(m_surface.ages, m_surface.years, SurfaceKind.DEATH_PROB, q)
 
 
-def surface_q_to_survival(q_surface: MortalitySurface) -> SurvivalSurface:
+def surface_q_to_survival(q_surface: MortalitySurface) -> MortalitySurface:
     """Columnwise lift of :func:`q_to_survival` over a death-probability surface.
 
-    The base age is the surface's lowest age. Any q equal to 1 is rejected
-    with the offending cell named.
+    The result is a survival surface anchored at the surface's lowest age.
+    Any q equal to 1 is rejected with the offending cell named.
     """
     if q_surface.kind is not SurfaceKind.DEATH_PROB:
         raise DomainError(f"expected a death_prob surface, got {q_surface.kind.value}")
-    bad = np.argwhere(q_surface.values >= 1.0)
-    if bad.size:
-        i, j = bad[0]
-        raise DomainError(
-            f"death probability of 1 at age {q_surface.ages.x_min + i}, "
-            f"year {q_surface.years.t_min + j}: survival hits zero"
-        )
+    if (q_surface.values >= 1.0).any():
+        x, t = _first_cell(q_surface.values >= 1.0, q_surface.ages, q_surface.years)
+        raise DomainError(f"death probability of 1 at age {x}, year {t}: survival hits zero")
     s = np.cumprod(1.0 - q_surface.values, axis=0)
-    return SurvivalSurface(
-        base_age=q_surface.ages.x_min,
-        ages=q_surface.ages,
-        years=q_surface.years,
-        values=s,
-    )
+    return MortalitySurface(q_surface.ages, q_surface.years, SurfaceKind.SURVIVAL, s)

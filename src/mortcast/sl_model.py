@@ -13,7 +13,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DomainError, FitError
-from .lifetable import AGE, YEAR, AgeRange, YearRange, survival_to_q
+from .lifetable import AGE, YEAR, AgeRange, YearRange, _freeze_series, survival_to_q
 from .timeseries import RwdParams, check_walk, forecast_q
 from .transforms import _ONE_BOUNDARY, LDiffSurface, invert_l_diff
 
@@ -47,29 +47,13 @@ class SlParams:
     years: YearRange
 
     def __post_init__(self):
-        a1 = np.asarray(self.alpha1, dtype=float)
-        a2 = np.asarray(self.alpha2, dtype=float)
-        k = np.asarray(self.kappa, dtype=float)
-        base = np.asarray(self.base_survival, dtype=float)
-        n_t, n_x = len(self.years), len(self.ages)
-        if a1.shape != (n_t,) or a2.shape != (n_t,):
-            raise DomainError(f"alpha1/alpha2 must have one entry per fit year ({n_t})")
-        if k.shape != (n_x,) or base.shape != (n_x,):
-            raise DomainError(f"kappa and base_survival must have one entry per age ({n_x})")
-        if not (np.all(np.isfinite(a1)) and np.all(np.isfinite(a2)) and np.all(np.isfinite(k))):
-            raise DomainError("parameters must be finite")
-        if not np.all((base > 0.0) & (base < _ONE_BOUNDARY)):
+        _freeze_series(self)
+        if not np.all((self.base_survival > 0.0) & (self.base_survival < _ONE_BOUNDARY)):
             raise DomainError("base_survival must lie strictly inside (0, 1)")
         if not isinstance(self.t0, (int, np.integer)):
             raise DomainError(f"reference year must be an integer, got {self.t0!r}")
         if self.t0 >= self.years.t_min:
             raise DomainError(f"reference year {self.t0} must precede fit years")
-        for arr in (a1, a2, k, base):
-            arr.setflags(write=False)
-        object.__setattr__(self, "alpha1", a1)
-        object.__setattr__(self, "alpha2", a2)
-        object.__setattr__(self, "kappa", k)
-        object.__setattr__(self, "base_survival", base)
 
     def q_of(self, states: np.ndarray, first_year: int | None = None) -> np.ndarray:
         """Death probabilities (..., n_ages, n_years) from states (..., n_years, 2).
@@ -107,15 +91,12 @@ class FitConfig:
     """Knobs of the coordinate-descent fit.
 
     gamma damps each per-parameter Newton step; values in (0, 2) preserve
-    descent, values below 1 trade speed for stability. init selects the
-    starting kappa: "cbd_linear" uses the centered age ramp x - mean(x),
-    or pass an explicit vector.
+    descent, values below 1 trade speed for stability.
     """
 
     gamma: float = 0.5
     epsilon: float = 1e-8
     k_max: int = 5000
-    init: object = "cbd_linear"
 
     def __post_init__(self):
         if not (0.0 < self.gamma < 2.0):
@@ -124,8 +105,6 @@ class FitConfig:
             raise DomainError("epsilon must be positive")
         if self.k_max < 1:
             raise DomainError("k_max must be a positive integer")
-        if isinstance(self.init, str) and self.init != "cbd_linear":
-            raise DomainError(f"unknown init scheme {self.init!r}")
 
 
 @dataclass(frozen=True)
@@ -145,33 +124,18 @@ def sl_objective(delta: LDiffSurface, params: SlParams) -> float:
     return float(np.sum(resid * resid))
 
 
-def _initial_kappa(delta: LDiffSurface, config: FitConfig) -> np.ndarray:
-    if isinstance(config.init, str):
-        x = delta.ages.to_array()
-        return x - x.mean()
-    k0 = np.asarray(config.init, dtype=float)
-    if k0.shape != (len(delta.ages),):
-        raise DomainError(f"init vector must have one entry per age ({len(delta.ages)})")
-    if not np.all(np.isfinite(k0)):
-        raise DomainError("init vector must be finite")
-    if np.ptp(k0) == 0.0:
-        raise DomainError("init vector must not be constant")
-    return k0
-
-
-def init_sl(delta: LDiffSurface, config: FitConfig | None = None) -> SlParams:
+def init_sl(delta: LDiffSurface) -> SlParams:
     """Starting point: fixed kappa, per-year regression of delta on it.
 
-    With the default init, kappa is the centered age ramp and each year's
-    (alpha1, alpha2) are the OLS intercept and slope of that year's column
-    regressed on kappa. A column exactly affine in kappa is reproduced with
-    zero residual.
+    kappa is the centered age ramp x - mean(x), and each year's (alpha1,
+    alpha2) are the OLS intercept and slope of that year's column regressed
+    on kappa. A column exactly affine in kappa is reproduced with zero
+    residual.
     """
-    if config is None:
-        config = FitConfig()
     if len(delta.ages) < 2:
         raise DomainError("need at least 2 ages to regress on kappa")
-    kappa = _initial_kappa(delta, config)
+    x = delta.ages.to_array()
+    kappa = x - x.mean()
     centered = kappa - kappa.mean()
     ss = centered @ centered
     # per-year simple OLS, vectorized over columns
@@ -223,14 +187,14 @@ def fit_sl(delta: LDiffSurface, config: FitConfig | None = None) -> tuple[SlPara
     non-increasing across sweeps for gamma in (0, 2).
 
     Raises FitError if kappa collapses to the zero vector mid-fit, which
-    makes the alpha2 step undefined; re-initialize with a different kappa.
+    makes the alpha2 step undefined.
     """
     if config is None:
         config = FitConfig()
     if len(delta.ages) < 2 or len(delta.years) < 2:
         raise DomainError("need at least 2 ages and 2 fit years")
 
-    start = init_sl(delta, config)
+    start = init_sl(delta)
     alpha1 = start.alpha1.copy()
     alpha2 = start.alpha2.copy()
     kappa = start.kappa.copy()
@@ -254,9 +218,7 @@ def fit_sl(delta: LDiffSurface, config: FitConfig | None = None) -> tuple[SlPara
 
         kk = kappa @ kappa
         if kk == 0.0:
-            raise FitError(
-                "kappa collapsed to zero during fitting; re-initialize with a different init vector"
-            )
+            raise FitError("kappa collapsed to zero during fitting: the alpha2 step is undefined")
         d2 = gamma * (kappa @ resid) / kk
         alpha2 += d2
         resid -= kappa[:, None] * d2[None, :]

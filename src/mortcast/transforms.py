@@ -13,7 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .lifetable import AgeRange, SurvivalSurface, YearRange, _as_float_array, _freeze
+from .lifetable import (
+    AgeRange,
+    MortalitySurface,
+    SurfaceKind,
+    YearRange,
+    _as_float_array,
+    _first_cell,
+    _freeze,
+)
 
 # Survival this close to 1 makes -log(s) collapse to rounding noise; such
 # cells are rejected outright rather than nudged.
@@ -93,7 +101,7 @@ class LDiffSurface:
 
 
 def build_l_diff(
-    surv: SurvivalSurface,
+    surv: MortalitySurface,
     t0: int | None = None,
     fit_years: YearRange | None = None,
 ) -> LDiffSurface:
@@ -101,8 +109,8 @@ def build_l_diff(
 
     Parameters
     ----------
-    surv : SurvivalSurface
-        Survival curves covering t0 and every fit year.
+    surv : MortalitySurface
+        Survival surface (kind SURVIVAL) covering t0 and every fit year.
     t0 : int, optional
         Reference year. Defaults to the year before the fit window.
     fit_years : YearRange, optional
@@ -111,6 +119,8 @@ def build_l_diff(
     Any survival value equal to 1 (within 1e-15) in a needed cell is a
     domain error naming the cell, since L is undefined there.
     """
+    if surv.kind is not SurfaceKind.SURVIVAL:
+        raise DomainError(f"expected a survival surface, got {surv.kind.value}")
     if t0 is None and fit_years is None:
         t0 = surv.years.t_min
     if fit_years is None:
@@ -128,14 +138,11 @@ def build_l_diff(
     block = surv.values[:, j0 : j0 + len(fit_years)]
     base = surv.column(t0)
 
-    for name, arr, years_offset in (("base", base[:, None], None), ("fit", block, fit_years.t_min)):
-        bad = np.argwhere(arr >= _ONE_BOUNDARY)
-        if bad.size:
-            i, j = bad[0]
-            year = t0 if years_offset is None else years_offset + j
+    for arr, years in ((base[:, None], YearRange(t0, t0)), (block, fit_years)):
+        if (arr >= _ONE_BOUNDARY).any():
+            x, t = _first_cell(arr >= _ONE_BOUNDARY, surv.ages, years)
             raise DomainError(
-                f"survival of 1 at age {surv.ages.x_min + i}, year {year}: "
-                "the log(-log) transform is undefined there"
+                f"survival of 1 at age {x}, year {t}: the log(-log) transform is undefined there"
             )
 
     values = np.log(-np.log(block)) - np.log(-np.log(base))[:, None]

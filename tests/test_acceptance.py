@@ -43,7 +43,6 @@ from mortcast import (
     q_to_survival,
     run_backtest,
     SlParams,
-    SurvivalSurface,
     survival_to_q,
     curve_of_deaths,
 )
@@ -114,10 +113,10 @@ def test_criterion_02_transform_round_trips():
         n = int(rng.integers(2, 30))
         base = np.sort(rng.uniform(0.05, 0.999, size=n))[::-1]
         target = np.sort(rng.uniform(0.05, 0.999, size=n))[::-1]
-        surv = SurvivalSurface(
-            base_age=60,
+        surv = MortalitySurface(
             ages=AgeRange(60, 60 + n - 1),
             years=YearRange(1999, 2000),
+            kind=SurfaceKind.SURVIVAL,
             values=np.column_stack([base, target]),
         )
         delta = build_l_diff(surv, t0=1999)

@@ -109,6 +109,21 @@ class TestFit:
         assert main(args) == 0
         assert (tmp_path / "a/params.csv").read_bytes() == first
 
+    @pytest.mark.parametrize("flag, char", [("--out", "\n"), ("--input", "\r"), ("--params", "\t")])
+    def test_non_printable_flag_value_is_usage_error(self, tmp_path, capsys, flag, char):
+        # every flag value is one line of the artifact headers
+        bad = str(tmp_path / f"a{char}b")
+        if flag == "--params":
+            argv = ["forecast", "--params", bad, "--horizon", "5", "--out", str(tmp_path / "fc")]
+        else:
+            data = ["--input", bad] if flag == "--input" else ["--synth", "gompertz"]
+            out = bad if flag == "--out" else str(tmp_path / "fit")
+            argv = ["fit", "--model", "lc", *data, *FIT_WINDOW, "--out", out]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{flag} must be printable" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_window_is_usage_error(self, tmp_path):
         data = synth_file(tmp_path)
         code = main(

@@ -6,7 +6,6 @@ from mortcast import (
     DomainError,
     MortalitySurface,
     SurfaceKind,
-    SurvivalSurface,
     YearRange,
     central_rate_to_q,
     curve_of_deaths,
@@ -108,20 +107,28 @@ class TestMortalitySurface:
 
 class TestSurvivalSurface:
     def test_bounds_and_monotonicity(self):
-        SurvivalSurface(
-            base_age=60, ages=AgeRange(60, 61), years=YearRange(2000, 2000),
+        MortalitySurface(
+            ages=AgeRange(60, 61), years=YearRange(2000, 2000), kind=SurfaceKind.SURVIVAL,
             values=np.array([[1.0], [0.9]]),
         )
         with pytest.raises(DomainError):
-            SurvivalSurface(
-                base_age=60, ages=AgeRange(60, 61), years=YearRange(2000, 2000),
+            MortalitySurface(
+                ages=AgeRange(60, 61), years=YearRange(2000, 2000), kind=SurfaceKind.SURVIVAL,
                 values=np.array([[0.8], [0.9]]),  # increasing in age
             )
         with pytest.raises(DomainError):
-            SurvivalSurface(
-                base_age=60, ages=AgeRange(60, 60), years=YearRange(2000, 2000),
+            MortalitySurface(
+                ages=AgeRange(60, 60), years=YearRange(2000, 2000), kind=SurfaceKind.SURVIVAL,
                 values=np.array([[0.0]]),
             )
+
+    def test_subset_keeps_the_anchor_age(self):
+        s = make_surface([[1.0, 0.9], [0.9, 0.8], [0.8, 0.7]], kind=SurfaceKind.SURVIVAL)
+        sub = s.subset(ages=AgeRange(60, 61), years=YearRange(2001, 2001))
+        np.testing.assert_array_equal(sub.values, [[0.9], [0.8]])
+        assert sub.kind is SurfaceKind.SURVIVAL
+        with pytest.raises(DomainError, match="at age 60, so a subset cannot start at age 61$"):
+            s.subset(ages=AgeRange(61, 62))
 
 
 class TestRateConversions:
@@ -230,7 +237,7 @@ class TestSurfaceQToSurvival:
     def test_matches_columnwise(self):
         q = np.array([[0.1, 0.05], [0.2, 0.15], [0.3, 0.25]])
         surf = surface_q_to_survival(make_surface(q, kind=SurfaceKind.DEATH_PROB))
-        assert surf.base_age == 60
+        assert surf.kind is SurfaceKind.SURVIVAL and surf.ages.x_min == 60
         for j in range(2):
             np.testing.assert_allclose(surf.values[:, j], q_to_survival(q[:, j]))
 

@@ -1,0 +1,221 @@
+"""Every error that names the first offending cell of a grid, by age, then year.
+
+The texts are pinned in full; a generated property checks the cell that
+``check_surface_values`` names against a plain-loop oracle.
+"""
+
+import io
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from mortcast import (
+    AgeRange,
+    DomainError,
+    MortalitySurface,
+    MortcastError,
+    SurfaceKind,
+    YearRange,
+    build_l_diff,
+    estimate_m,
+    fit_cbd,
+    fit_lc,
+    parse_hmd,
+    surface_q_to_survival,
+)
+from mortcast.lifetable import check_surface_values
+
+AGES = AgeRange(60, 62)
+YEARS = YearRange(2000, 2002)
+# two bad cells: (61, 2001) comes first by age, (62, 2000) first by year
+BAD = ((1, 1), (2, 0))
+
+
+def grid(kind, fill, bad=None):
+    values = np.full((3, 3), fill)
+    if bad is not None:
+        values[BAD[0]] = values[BAD[1]] = bad
+    return MortalitySurface(AGES, YEARS, kind, values)
+
+
+def survival(values):
+    return MortalitySurface(AGES, YEARS, SurfaceKind.SURVIVAL, np.array(values))
+
+
+def hmd_without_bad_cells():
+    rows = [
+        f"{t} {x} 0.01 0.01 0.01"
+        for t in YEARS
+        for x in AGES
+        if (x - AGES.x_min, t - YEARS.t_min) not in BAD
+    ]
+    return io.StringIO("title\n\nYear Age Female Male Total\n" + "\n".join(rows) + "\n")
+
+
+def paths_block(kind, fill, cell, bad):
+    block = np.full((3, 3, 3), fill)
+    block[cell] = bad
+    block[2, 0, 0] = bad  # a later path, same fault
+    return lambda: check_surface_values(block, kind, AGES, YEARS, first_path=10)
+
+
+CASES = {
+    "fit_lc": (
+        lambda: fit_lc(grid(SurfaceKind.CENTRAL_RATE, 0.01, 0.0)),
+        "nonpositive central rate at age 61, year 2001: log rate undefined",
+    ),
+    "fit_cbd": (
+        lambda: fit_cbd(grid(SurfaceKind.DEATH_PROB, 0.01, 1.0)),
+        "death probability outside (0, 1) at age 61, year 2001: logit undefined",
+    ),
+    "estimate_m": (
+        lambda: estimate_m(
+            grid(SurfaceKind.DEATHS, 1.0), grid(SurfaceKind.EXPOSURES, 100.0, 0.0)
+        ),
+        "nonpositive exposure at age 61, year 2001",
+    ),
+    "surface_q_to_survival": (
+        lambda: surface_q_to_survival(grid(SurfaceKind.DEATH_PROB, 0.01, 1.0)),
+        "death probability of 1 at age 61, year 2001: survival hits zero",
+    ),
+    "build_l_diff base year": (
+        lambda: build_l_diff(survival([[1, 0.9, 0.9], [1, 0.8, 0.8], [0.7, 0.7, 0.7]]), t0=2000),
+        "survival of 1 at age 60, year 2000: the log(-log) transform is undefined there",
+    ),
+    "build_l_diff fit year": (
+        lambda: build_l_diff(survival([[0.9, 0.9, 1], [0.8, 0.8, 1], [0.7, 0.7, 0.7]]), t0=2000),
+        "survival of 1 at age 60, year 2002: the log(-log) transform is undefined there",
+    ),
+    "parse_hmd": (
+        lambda: parse_hmd(hmd_without_bad_cells(), "total", AGES, YEARS),
+        "requested window not covered: no row for age 61, year 2001",
+    ),
+    "non-finite": (
+        lambda: grid(SurfaceKind.DEATHS, 1.0, np.nan),
+        "non-finite deaths at age 61, year 2001",
+    ),
+    "negative": (
+        lambda: grid(SurfaceKind.CENTRAL_RATE, 0.01, -0.01),
+        "negative central_rate at age 61, year 2001",
+    ),
+    "death probability above 1": (
+        lambda: grid(SurfaceKind.DEATH_PROB, 0.01, 1.5),
+        "death probability above 1 at age 61, year 2001",
+    ),
+    "survival non-finite": (
+        lambda: survival([[1.0, 1.0, 1.0], [0.9, np.inf, 0.9], [np.nan, 0.8, 0.8]]),
+        "non-finite survival at age 61, year 2001",
+    ),
+    "survival nonpositive": (
+        lambda: survival([[1.0, 1.0, 1.0], [0.9, 0.0, 0.9], [-0.1, 0.0, 0.8]]),
+        "nonpositive survival at age 61, year 2001",
+    ),
+    "survival above 1": (
+        lambda: survival([[1.0, 1.0, 1.0], [0.9, 1.5, 0.9], [1.5, 0.8, 0.8]]),
+        "survival above 1 at age 61, year 2001",
+    ),
+    "survival increases": (
+        lambda: survival([[1.0, 0.8, 1.0], [0.9, 0.9, 0.9], [0.95, 0.8, 0.8]]),
+        "survival increases from age 60 to 61 in year 2001",
+    ),
+    "sample path non-finite": (
+        paths_block(SurfaceKind.DEATH_PROB, 0.01, (1, 2, 1), np.nan),
+        "non-finite death_prob at sample path 11, age 62, year 2001",
+    ),
+    "sample path above 1": (
+        paths_block(SurfaceKind.DEATH_PROB, 0.01, (1, 2, 1), 1.5),
+        "death probability above 1 at sample path 11, age 62, year 2001",
+    ),
+    "sample path survival increases": (
+        paths_block(SurfaceKind.SURVIVAL, 0.5, (1, 2, 1), 0.9),
+        "survival increases from age 61 to 62 in year 2001 on sample path 11",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_message_text(case):
+    call, text = CASES[case]
+    with pytest.raises(MortcastError) as exc:
+        call()
+    assert str(exc.value) == text
+
+
+def first_fault(values, kind, ages, years, first_path):
+    """The message check_surface_values owes ``values``, found by plain loops; None if valid."""
+    paths = values if values.ndim == 3 else values[None]
+    survival = kind is SurfaceKind.SURVIVAL
+
+    def cells():
+        for p in range(paths.shape[0]):
+            for i in range(paths.shape[1]):
+                for j in range(paths.shape[2]):
+                    yield p, i, j, float(paths[p, i, j])
+
+    def at(p, i, j):
+        cell = f"age {ages.x_min + i}, year {years.t_min + j}"
+        return f"sample path {first_path + p}, {cell}" if values.ndim == 3 else cell
+
+    rules = [(lambda v: not math.isfinite(v), f"non-finite {kind.value}")]
+    if survival:
+        rules.append((lambda v: v <= 0.0, "nonpositive survival"))
+        rules.append((lambda v: v > 1.0, "survival above 1"))
+    else:
+        rules.append((lambda v: v < 0.0, f"negative {kind.value}"))
+        if kind is SurfaceKind.DEATH_PROB:
+            rules.append((lambda v: v > 1.0, "death probability above 1"))
+    for bad, what in rules:
+        for p, i, j, v in cells():
+            if bad(v):
+                return f"{what} at {at(p, i, j)}"
+    if survival:
+        for p, i, j, v in cells():
+            if i > 0 and v > paths[p, i - 1, j]:
+                x, t = ages.x_min + i - 1, years.t_min + j
+                on = f" on sample path {first_path + p}" if values.ndim == 3 else ""
+                return f"survival increases from age {x} to {x + 1} in year {t}{on}"
+    return None
+
+
+@st.composite
+def faulty_grids(draw):
+    kind = draw(st.sampled_from(list(SurfaceKind)))
+    n_paths = draw(st.sampled_from([None, 1, 2, 3]))
+    n_ages, n_years = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    shape = (n_ages, n_years) if n_paths is None else (n_paths, n_ages, n_years)
+    x_min, t_min = draw(st.integers(0, 100)), draw(st.integers(1900, 2100))
+    # valid for every kind: survival falls down the ages, anything else lies in [0, 0.5]
+    u = draw(hnp.arrays(float, shape, elements=st.floats(0.5, 1.0)))
+    values = np.cumprod(u, axis=-2) if kind is SurfaceKind.SURVIVAL else 1.0 - u
+    for _ in range(draw(st.integers(0, 3))):
+        cell = tuple(draw(st.integers(0, n - 1)) for n in shape)
+        fault = draw(st.sampled_from(["nan", "inf", "negative", "zero", "above 1", "rising"]))
+        if fault == "rising":
+            *path, i, j = cell
+            if i > 0:
+                above = (*path, i - 1, j)
+                values[cell], values[above] = values[above], values[above] / 2.0
+        else:
+            values[cell] = {
+                "nan": np.nan, "inf": -np.inf, "negative": -5e-324, "zero": 0.0,
+                "above 1": np.nextafter(1.0, 2.0),
+            }[fault]
+    first_path = draw(st.integers(0, 10_000))
+    ages, years = AgeRange(x_min, x_min + n_ages - 1), YearRange(t_min, t_min + n_years - 1)
+    return values, kind, ages, years, first_path
+
+
+@settings(max_examples=200, deadline=None)
+@given(faulty_grids())
+def test_check_names_the_first_bad_cell(case):
+    expected = first_fault(*case)
+    if expected is None:
+        check_surface_values(*case)
+        return
+    with pytest.raises(DomainError) as exc:
+        check_surface_values(*case)
+    assert str(exc.value) == expected

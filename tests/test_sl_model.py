@@ -138,16 +138,6 @@ class TestInit:
         start = init_sl(delta)
         np.testing.assert_allclose(start.fitted_surface(), values, atol=1e-14)
 
-    def test_custom_init_vector(self):
-        delta = zero_delta()
-        custom = np.array([1.0, 4.0, 2.0, 0.0, -1.0])
-        start = init_sl(delta, FitConfig(init=custom))
-        np.testing.assert_array_equal(start.kappa, custom)
-        with pytest.raises(DomainError):
-            init_sl(delta, FitConfig(init=np.ones(5)))
-        with pytest.raises(DomainError):
-            init_sl(delta, FitConfig(init=np.array([1.0, 2.0])))
-
 
 class TestFitConfig:
     def test_gamma_bounds(self):
@@ -161,8 +151,6 @@ class TestFitConfig:
             FitConfig(epsilon=0.0)
         with pytest.raises(DomainError):
             FitConfig(k_max=0)
-        with pytest.raises(DomainError):
-            FitConfig(init="quadratic")
 
 
 class TestNormalizeGauge:

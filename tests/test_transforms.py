@@ -7,7 +7,8 @@ from mortcast import (
     AgeRange,
     DomainError,
     LDiffSurface,
-    SurvivalSurface,
+    MortalitySurface,
+    SurfaceKind,
     YearRange,
     build_l_diff,
     invert_l_diff,
@@ -26,10 +27,10 @@ DELTA_95_90 = -0.7198279217297193
 
 def make_survival(values, base_age=60, t_min=2000):
     values = np.asarray(values, dtype=float)
-    return SurvivalSurface(
-        base_age=base_age,
+    return MortalitySurface(
         ages=AgeRange(base_age, base_age + values.shape[0] - 1),
         years=YearRange(t_min, t_min + values.shape[1] - 1),
+        kind=SurfaceKind.SURVIVAL,
         values=values,
     )
 
@@ -140,6 +141,12 @@ class TestBuildLDiff:
         surv = make_survival(np.array([[0.9, 0.8]]), t_min=2000)
         with pytest.raises(DomainError):
             build_l_diff(surv, t0=1998)
+
+    def test_other_kinds_rejected(self):
+        q = MortalitySurface(AgeRange(60, 61), YearRange(2000, 2001), SurfaceKind.DEATH_PROB,
+                             np.full((2, 2), 0.1))
+        with pytest.raises(DomainError, match="^expected a survival surface, got death_prob$"):
+            build_l_diff(q, t0=2000)
 
     def test_boundary_survival_cell_named(self):
         values = np.array([[1.0, 0.9], [0.9, 0.8]])
