@@ -175,33 +175,27 @@ def lc_forecast(
     params: LcParams,
     rwd1: RwdParams,
     horizon: int,
-    mode: str = "central",
     n_paths: int | None = None,
     seed: int | None = None,
 ):
     """Death-probability forecast: :meth:`LcParams.q_of` of the projected kappa_t.
 
-    Central mode returns one surface; sample mode returns an
-    (n_paths, n_ages, horizon) array, built in chunks of paths (see
-    :func:`~mortcast.timeseries.forecast_q`).
+    Central without ``n_paths``, sampled with it: see :func:`~mortcast.timeseries.forecast_q`.
     """
     check_walk(rwd1, 1, params.years, "Lee-Carter")
-    return forecast_q(rwd1, horizon, params.q_of, params.ages, mode, n_paths=n_paths, seed=seed)
+    return forecast_q(rwd1, horizon, params.q_of, params.ages, n_paths, seed)
 
 
 def cbd_forecast(
     params: CbdParams,
     rwd2: RwdParams,
     horizon: int,
-    mode: str = "central",
     n_paths: int | None = None,
     seed: int | None = None,
 ):
     """Death-probability forecast: :meth:`CbdParams.q_of` of the projected kappa.
 
-    Central mode returns one surface; sample mode returns an
-    (n_paths, n_ages, horizon) array, built in chunks of paths (see
-    :func:`~mortcast.timeseries.forecast_q`).
+    Central without ``n_paths``, sampled with it: see :func:`~mortcast.timeseries.forecast_q`.
     """
     check_walk(rwd2, 2, params.years, "CBD")
-    return forecast_q(rwd2, horizon, params.q_of, params.ages, mode, n_paths=n_paths, seed=seed)
+    return forecast_q(rwd2, horizon, params.q_of, params.ages, n_paths, seed)

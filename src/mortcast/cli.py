@@ -212,7 +212,7 @@ def _read_params(raw: bytes, path: str):
     The header names the model and its age and year windows, and the rows
     must follow the ROWS layout of the model's params class exactly: each
     series over its whole window in order, each scalar once and of its
-    type. Any departure is a ParseError naming the line.
+    type, every value finite. Any departure is a ParseError naming the line.
     """
     meta: dict[str, tuple[int, str]] = {}
     rows: list[tuple[int, str]] = []
@@ -254,6 +254,8 @@ def _read_params(raw: bytes, path: str):
             got[attr].append(convert(line[len(prefix):]))
         except ValueError:
             raise ParseError(f"line {line_no}: unparseable {convert.__name__} in {line!r}") from None
+        if convert is float and not np.isfinite(got[attr][-1]):
+            raise ParseError(f"line {line_no}: non-finite value in {line!r}")
     if len(rows) > len(layout):
         raise ParseError(f"line {rows[len(layout)][0]}: more rows than the {model.name} layout")
     values = {
@@ -322,15 +324,13 @@ def cmd_forecast(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    rwd = calibrate_rwd(time_indices(params), params.years.to_array())
+    rwd = calibrate_rwd(time_indices(params), params.years)
     if args.mode == "central":
-        surface = model.forecast(params, rwd, args.horizon, "central")
+        surface = model.forecast(params, rwd, args.horizon)
         export_csv(surface, out_dir / "forecast.csv", comments=header)
         print(f"wrote {out_dir / 'forecast.csv'}")
     else:
-        paths = model.forecast(
-            params, rwd, args.horizon, "sample", n_paths=args.paths, seed=args.seed
-        )
+        paths = model.forecast(params, rwd, args.horizon, n_paths=args.paths, seed=args.seed)
         # nothing else holds the paths array, so the quantiles may reorder it
         bands = path_quantiles(paths, QUANTILE_PROBS)
         years = YearRange(params.years.t_max + 1, params.years.t_max + args.horizon)

@@ -211,8 +211,8 @@ def run_backtest(
         params, diagnostics = model.fit(sub, q_all, config.fit_years, config.t0, config.fit)
         indices = time_indices(params)
         q_hat_fit = params.q_of(indices)
-        rwd = calibrate_rwd(indices, config.fit_years.to_array())
-        forecast = model.forecast(params, rwd, len(config.forecast_years), "central")
+        rwd = calibrate_rwd(indices, config.fit_years)
+        forecast = model.forecast(params, rwd, len(config.forecast_years))
         estimates[label] = (q_hat_fit, forecast.values)
         if diagnostics is not None:
             sl_converged = diagnostics.converged

@@ -100,6 +100,7 @@ class SurfaceKind(str, Enum):
 
 
 def _freeze(values: np.ndarray) -> np.ndarray:
+    """A read-only float copy of ``values``, so the caller's array stays writeable."""
     out = np.array(values, dtype=float)
     out.setflags(write=False)
     return out
@@ -116,7 +117,7 @@ def _first_cell(mask: np.ndarray, ages: AgeRange, years: YearRange) -> tuple[int
 
 
 def _freeze_series(params) -> None:
-    """Store each AGE and YEAR series of ``params.ROWS`` as a read-only float vector.
+    """Store each AGE and YEAR series of ``params.ROWS`` as a private read-only float copy.
 
     Each must hold one finite entry per age, or per fit year, of the
     params' windows.
@@ -124,11 +125,10 @@ def _freeze_series(params) -> None:
     for _, attr, axis in params.ROWS:
         if axis in (AGE, YEAR):
             n = len(params.ages if axis == AGE else params.years)
-            values = np.asarray(getattr(params, attr), dtype=float)
+            values = _freeze(getattr(params, attr))
             if values.shape != (n,) or not np.isfinite(values).all():
                 per = "age" if axis == AGE else "fit year"
                 raise DomainError(f"{attr} must hold one finite entry per {per} ({n})")
-            values.setflags(write=False)
             object.__setattr__(params, attr, values)
 
 

@@ -35,7 +35,7 @@ class Model:
     that cover the fit window and, when ``reference_year`` is set, the
     reference year t0; it returns the params and the fit's diagnostics,
     or None for a closed-form fit. ``forecast`` takes (params, rwd,
-    horizon, mode, n_paths, seed).
+    horizon, n_paths, seed) and is central when ``n_paths`` is None.
     """
 
     name: str  # CLI name; backtest reports use name.upper()

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DomainError, FitError
 from .lifetable import AGE, YEAR, AgeRange, YearRange, _freeze_series, survival_to_q
 from .timeseries import RwdParams, check_walk, forecast_q
-from .transforms import _ONE_BOUNDARY, LDiffSurface, invert_l_diff
+from .transforms import LDiffSurface, check_l_domain, invert_l_diff
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,7 @@ class SlParams:
 
     def __post_init__(self):
         _freeze_series(self)
-        if not np.all((self.base_survival > 0.0) & (self.base_survival < _ONE_BOUNDARY)):
-            raise DomainError("base_survival must lie strictly inside (0, 1)")
+        check_l_domain(self.base_survival, "base_survival", self.ages)
         if not isinstance(self.t0, (int, np.integer)):
             raise DomainError(f"reference year must be an integer, got {self.t0!r}")
         if self.t0 >= self.years.t_min:
@@ -256,18 +255,16 @@ def sl_forecast(
     params: SlParams,
     rwd: RwdParams,
     horizon: int,
-    mode: str = "central",
     n_paths: int | None = None,
     seed: int | None = None,
 ):
     """Death-probability forecast over the given horizon.
 
     Projects (alpha1, alpha2) by the calibrated walk and applies
-    :meth:`SlParams.q_of` to the projected states in one array expression (see
-    :func:`~mortcast.timeseries.forecast_q`). Central mode returns one
-    surface with years following the fit window; sample mode returns an
-    (n_paths, n_ages, horizon) array, built in chunks of paths, whose path p
-    is reproducible from ``seed`` alone.
+    :meth:`SlParams.q_of` to the projected states in one array expression:
+    one surface over the years after the fit window without ``n_paths``, an
+    (n_paths, n_ages, horizon) array with it, whose path p is reproducible
+    from ``seed`` alone (see :func:`~mortcast.timeseries.forecast_q`).
 
     A projected curve is always inside (0, 1); if a sampled path produces a
     non-monotone curve, DomainError names the path, the year and the two
@@ -275,4 +272,4 @@ def sl_forecast(
     """
     check_walk(rwd, 2, params.years, "SL")
     q_of = partial(params.q_of, first_year=params.years.t_max + 1)
-    return forecast_q(rwd, horizon, q_of, params.ages, mode, n_paths=n_paths, seed=seed)
+    return forecast_q(rwd, horizon, q_of, params.ages, n_paths, seed)

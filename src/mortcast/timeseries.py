@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .lifetable import AgeRange, MortalitySurface, SurfaceKind, YearRange, check_surface_values
+from .lifetable import AgeRange, MortalitySurface, SurfaceKind, YearRange, _freeze, check_surface_values
 
 # Sample paths are mapped to death probabilities this many at a time, so
 # the temporaries of a model's array expression stay a few MB however many
@@ -64,45 +64,46 @@ def _is_triangular(a: np.ndarray) -> bool:
 class RwdParams:
     """Calibrated random walk with drift.
 
-    ``drift`` is the per-year step; ``innovation_factor`` is a triangular
-    matrix A with nonnegative diagonal such that A @ A.T is the innovation
-    covariance. ``last_state``/``last_year`` anchor projections.
+    ``drift`` is the per-year step, and its length the walk's ``dim``;
+    ``innovation_factor`` is a triangular matrix A with nonnegative diagonal
+    such that A @ A.T is the innovation covariance. ``last_state`` and
+    ``last_year`` anchor projections. The arrays are stored as read-only copies.
     """
 
-    dim: int
     drift: np.ndarray
     innovation_factor: np.ndarray
     last_state: np.ndarray
     last_year: int
 
     def __post_init__(self):
-        drift = np.asarray(self.drift, dtype=float)
-        factor = np.asarray(self.innovation_factor, dtype=float)
-        state = np.asarray(self.last_state, dtype=float)
-        if drift.shape != (self.dim,) or state.shape != (self.dim,):
-            raise DomainError(f"drift and state must be vectors of length {self.dim}")
-        if factor.shape != (self.dim, self.dim):
-            raise DomainError(f"innovation factor must be {self.dim}x{self.dim}")
-        if not (np.all(np.isfinite(drift)) and np.all(np.isfinite(state)) and np.all(np.isfinite(factor))):
+        for name in ("drift", "innovation_factor", "last_state"):
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
+        dim, factor = self.dim, self.innovation_factor
+        if self.drift.shape != (dim,) or self.last_state.shape != (dim,):
+            shapes = f"{self.drift.shape} and {self.last_state.shape}"
+            raise DomainError(f"drift and state must be vectors of one length, got shapes {shapes}")
+        if factor.shape != (dim, dim):
+            raise DomainError(f"innovation factor must be {dim}x{dim}")
+        if not all(np.isfinite(a).all() for a in (self.drift, factor, self.last_state)):
             raise DomainError("drift, state, and innovation factor must be finite")
         if not _is_triangular(factor) or np.any(np.diag(factor) < 0.0):
             raise DomainError("innovation factor must be triangular with nonnegative diagonal")
-        for arr in (drift, factor, state):
-            arr.setflags(write=False)
-        object.__setattr__(self, "drift", drift)
-        object.__setattr__(self, "innovation_factor", factor)
-        object.__setattr__(self, "last_state", state)
+
+    @property
+    def dim(self) -> int:
+        """Dimension of the walk's state: the length of its drift."""
+        return self.drift.size
 
 
-def calibrate_rwd(series, years) -> RwdParams:
+def calibrate_rwd(series, years: YearRange) -> RwdParams:
     """Gaussian maximum-likelihood calibration on first differences.
 
     Parameters
     ----------
     series : array_like
         Observed states, shape (n,) for one dimension or (n, dim).
-    years : sequence of int
-        Calendar years of the observations; must be consecutive.
+    years : YearRange
+        Calendar years of the observations, one per row of ``series``.
 
     The drift is the mean first difference and the innovation factor the
     Cholesky factor of their sample covariance (denominator n-1). A series
@@ -113,25 +114,20 @@ def calibrate_rwd(series, years) -> RwdParams:
         arr = arr[:, None]
     if arr.ndim != 2 or not np.all(np.isfinite(arr)):
         raise DomainError("series must be a finite (n,) or (n, dim) array")
-    n, dim = arr.shape
-    yrs = [int(t) for t in years]
-    if len(yrs) != n:
-        raise DomainError(f"{n} observations but {len(yrs)} years")
-    if n < 3:
+    if len(years) != len(arr):
+        raise DomainError(f"{len(arr)} observations but {len(years)} years")
+    if len(arr) < 3:
         raise DomainError("need at least 3 observations to estimate the innovation covariance")
-    if any(b - a != 1 for a, b in zip(yrs, yrs[1:])):
-        raise DomainError("years must be consecutive")
 
     diffs = np.diff(arr, axis=0)
     drift = diffs.mean(axis=0)
     centered = diffs - drift
     cov = centered.T @ centered / (diffs.shape[0] - 1)
     return RwdParams(
-        dim=dim,
         drift=drift,
         innovation_factor=_psd_cholesky(cov),
-        last_state=arr[-1].copy(),
-        last_year=yrs[-1],
+        last_state=arr[-1],
+        last_year=years.t_max,
     )
 
 
@@ -285,25 +281,19 @@ def path_quantiles(paths: np.ndarray, probs) -> np.ndarray:
 
 
 def forecast_states(
-    params: RwdParams,
-    horizon: int,
-    mode: str = "central",
-    n_paths: int | None = None,
-    seed: int | None = None,
+    params: RwdParams, horizon: int, n_paths: int | None = None, seed: int | None = None
 ) -> np.ndarray:
-    """Projected states for either forecast mode.
+    """Projected states: central without ``n_paths``, sampled with it.
 
-    Central mode returns the (horizon, dim) noise-free projection; sample
-    mode returns the (n_paths, horizon, dim) paths of :func:`simulate_paths`
-    and requires ``n_paths`` and ``seed``.
+    Without ``n_paths`` this is the (horizon, dim) noise-free projection;
+    with it, the (n_paths, horizon, dim) paths of :func:`simulate_paths`,
+    which also need ``seed``.
     """
-    if mode == "central":
+    if n_paths is None:
         return project_central(params, horizon)
-    if mode == "sample":
-        if n_paths is None or seed is None:
-            raise DomainError("sample mode requires n_paths and seed")
-        return simulate_paths(params, horizon, n_paths, seed)
-    raise DomainError(f"unknown forecast mode {mode!r}")
+    if seed is None:
+        raise DomainError("sample paths need a seed")
+    return simulate_paths(params, horizon, n_paths, seed)
 
 
 def forecast_q(
@@ -311,7 +301,6 @@ def forecast_q(
     horizon: int,
     q_of,
     ages: AgeRange,
-    mode: str = "central",
     n_paths: int | None = None,
     seed: int | None = None,
 ):
@@ -319,17 +308,17 @@ def forecast_q(
 
     ``q_of`` is a model's array expression: it maps states of shape
     (..., horizon, dim) to death probabilities of shape (..., n_ages,
-    horizon). Central mode applies it to the central projection and returns
-    one validated MortalitySurface. Sample mode applies it to the simulated
-    paths PATH_CHUNK at a time, writes each block into one preallocated
-    (n_paths, n_ages, horizon) array, checks the block once (finite, inside
-    [0, 1], first bad cell named by path, age and year) and returns the
-    array. A DomainError that ``q_of`` raises with a ``cell`` has the path
-    ``cell[0]`` of the block, and is re-raised naming that sample path.
+    horizon). Without ``n_paths`` it maps the central projection to one
+    validated MortalitySurface. With ``n_paths`` it maps the simulated paths
+    PATH_CHUNK at a time into one preallocated (n_paths, n_ages, horizon)
+    array, checking each block once (finite, inside [0, 1], first bad cell
+    named by path, age and year), and returns the array. A DomainError that
+    ``q_of`` raises with a ``cell`` has the path ``cell[0]`` of the block,
+    and is re-raised naming that sample path.
     """
-    states = forecast_states(params, horizon, mode, n_paths=n_paths, seed=seed)
+    states = forecast_states(params, horizon, n_paths, seed)
     years = YearRange(params.last_year + 1, params.last_year + horizon)
-    if mode == "central":
+    if n_paths is None:
         return MortalitySurface(ages, years, SurfaceKind.DEATH_PROB, q_of(states))
     out = np.empty((states.shape[0], len(ages), horizon))
     for start in range(0, states.shape[0], PATH_CHUNK):

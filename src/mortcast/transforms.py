@@ -28,14 +28,26 @@ from .lifetable import (
 _ONE_BOUNDARY = 1.0 - 1e-15
 
 
+def check_l_domain(values: np.ndarray, what: str, ages: AgeRange | None = None) -> None:
+    """Reject survival values outside (0, 1 - 1e-15), NaN too: there log(-log s) is undefined.
+
+    The first offending value is named by its age when ``ages`` is given, else by position.
+    """
+    arr = np.atleast_1d(values)
+    outside = ~((arr > 0.0) & (arr < _ONE_BOUNDARY))
+    if outside.any():
+        pos = tuple(np.argwhere(outside)[0].tolist())
+        where = f"age {ages.x_min + pos[0]}" if ages else "position " + ", ".join(map(str, pos))
+        raise DomainError(f"{what} {float(arr[pos])} at {where} is outside (0, 1 - 1e-15)")
+
+
 def l_transform(s):
     """log(-log s) for s strictly inside (0, 1); decreasing in s.
 
     Accepts scalars or arrays. Values within 1e-15 of 1 are rejected.
     """
     arr, scalar = _as_float_array(s, "survival value")
-    if np.any(arr <= 0.0) or np.any(arr >= _ONE_BOUNDARY):
-        raise DomainError("l_transform requires values strictly inside (0, 1)")
+    check_l_domain(arr, "survival value")
     out = np.log(-np.log(arr))
     return float(out) if scalar else out
 
@@ -87,8 +99,7 @@ class LDiffSurface:
         values = _freeze(self.values)
         if base.ndim != 1 or base.shape[0] != len(self.ages):
             raise DomainError("base survival must be a vector over the age window")
-        if np.any(base <= 0.0) or np.any(base >= _ONE_BOUNDARY):
-            raise DomainError("base survival must lie strictly inside (0, 1)")
+        check_l_domain(base, "base survival", self.ages)
         if values.shape != (len(self.ages), len(self.years)):
             raise DomainError(
                 f"values shape {values.shape} does not match "
@@ -167,6 +178,5 @@ def invert_l_diff(delta_col, base_survival) -> np.ndarray:
     base, _ = _as_float_array(base_survival, "base survival")
     if base.ndim != 1 or delta.ndim == 0 or delta.shape[-1] != base.shape[0]:
         raise DomainError("base survival must be a vector as long as the last axis of the differences")
-    if np.any(base <= 0.0) or np.any(base >= _ONE_BOUNDARY):
-        raise DomainError("base survival must lie strictly inside (0, 1)")
+    check_l_domain(base, "base survival")
     return np.exp(-np.exp(np.log(-np.log(base)) + delta))

@@ -168,7 +168,6 @@ def walk(drift, last_state, last_year, factor=None):
     if factor is None:
         factor = np.zeros((drift.size, drift.size))
     return RwdParams(
-        dim=drift.size,
         drift=drift,
         innovation_factor=np.asarray(factor, dtype=float),
         last_state=np.atleast_1d(np.asarray(last_state, dtype=float)),
@@ -206,7 +205,7 @@ class TestLcForecast:
         params = self.params()
         rwd = walk([-0.2], [-0.5], 2001)
         central = lc_forecast(params, rwd, horizon=3)
-        out = lc_forecast(params, rwd, horizon=3, mode="sample", n_paths=2, seed=1)
+        out = lc_forecast(params, rwd, horizon=3, n_paths=2, seed=1)
         assert out.shape == (2, 2, 3)
         for p in range(2):
             np.testing.assert_array_equal(out[p], central.values)

@@ -336,6 +336,18 @@ class TestParamsReader:
         assert code == 3
         assert f"line {k + 1}: invalid x_min 'sixty'" in err
 
+    @pytest.mark.parametrize(
+        "model, row, value",
+        [("lc", "kappa_t,1993,", "nan"), ("sl", "base_survival,61,", "inf"), ("cbd", "x_bar,,", "nan")],
+    )
+    def test_non_finite_value(self, tmp_path, capsys, model, row, value):
+        path, lines = self.fit(tmp_path, model)
+        k = self.line_of(lines, row)
+        lines[k] = row + value
+        code, err = self.forecast(path, lines, tmp_path, capsys)
+        assert code == 3
+        assert f"line {k + 1}: non-finite value in '{row}{value}'" in err
+
     def test_rows_out_of_order(self, tmp_path, capsys):
         path, lines = self.fit(tmp_path, "lc")
         first, last = self.line_of(lines, "kappa_t,1990,"), self.line_of(lines, "kappa_t,2009,")

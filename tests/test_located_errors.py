@@ -1,7 +1,9 @@
 """Every error that names the first offending cell of a grid, by age, then year.
 
-The texts are pinned in full; a generated property checks the cell that
-``check_surface_values`` names against a plain-loop oracle.
+The reference-curve errors name the first offending age, or the position
+where no ages are known. The texts are pinned in full; a generated
+property checks the cell that ``check_surface_values`` names against a
+plain-loop oracle.
 """
 
 import io
@@ -16,17 +18,22 @@ from hypothesis.extra import numpy as hnp
 from mortcast import (
     AgeRange,
     DomainError,
+    LDiffSurface,
     MortalitySurface,
     MortcastError,
+    SlParams,
     SurfaceKind,
     YearRange,
     build_l_diff,
     estimate_m,
     fit_cbd,
     fit_lc,
+    invert_l_diff,
+    l_transform,
     parse_hmd,
     surface_q_to_survival,
 )
+from mortcast.cli import _read_params
 from mortcast.lifetable import check_surface_values
 
 AGES = AgeRange(60, 62)
@@ -54,6 +61,22 @@ def hmd_without_bad_cells():
         if (x - AGES.x_min, t - YEARS.t_min) not in BAD
     ]
     return io.StringIO("title\n\nYear Age Female Male Total\n" + "\n".join(rows) + "\n")
+
+
+def sl_params(base_survival):
+    return SlParams(
+        alpha1=np.zeros(3), alpha2=np.zeros(3), kappa=np.array([-1.0, 0.0, 1.0]),
+        base_survival=np.array(base_survival), t0=YEARS.t_min - 1, ages=AGES, years=YEARS,
+    )
+
+
+def sl_params_csv(base_survival):
+    """params.csv bytes of ``sl_params(base_survival)``, as cmd_fit lays them out."""
+    header = ["# model = sl", "# x_min = 60", "# x_max = 62", "# t_min = 2000", "# t_max = 2002"]
+    series = (("alpha1", YEARS, [0, 0, 0]), ("alpha2", YEARS, [0, 0, 0]),
+              ("kappa", AGES, [-1, 0, 1]), ("base_survival", AGES, base_survival))
+    rows = [f"{name},{i},{v}" for name, index, values in series for i, v in zip(index, values)]
+    return "\n".join([*header, "param,index,value", *rows, "t0,,1999", ""]).encode()
 
 
 def paths_block(kind, fill, cell, bad):
@@ -89,6 +112,29 @@ CASES = {
     "build_l_diff fit year": (
         lambda: build_l_diff(survival([[0.9, 0.9, 1], [0.8, 0.8, 1], [0.7, 0.7, 0.7]]), t0=2000),
         "survival of 1 at age 60, year 2002: the log(-log) transform is undefined there",
+    ),
+    "LDiffSurface reference curve": (
+        lambda: LDiffSurface(
+            t0=1999, base_survival=np.array([0.9, 1.0, 0.0]), ages=AGES, years=YEARS,
+            values=np.zeros((3, 3)),
+        ),
+        "base survival 1.0 at age 61 is outside (0, 1 - 1e-15)",
+    ),
+    "SlParams reference curve": (
+        lambda: sl_params([0.9, 0.0, 1.0]),
+        "base_survival 0.0 at age 61 is outside (0, 1 - 1e-15)",
+    ),
+    "params.csv reference curve": (
+        lambda: _read_params(sl_params_csv([0.9, 1.0, 0.7]), "params.csv"),
+        "base_survival 1.0 at age 61 is outside (0, 1 - 1e-15)",
+    ),
+    "invert_l_diff reference curve": (
+        lambda: invert_l_diff(np.zeros(3), np.array([0.9, -0.5, 1.0])),
+        "base survival -0.5 at position 1 is outside (0, 1 - 1e-15)",
+    ),
+    "l_transform": (
+        lambda: l_transform(np.array([[0.5, 0.9], [1.0, 0.0]])),
+        "survival value 1.0 at position 1, 0 is outside (0, 1 - 1e-15)",
     ),
     "parse_hmd": (
         lambda: parse_hmd(hmd_without_bad_cells(), "total", AGES, YEARS),

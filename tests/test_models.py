@@ -11,6 +11,10 @@ from hypothesis import strategies as st
 from mortcast import (
     AgeRange,
     BacktestConfig,
+    CbdParams,
+    LcParams,
+    RwdParams,
+    SlParams,
     SynthConfig,
     YearRange,
     evaluation,
@@ -19,7 +23,7 @@ from mortcast import (
     write_hmd,
 )
 from mortcast.cli import _read_params, main
-from mortcast.lifetable import surface_central_rate_to_q
+from mortcast.lifetable import AGE, YEAR, surface_central_rate_to_q
 from mortcast.models import MODELS, time_indices
 
 T0 = 1989
@@ -82,3 +86,29 @@ def test_params_csv_round_trip(name, noise_sd, seed, x_min, n_ages):
         run_backtest(rates, config)
     _, in_sample = scored.call_args_list[0].args  # the fit-window score comes first
     np.testing.assert_array_equal(bits(read.q_of(indices)), bits(in_sample))
+
+
+def test_params_leave_the_callers_arrays_writeable():
+    """Every params class, and the walk, stores read-only copies of the arrays it is given."""
+    given_arrays = []
+
+    def fresh(values):
+        given_arrays.append(np.array(values, dtype=float))
+        return given_arrays[-1]
+
+    ages, years = AgeRange(60, 61), YearRange(2000, 2001)
+    built = [
+        SlParams(alpha1=fresh([0, 0]), alpha2=fresh([0, 0]), kappa=fresh([-1, 1]),
+                 base_survival=fresh([0.9, 0.8]), t0=1999, ages=ages, years=years),
+        LcParams(alpha_x=fresh([-4, -3]), beta_x=fresh([0.5, 0.5]), kappa_t=fresh([-1, 1]),
+                 ages=ages, years=years),
+        CbdParams(kappa1_t=fresh([-4, -3]), kappa2_t=fresh([0.1, 0.1]), x_bar=60.5,
+                  ages=ages, years=years),
+    ]
+    assert {type(p) for p in built} == {m.params for m in MODELS.values()}
+    RwdParams(drift=fresh([0.1]), innovation_factor=fresh([[0.2]]), last_state=fresh([1.0]),
+              last_year=2001)
+    assert all(arr.flags.writeable for arr in given_arrays)
+    for params in built:
+        assert not any(getattr(params, attr).flags.writeable
+                       for _, attr, axis in params.ROWS if axis in (AGE, YEAR))

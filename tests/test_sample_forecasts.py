@@ -26,7 +26,6 @@ N_AGES = len(AGES)
 
 def walk(drift, factor, last_state):
     return RwdParams(
-        dim=len(drift),
         drift=np.asarray(drift, dtype=float),
         innovation_factor=np.asarray(factor, dtype=float),
         last_state=np.asarray(last_state, dtype=float),
@@ -92,7 +91,7 @@ MODELS = {"sl": sl_model, "lc": lc_model, "cbd": cbd_model}
 @pytest.mark.parametrize("model", sorted(MODELS))
 class TestSampleArray:
     def test_shape_and_range(self, model):
-        out = MODELS[model]()(horizon=6, mode="sample", n_paths=7, seed=2)
+        out = MODELS[model]()(horizon=6, n_paths=7, seed=2)
         assert isinstance(out, np.ndarray)
         assert out.shape == (7, N_AGES, 6)
         assert np.all((out >= 0.0) & (out <= 1.0))
@@ -100,8 +99,8 @@ class TestSampleArray:
     def test_paths_independent_of_chunking(self, model):
         # more paths than one chunk: the first paths match a 3-path forecast
         forecast = MODELS[model]()
-        many = forecast(horizon=6, mode="sample", n_paths=PATH_CHUNK + 5, seed=4)
-        few = forecast(horizon=6, mode="sample", n_paths=3, seed=4)
+        many = forecast(horizon=6, n_paths=PATH_CHUNK + 5, seed=4)
+        few = forecast(horizon=6, n_paths=3, seed=4)
         np.testing.assert_array_equal(many[:3], few)
         assert not np.array_equal(many[PATH_CHUNK - 1], many[PATH_CHUNK])
 
@@ -116,7 +115,7 @@ class TestInvalidPaths:
         )
         # alpha2 drifts down by 0.2 a year; past -0.53 survival at 61 overtakes 60
         rwd = RwdParams(
-            dim=2, drift=np.array([0.0, -0.2]), innovation_factor=np.zeros((2, 2)),
+            drift=np.array([0.0, -0.2]), innovation_factor=np.zeros((2, 2)),
             last_state=np.zeros(2), last_year=2001,
         )
         with pytest.raises(DomainError, match="from age 60 to 61 in year 2004$"):
@@ -124,7 +123,7 @@ class TestInvalidPaths:
         with pytest.raises(
             DomainError, match="from age 60 to 61 in year 2004 on sample path 0$"
         ):
-            sl_forecast(params, rwd, horizon=4, mode="sample", n_paths=3, seed=0)
+            sl_forecast(params, rwd, horizon=4, n_paths=3, seed=0)
 
     def test_check_names_path_age_and_year(self):
         block = np.full((3, N_AGES, 2), 0.01)

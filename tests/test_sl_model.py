@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mortcast import (
     AgeRange,
@@ -8,8 +10,11 @@ from mortcast import (
     LDiffSurface,
     RwdParams,
     SlParams,
+    SynthConfig,
     YearRange,
+    build_l_diff,
     fit_sl,
+    generate_synthetic,
     init_sl,
     invert_l_diff,
     l_inverse,
@@ -17,8 +22,10 @@ from mortcast import (
     normalize_gauge,
     sl_forecast,
     sl_objective,
+    surface_q_to_survival,
     survival_to_q,
 )
+from mortcast.lifetable import surface_central_rate_to_q
 
 INV_SQRT_2 = 0.7071067811865476
 SQRT_2 = 1.4142135623730951
@@ -229,6 +236,26 @@ class TestFit:
             np.testing.assert_allclose(params.alpha1, want.alpha1, atol=1e-4)
             np.testing.assert_allclose(params.alpha2, want.alpha2, atol=1e-4)
 
+    @settings(max_examples=30, deadline=None)
+    @given(noise_sd=st.floats(0.0, 0.05), seed=st.integers(0, 2**32 - 1))
+    def test_converged_objective_is_the_svd_optimum(self, noise_sd, seed):
+        """A converged descent reaches the rank-1 optimum of the age-centred delta.
+
+        alpha1 absorbs each year's mean over ages, so the best attainable
+        residual is that of the best rank-1 approximation of the centred
+        surface: the sum of its squared singular values past the first
+        (Eckart-Young). Near a zero optimum only an absolute gap is
+        meaningful.
+        """
+        rates = generate_synthetic(SynthConfig(noise_sd=noise_sd, seed=seed))
+        surv = surface_q_to_survival(surface_central_rate_to_q(rates))
+        delta = build_l_diff(surv, t0=1959, fit_years=YearRange(1960, 1989))
+        params, diag = fit_sl(delta)
+        assume(diag.converged)
+        centred = delta.values - delta.values.mean(axis=0)
+        s = np.linalg.svd(centred, compute_uv=False)
+        assert abs(sl_objective(delta, params) - np.sum(s[1:] ** 2)) <= 1e-13
+
     def test_zero_surface_converges_immediately(self):
         params, diag = fit_sl(zero_delta())
         assert diag.converged
@@ -304,7 +331,6 @@ class TestForecast:
     def walk(drift, factor, last_state, last_year=2001):
         drift = np.asarray(drift, dtype=float)
         return RwdParams(
-            dim=2,
             drift=drift,
             innovation_factor=np.asarray(factor, dtype=float),
             last_state=np.asarray(last_state, dtype=float),
@@ -335,7 +361,7 @@ class TestForecast:
         params = self.params_2x2()
         rwd = self.walk([0.05, -0.01], np.zeros((2, 2)), [-0.3, 0.4])
         central = sl_forecast(params, rwd, horizon=4)
-        out = sl_forecast(params, rwd, horizon=4, mode="sample", n_paths=3, seed=9)
+        out = sl_forecast(params, rwd, horizon=4, n_paths=3, seed=9)
         assert out.shape == (3, 2, 4)
         for p in range(3):
             np.testing.assert_array_equal(out[p], central.values)
@@ -350,7 +376,6 @@ class TestForecast:
     def test_walk_shape_validation(self):
         params = self.params_2x2()
         bad_dim = RwdParams(
-            dim=1,
             drift=np.zeros(1),
             innovation_factor=np.zeros((1, 1)),
             last_state=np.zeros(1),

@@ -21,7 +21,6 @@ from mortcast.timeseries import PATH_CHUNK
 def make_params(drift, factor, last_state, last_year=2009):
     drift = np.atleast_1d(np.asarray(drift, dtype=float))
     return RwdParams(
-        dim=drift.size,
         drift=drift,
         innovation_factor=np.asarray(factor, dtype=float),
         last_state=np.atleast_1d(np.asarray(last_state, dtype=float)),
@@ -115,7 +114,6 @@ class TestRwdParams:
     def test_shape_consistency(self):
         with pytest.raises(DomainError):
             RwdParams(
-                dim=2,
                 drift=np.zeros(2),
                 innovation_factor=np.zeros((2, 2)),
                 last_state=np.zeros(3),
@@ -287,12 +285,10 @@ class TestForecastStates:
 
     def test_sample_dispatch(self):
         params = make_params([1.0], [[0.2]], [0.0])
-        out = forecast_states(params, 3, mode="sample", n_paths=2, seed=5)
+        out = forecast_states(params, 3, n_paths=2, seed=5)
         np.testing.assert_array_equal(out, simulate_paths(params, 3, n_paths=2, seed=5))
 
     def test_sample_requires_paths_and_seed(self):
         params = make_params([1.0], [[0.2]], [0.0])
         with pytest.raises(DomainError):
-            forecast_states(params, 3, mode="sample")
-        with pytest.raises(DomainError):
-            forecast_states(params, 3, mode="wild")
+            forecast_states(params, 3, n_paths=2)
