@@ -182,7 +182,7 @@ def lc_forecast(
 
     Central without ``n_paths``, sampled with it: see :func:`~mortcast.timeseries.forecast_q`.
     """
-    check_walk(rwd1, 1, params.years, "Lee-Carter")
+    check_walk(rwd1, params, "Lee-Carter")
     return forecast_q(rwd1, horizon, params.q_of, params.ages, n_paths, seed)
 
 
@@ -197,5 +197,5 @@ def cbd_forecast(
 
     Central without ``n_paths``, sampled with it: see :func:`~mortcast.timeseries.forecast_q`.
     """
-    check_walk(rwd2, 2, params.years, "CBD")
+    check_walk(rwd2, params, "CBD")
     return forecast_q(rwd2, horizon, params.q_of, params.ages, n_paths, seed)

@@ -71,7 +71,7 @@ def _add_window_flags(p):
 
 def _add_data_flags(p):
     g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--input", help="HMD 1x1 table to read")
+    g.add_argument("--input", help="HMD 1x1 Mx (central death rate) table to read")
     g.add_argument(
         "--synth",
         choices=_SYNTH,

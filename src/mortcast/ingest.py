@@ -1,9 +1,9 @@
 """Data ingestion and every artifact format.
 
-Reads Human Mortality Database period 1x1 text tables, estimates central
-rates from deaths and exposures, generates synthetic surfaces for
-desk-scale verification, and writes HMD tables and every CSV artifact. The
-readers reject malformed input with a line number; they never repair.
+Reads Human Mortality Database period 1x1 central death rate (Mx) tables,
+generates synthetic surfaces for desk-scale verification, and writes HMD
+tables and every CSV artifact. The readers reject malformed input with a
+line number; they never repair.
 """
 
 from __future__ import annotations
@@ -60,14 +60,8 @@ def _number(token: str, convert, what: str, line_no: int):
         raise ParseError(f"line {line_no}: unparseable {what} {token!r}") from None
 
 
-def parse_hmd(
-    source,
-    column: str,
-    ages: AgeRange,
-    years: YearRange,
-    kind: SurfaceKind = SurfaceKind.CENTRAL_RATE,
-) -> MortalitySurface:
-    """Read one column of an HMD 1x1 table into a dense surface.
+def parse_hmd(source, column: str, ages: AgeRange, years: YearRange) -> MortalitySurface:
+    """Read one column of an HMD Mx 1x1 table into a central-rate surface.
 
     The file must carry a title line, a blank line, and the header
     "Year Age Female Male Total" before the data rows. Every row is checked
@@ -126,26 +120,7 @@ def parse_hmd(
     if not seen.all():
         x, t = _first_cell(~seen, ages, years)
         raise ParseError(f"requested window not covered: no row for age {x}, year {t}")
-    return MortalitySurface(ages=ages, years=years, kind=kind, values=values)
-
-
-def estimate_m(deaths: MortalitySurface, exposures: MortalitySurface) -> MortalitySurface:
-    """Central rate surface D/E from matching deaths and exposures."""
-    if deaths.kind is not SurfaceKind.DEATHS:
-        raise DomainError(f"expected a deaths surface, got {deaths.kind.value}")
-    if exposures.kind is not SurfaceKind.EXPOSURES:
-        raise DomainError(f"expected an exposures surface, got {exposures.kind.value}")
-    if deaths.ages != exposures.ages or deaths.years != exposures.years:
-        raise DomainError("deaths and exposures must cover the same grid")
-    if (exposures.values <= 0.0).any():
-        x, t = _first_cell(exposures.values <= 0.0, exposures.ages, exposures.years)
-        raise DomainError(f"nonpositive exposure at age {x}, year {t}")
-    return MortalitySurface(
-        ages=deaths.ages,
-        years=deaths.years,
-        kind=SurfaceKind.CENTRAL_RATE,
-        values=deaths.values / exposures.values,
-    )
+    return MortalitySurface(ages=ages, years=years, kind=SurfaceKind.CENTRAL_RATE, values=values)
 
 
 @dataclass(frozen=True)

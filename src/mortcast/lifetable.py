@@ -91,8 +91,6 @@ class YearRange:
 class SurfaceKind(str, Enum):
     """What quantity a MortalitySurface holds."""
 
-    DEATHS = "deaths"
-    EXPOSURES = "exposures"
     CENTRAL_RATE = "central_rate"
     DEATH_PROB = "death_prob"
     # S_t(x): the chance of surviving from the lowest age of the window past age x
@@ -194,16 +192,9 @@ class MortalitySurface:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "values", values)
 
-    def value_at(self, age: int, year: int) -> float:
-        return float(self.values[self.ages.index(age), self.years.index(year)])
-
     def column(self, year: int) -> np.ndarray:
         """Values for one calendar year, over all ages (a copy)."""
         return self.values[:, self.years.index(year)].copy()
-
-    def row(self, age: int) -> np.ndarray:
-        """Values for one age, over all years (a copy)."""
-        return self.values[self.ages.index(age), :].copy()
 
     def subset(self, ages: AgeRange | None = None, years: YearRange | None = None) -> "MortalitySurface":
         """Restrict to a smaller age/year window.

@@ -48,11 +48,11 @@ class SlParams:
 
     def __post_init__(self):
         _freeze_series(self)
-        check_l_domain(self.base_survival, "base_survival", self.ages)
         if not isinstance(self.t0, (int, np.integer)):
             raise DomainError(f"reference year must be an integer, got {self.t0!r}")
         if self.t0 >= self.years.t_min:
             raise DomainError(f"reference year {self.t0} must precede fit years")
+        check_l_domain(self.base_survival, "base_survival", (self.ages, self.t0))
 
     def q_of(self, states: np.ndarray, first_year: int | None = None) -> np.ndarray:
         """Death probabilities (..., n_ages, n_years) from states (..., n_years, 2).
@@ -110,7 +110,6 @@ class FitConfig:
 class FitDiagnostics:
     iterations: int
     converged: bool
-    final_objective: float
     objective_trace: np.ndarray
     max_param_delta: float
 
@@ -244,7 +243,6 @@ def fit_sl(delta: LDiffSurface, config: FitConfig | None = None) -> tuple[SlPara
     diagnostics = FitDiagnostics(
         iterations=sweeps,
         converged=converged,
-        final_objective=trace[-1],
         objective_trace=np.asarray(trace),
         max_param_delta=max_delta,
     )
@@ -270,6 +268,6 @@ def sl_forecast(
     non-monotone curve, DomainError names the path, the year and the two
     ages between which survival increases.
     """
-    check_walk(rwd, 2, params.years, "SL")
+    check_walk(rwd, params, "SL")
     q_of = partial(params.q_of, first_year=params.years.t_max + 1)
     return forecast_q(rwd, horizon, q_of, params.ages, n_paths, seed)

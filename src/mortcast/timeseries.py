@@ -15,7 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .lifetable import AgeRange, MortalitySurface, SurfaceKind, YearRange, _freeze, check_surface_values
+from .lifetable import (
+    YEAR,
+    AgeRange,
+    MortalitySurface,
+    SurfaceKind,
+    YearRange,
+    _freeze,
+    check_surface_values,
+)
 
 # Sample paths are mapped to death probabilities this many at a time, so
 # the temporaries of a model's array expression stay a few MB however many
@@ -131,8 +139,13 @@ def calibrate_rwd(series, years: YearRange) -> RwdParams:
     )
 
 
-def check_walk(rwd: RwdParams, dim: int, years: YearRange, model: str) -> None:
-    """Reject a walk that cannot project a model fitted over ``years``."""
+def check_walk(rwd: RwdParams, params, model: str) -> None:
+    """Reject a walk that cannot project ``params``, the fit of the named model.
+
+    The walk needs one dimension per YEAR row of ``params.ROWS`` and must
+    end at the last fit year.
+    """
+    dim, years = sum(axis == YEAR for _, _, axis in params.ROWS), params.years
     if rwd.dim != dim:
         raise DomainError(f"{model} forecasting needs a {dim}-dimensional walk, got dim {rwd.dim}")
     if rwd.last_year != years.t_max:
@@ -259,10 +272,11 @@ def path_quantiles(paths: np.ndarray, probs) -> np.ndarray:
 
     Bit for bit ``numpy.quantile(paths, probs, axis=0)`` with numpy's default
     ``"linear"`` method, method 7 of Hyndman & Fan (1996): with
-    v = (n - 1) * q, the order statistics a = x[floor(v)] and
-    b = x[min(floor(v) + 1, n - 1)] and g = v - floor(v), the result is
-    a + (b - a) * g, or b - (b - a) * (1 - g) when g >= 0.5, as numpy's
-    ``_lerp`` computes it. ``paths`` is sorted in place along its first
+    v = (n - 1) * q, the order statistics a = x[i] and b = x[i + 1] for
+    i = floor(v) and g = v - i, the result is a + (b - a) * g, or
+    b - (b - a) * (1 - g) when g >= 0.5, as numpy's ``_lerp`` computes it.
+    Where v >= n - 1, numpy takes i = -1: a and b are both the last order
+    statistic and g = v + 1. ``paths`` is sorted in place along its first
     axis, so its rows come back reordered, and no copy of it is made. The
     values must be finite, as forecast_q guarantees for its sample arrays.
     """
@@ -273,8 +287,8 @@ def path_quantiles(paths: np.ndarray, probs) -> np.ndarray:
     out = np.empty((len(probs),) + paths.shape[1:])
     for k, q in enumerate(probs):
         v = (n - 1) * q
-        i = math.floor(v)
-        a, b = paths[i], paths[min(i + 1, n - 1)]
+        i, j = (math.floor(v), math.floor(v) + 1) if v < n - 1 else (-1, -1)
+        a, b = paths[i], paths[j]
         g = v - i
         out[k] = a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g)
     return out

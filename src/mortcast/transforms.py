@@ -28,16 +28,24 @@ from .lifetable import (
 _ONE_BOUNDARY = 1.0 - 1e-15
 
 
-def check_l_domain(values: np.ndarray, what: str, ages: AgeRange | None = None) -> None:
+def check_l_domain(
+    values: np.ndarray, what: str, reference: tuple[AgeRange, int] | None = None
+) -> None:
     """Reject survival values outside (0, 1 - 1e-15), NaN too: there log(-log s) is undefined.
 
-    The first offending value is named by its age when ``ages`` is given, else by position.
+    ``reference`` is the (ages, t0) of a reference year's survival curve;
+    the first offending value is named by its age and that year when it is
+    given, else by position.
     """
     arr = np.atleast_1d(values)
     outside = ~((arr > 0.0) & (arr < _ONE_BOUNDARY))
     if outside.any():
         pos = tuple(np.argwhere(outside)[0].tolist())
-        where = f"age {ages.x_min + pos[0]}" if ages else "position " + ", ".join(map(str, pos))
+        if reference:
+            ages, t0 = reference
+            where = f"age {ages.x_min + pos[0]}, year {t0}"
+        else:
+            where = "position " + ", ".join(map(str, pos))
         raise DomainError(f"{what} {float(arr[pos])} at {where} is outside (0, 1 - 1e-15)")
 
 
@@ -99,7 +107,7 @@ class LDiffSurface:
         values = _freeze(self.values)
         if base.ndim != 1 or base.shape[0] != len(self.ages):
             raise DomainError("base survival must be a vector over the age window")
-        check_l_domain(base, "base survival", self.ages)
+        check_l_domain(base, "base survival", (self.ages, self.t0))
         if values.shape != (len(self.ages), len(self.years)):
             raise DomainError(
                 f"values shape {values.shape} does not match "
@@ -128,7 +136,7 @@ def build_l_diff(
         Years to difference. Defaults to every year after t0 in ``surv``.
 
     Any survival value equal to 1 (within 1e-15) in a needed cell is a
-    domain error naming the cell, since L is undefined there.
+    domain error naming the age and year, since L is undefined there.
     """
     if surv.kind is not SurfaceKind.SURVIVAL:
         raise DomainError(f"expected a survival surface, got {surv.kind.value}")
@@ -142,21 +150,19 @@ def build_l_diff(
         raise DomainError(f"reference year {t0} outside survival years {surv.years}")
     if not surv.years.covers(fit_years):
         raise DomainError(f"fit years {fit_years} not covered by survival years {surv.years}")
-    if t0 >= fit_years.t_min:
-        raise DomainError(f"reference year {t0} must precede the fit window {fit_years}")
 
     j0 = surv.years.index(fit_years.t_min)
     block = surv.values[:, j0 : j0 + len(fit_years)]
     base = surv.column(t0)
-
-    for arr, years in ((base[:, None], YearRange(t0, t0)), (block, fit_years)):
-        if (arr >= _ONE_BOUNDARY).any():
-            x, t = _first_cell(arr >= _ONE_BOUNDARY, surv.ages, years)
-            raise DomainError(
-                f"survival of 1 at age {x}, year {t}: the log(-log) transform is undefined there"
-            )
-
-    values = np.log(-np.log(block)) - np.log(-np.log(base))[:, None]
+    if (block >= _ONE_BOUNDARY).any():
+        x, t = _first_cell(block >= _ONE_BOUNDARY, surv.ages, fit_years)
+        raise DomainError(
+            f"survival of 1 at age {x}, year {t}: the log(-log) transform is undefined there"
+        )
+    # LDiffSurface checks t0 and the reference curve; a base survival of 1
+    # makes its log(-log) -inf here, which that check then rejects
+    with np.errstate(divide="ignore"):
+        values = np.log(-np.log(block)) - np.log(-np.log(base))[:, None]
     return LDiffSurface(
         t0=t0,
         base_survival=base,

@@ -15,7 +15,6 @@ from mortcast import (
     SurfaceKind,
     SynthConfig,
     YearRange,
-    estimate_m,
     export_csv,
     export_mi_csv,
     export_quantiles_csv,
@@ -169,39 +168,6 @@ class TestUtf8:
         message = f"{path}: line 1: invalid UTF-8 byte 0xe9"
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             read(path)
-
-
-class TestEstimateM:
-    def test_ratio(self):
-        d = surface([[5.0, 8.0]], SurfaceKind.DEATHS)
-        e = surface([[400.0, 400.0]], SurfaceKind.EXPOSURES)
-        out = estimate_m(d, e)
-        assert out.kind is SurfaceKind.CENTRAL_RATE
-        np.testing.assert_array_equal(out.values, [[0.0125, 0.02]])
-
-    def test_equal_inputs_give_unit_rate(self):
-        d = surface([[3.0], [7.0]], SurfaceKind.DEATHS)
-        e = surface([[3.0], [7.0]], SurfaceKind.EXPOSURES)
-        np.testing.assert_array_equal(estimate_m(d, e).values, [[1.0], [1.0]])
-
-    def test_zero_deaths_allowed(self):
-        d = surface([[0.0]], SurfaceKind.DEATHS)
-        e = surface([[100.0]], SurfaceKind.EXPOSURES)
-        assert estimate_m(d, e).values[0, 0] == 0.0
-
-    def test_zero_exposure_names_cell(self):
-        d = surface([[1.0, 1.0]], SurfaceKind.DEATHS)
-        e = surface([[100.0, 0.0]], SurfaceKind.EXPOSURES)
-        with pytest.raises(DomainError, match="60.*1991"):
-            estimate_m(d, e)
-
-    def test_kind_and_grid_checks(self):
-        d = surface([[1.0]], SurfaceKind.DEATHS)
-        e = surface([[2.0]], SurfaceKind.EXPOSURES)
-        with pytest.raises(DomainError):
-            estimate_m(e, e)
-        with pytest.raises(DomainError):
-            estimate_m(d, surface([[2.0]], SurfaceKind.EXPOSURES, x_min=61))
 
 
 class TestGenerateSynthetic:

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mortcast import (
     AgeRange,
@@ -24,6 +27,11 @@ def make_surface(values, kind=SurfaceKind.CENTRAL_RATE, x_min=60, t_min=2000):
         kind=kind,
         values=values,
     )
+
+
+def vectors(low, high):
+    """Float vectors of 1-40 entries in [low, high]."""
+    return hnp.arrays(float, st.integers(1, 40), elements=st.floats(low, high))
 
 
 class TestRanges:
@@ -62,14 +70,14 @@ class TestMortalitySurface:
             MortalitySurface(
                 ages=AgeRange(60, 61),
                 years=YearRange(2000, 2002),
-                kind=SurfaceKind.DEATHS,
+                kind=SurfaceKind.CENTRAL_RATE,
                 values=np.zeros((2, 2)),
             )
         with pytest.raises(DomainError):
             MortalitySurface(
                 ages=AgeRange(60, 62),
                 years=YearRange(2000, 2001),
-                kind=SurfaceKind.DEATHS,
+                kind=SurfaceKind.CENTRAL_RATE,
                 values=np.zeros((2, 2)),
             )
 
@@ -81,7 +89,7 @@ class TestMortalitySurface:
 
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
-            make_surface([[-0.1, 0.2], [0.3, 0.4]], kind=SurfaceKind.DEATHS)
+            make_surface([[-0.1, 0.2], [0.3, 0.4]])
 
     def test_death_prob_bounds(self):
         make_surface([[0.0, 1.0]], kind=SurfaceKind.DEATH_PROB)  # closed interval ok
@@ -95,12 +103,11 @@ class TestMortalitySurface:
 
     def test_accessors(self):
         s = make_surface([[0.1, 0.2], [0.3, 0.4]])
-        assert s.value_at(61, 2000) == 0.3
+        assert s.values[1, 0] == 0.3
         np.testing.assert_array_equal(s.column(2001), [0.2, 0.4])
-        np.testing.assert_array_equal(s.row(60), [0.1, 0.2])
         sub = s.subset(ages=AgeRange(61, 61))
         assert sub.values.shape == (1, 2)
-        assert sub.value_at(61, 2001) == 0.4
+        assert sub.values[0, 1] == 0.4
         with pytest.raises(DomainError):
             s.subset(ages=AgeRange(60, 70))
 
@@ -154,10 +161,11 @@ class TestRateConversions:
             with pytest.raises(DomainError):
                 q_to_central_rate(bad)
 
-    def test_rate_round_trip(self):
-        rng = np.random.default_rng(7)
-        m = rng.uniform(0.0, 5.0, size=1000)
-        np.testing.assert_allclose(q_to_central_rate(central_rate_to_q(m)), m, atol=1e-12)
+    @settings(max_examples=40, deadline=None)
+    @given(m=vectors(0.0, 5.0), q=vectors(0.0, 0.99))
+    def test_rate_round_trip(self, m, q):
+        np.testing.assert_allclose(q_to_central_rate(central_rate_to_q(m)), m, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(central_rate_to_q(q_to_central_rate(q)), q, rtol=1e-12, atol=0.0)
 
     def test_array_in_scalar_out_contract(self):
         out = central_rate_to_q(np.array([0.0, np.log(2.0)]))
@@ -190,11 +198,12 @@ class TestSurvivalConversions:
         with pytest.raises(DomainError):
             survival_to_q([1.2, 0.5])
 
-    def test_round_trip_random(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            q = rng.uniform(0.0, 0.99, size=rng.integers(1, 40))
-            np.testing.assert_allclose(survival_to_q(q_to_survival(q)), q, atol=1e-12)
+    @settings(max_examples=40, deadline=None)
+    @given(q=vectors(0.0, 0.99), ratios=vectors(0.01, 1.0))
+    def test_round_trip_random(self, q, ratios):
+        np.testing.assert_allclose(survival_to_q(q_to_survival(q)), q, rtol=0.0, atol=1e-12)
+        s = np.cumprod(ratios)
+        np.testing.assert_allclose(q_to_survival(survival_to_q(s)), s, rtol=1e-12, atol=0.0)
 
     def test_survival_to_q_stack_matches_rows(self):
         rng = np.random.default_rng(12)

@@ -25,7 +25,6 @@ from mortcast import (
     SurfaceKind,
     YearRange,
     build_l_diff,
-    estimate_m,
     fit_cbd,
     fit_lc,
     invert_l_diff,
@@ -95,19 +94,13 @@ CASES = {
         lambda: fit_cbd(grid(SurfaceKind.DEATH_PROB, 0.01, 1.0)),
         "death probability outside (0, 1) at age 61, year 2001: logit undefined",
     ),
-    "estimate_m": (
-        lambda: estimate_m(
-            grid(SurfaceKind.DEATHS, 1.0), grid(SurfaceKind.EXPOSURES, 100.0, 0.0)
-        ),
-        "nonpositive exposure at age 61, year 2001",
-    ),
     "surface_q_to_survival": (
         lambda: surface_q_to_survival(grid(SurfaceKind.DEATH_PROB, 0.01, 1.0)),
         "death probability of 1 at age 61, year 2001: survival hits zero",
     ),
     "build_l_diff base year": (
         lambda: build_l_diff(survival([[1, 0.9, 0.9], [1, 0.8, 0.8], [0.7, 0.7, 0.7]]), t0=2000),
-        "survival of 1 at age 60, year 2000: the log(-log) transform is undefined there",
+        "base survival 1.0 at age 60, year 2000 is outside (0, 1 - 1e-15)",
     ),
     "build_l_diff fit year": (
         lambda: build_l_diff(survival([[0.9, 0.9, 1], [0.8, 0.8, 1], [0.7, 0.7, 0.7]]), t0=2000),
@@ -118,15 +111,15 @@ CASES = {
             t0=1999, base_survival=np.array([0.9, 1.0, 0.0]), ages=AGES, years=YEARS,
             values=np.zeros((3, 3)),
         ),
-        "base survival 1.0 at age 61 is outside (0, 1 - 1e-15)",
+        "base survival 1.0 at age 61, year 1999 is outside (0, 1 - 1e-15)",
     ),
     "SlParams reference curve": (
         lambda: sl_params([0.9, 0.0, 1.0]),
-        "base_survival 0.0 at age 61 is outside (0, 1 - 1e-15)",
+        "base_survival 0.0 at age 61, year 1999 is outside (0, 1 - 1e-15)",
     ),
     "params.csv reference curve": (
         lambda: _read_params(sl_params_csv([0.9, 1.0, 0.7]), "params.csv"),
-        "base_survival 1.0 at age 61 is outside (0, 1 - 1e-15)",
+        "base_survival 1.0 at age 61, year 1999 is outside (0, 1 - 1e-15)",
     ),
     "invert_l_diff reference curve": (
         lambda: invert_l_diff(np.zeros(3), np.array([0.9, -0.5, 1.0])),
@@ -141,8 +134,8 @@ CASES = {
         "requested window not covered: no row for age 61, year 2001",
     ),
     "non-finite": (
-        lambda: grid(SurfaceKind.DEATHS, 1.0, np.nan),
-        "non-finite deaths at age 61, year 2001",
+        lambda: grid(SurfaceKind.CENTRAL_RATE, 1.0, np.nan),
+        "non-finite central_rate at age 61, year 2001",
     ),
     "negative": (
         lambda: grid(SurfaceKind.CENTRAL_RATE, 0.01, -0.01),

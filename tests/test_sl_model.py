@@ -260,7 +260,7 @@ class TestFit:
         params, diag = fit_sl(zero_delta())
         assert diag.converged
         assert diag.iterations == 1
-        assert diag.final_objective == 0.0
+        assert diag.objective_trace[-1] == 0.0
         np.testing.assert_array_equal(params.alpha1, 0.0)
         np.testing.assert_array_equal(params.alpha2, 0.0)
 
@@ -277,7 +277,7 @@ class TestFit:
         )
         params, diag = fit_sl(delta)
         assert diag.converged
-        assert diag.final_objective < 1e-24
+        assert diag.objective_trace[-1] < 1e-24
         np.testing.assert_allclose(params.fitted_surface(), delta.values, atol=1e-12)
 
     def test_objective_never_increases(self):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -259,6 +259,8 @@ class TestPathQuantiles:
         ),
         probs=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=5),
     )
+    # one path: numpy takes its value as b - (b - a) * (1 - g) with g = 1, keeping -0.0
+    @example(values=np.array([[[-0.0]]]), probs=[0.0])
     def test_property_matches_numpy(self, values, probs):
         expected = np.quantile(values, probs, axis=0)
         np.testing.assert_array_equal(bits(path_quantiles(values.copy(), probs)), bits(expected))

@@ -2,6 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mortcast import (
     AgeRange,
@@ -35,6 +38,22 @@ def make_survival(values, base_age=60, t_min=2000):
     )
 
 
+@st.composite
+def survival_windows(draw):
+    """A survival surface of 1-12 ages and 2-6 years, a reference year t0 and a fit window after it.
+
+    Each curve is a running product of survival ratios in [0.05, 0.999], so
+    every cell lies inside the domain of the log(-log) transform.
+    """
+    n_ages, n_years = draw(st.integers(1, 12)), draw(st.integers(2, 6))
+    ratios = draw(hnp.arrays(float, (n_ages, n_years), elements=st.floats(0.05, 0.999)))
+    surv = make_survival(np.cumprod(ratios, axis=0), base_age=draw(st.integers(0, 100)),
+                         t_min=draw(st.integers(1900, 2100)))
+    t0 = draw(st.integers(surv.years.t_min, surv.years.t_max - 1))
+    fit_years = YearRange(draw(st.integers(t0 + 1, surv.years.t_max)), surv.years.t_max)
+    return surv, t0, fit_years
+
+
 class TestLTransform:
     def test_values(self):
         assert l_transform(np.exp(-1.0)) == pytest.approx(0.0, abs=1e-15)
@@ -65,11 +84,14 @@ class TestLInverse:
         assert l_inverse(0.0) == pytest.approx(np.exp(-1.0), abs=1e-16)
         assert l_inverse(1.0) == pytest.approx(EXP_NEG_E, abs=1e-16)
 
-    def test_round_trips(self):
-        rng = np.random.default_rng(9)
-        s = rng.uniform(1e-9, 0.999, size=1000)
-        np.testing.assert_allclose(l_inverse(l_transform(s)), s, atol=1e-12)
-        y = rng.uniform(-20.0, 3.0, size=1000)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        s=hnp.arrays(float, st.integers(1, 40), elements=st.floats(1e-9, 0.999)),
+        y=hnp.arrays(float, st.integers(1, 40), elements=st.floats(-20.0, 3.0)),
+    )
+    def test_round_trips(self, s, y):
+        np.testing.assert_allclose(l_inverse(l_transform(s)), s, rtol=0.0, atol=1e-12)
+        # near y = -20, S = exp(-exp(y)) is within 1e-8 of 1 and keeps only half its digits
         np.testing.assert_allclose(l_transform(l_inverse(y)), y, atol=1e-12)
 
     def test_domain(self):
@@ -154,6 +176,24 @@ class TestBuildLDiff:
         with pytest.raises(DomainError, match="60.*1999"):
             build_l_diff(surv, t0=1999)
 
+    @settings(max_examples=50, deadline=None)
+    @given(survival_windows(), st.data())
+    def test_reference_survival_of_one_names_age_and_year(self, case, data):
+        surv, t0, fit_years = case
+        values = surv.values.copy()
+        j = surv.years.index(t0)
+        # the first k ages of the reference curve at or above 1 - 1e-15, still non-increasing
+        k = data.draw(st.integers(1, len(surv.ages)))
+        top = data.draw(st.lists(st.floats(1.0 - 1e-15, 1.0), min_size=k, max_size=k))
+        values[:k, j] = sorted(top, reverse=True)
+        bad = make_survival(values, base_age=surv.ages.x_min, t_min=surv.years.t_min)
+        with pytest.raises(DomainError) as exc:
+            build_l_diff(bad, t0=t0, fit_years=fit_years)
+        assert str(exc.value) == (
+            f"base survival {max(top)} at age {surv.ages.x_min}, year {t0} "
+            "is outside (0, 1 - 1e-15)"
+        )
+
 
 class TestInvertLDiff:
     def test_zero_delta_returns_base(self):
@@ -164,17 +204,16 @@ class TestInvertLDiff:
         out = invert_l_diff(np.array([DELTA_95_90]), np.array([0.9]))
         assert out[0] == pytest.approx(0.95, abs=1e-12)
 
-    def test_round_trip_with_build(self):
-        rng = np.random.default_rng(21)
-        for _ in range(100):
-            n = rng.integers(2, 12)
-            base = np.sort(rng.uniform(0.05, 0.999, size=n))[::-1]
-            target = np.sort(rng.uniform(0.05, 0.999, size=n))[::-1]
-            surv = make_survival(np.column_stack([base, target]), t_min=1999)
-            delta = build_l_diff(surv, t0=1999)
-            np.testing.assert_allclose(
-                invert_l_diff(delta.values[:, 0], base), target, atol=1e-12
-            )
+    @settings(max_examples=50, deadline=None)
+    @given(survival_windows())
+    def test_round_trip_with_build(self, case):
+        surv, t0, fit_years = case
+        delta = build_l_diff(surv, t0=t0, fit_years=fit_years)
+        np.testing.assert_array_equal(delta.base_survival, surv.column(t0))
+        # invert_l_diff takes age on the last axis
+        recovered = invert_l_diff(delta.values.T, delta.base_survival).T
+        expected = surv.subset(years=fit_years).values
+        np.testing.assert_allclose(recovered, expected, rtol=0.0, atol=1e-12)
 
     def test_stack_matches_columns(self):
         rng = np.random.default_rng(22)
