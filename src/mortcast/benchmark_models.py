@@ -24,7 +24,7 @@ from .lifetable import (
     _freeze_series,
     central_rate_to_q,
 )
-from .timeseries import RwdParams, check_walk, forecast_q
+from .timeseries import forecast_q
 from .transforms import logistic, logit
 
 
@@ -172,30 +172,20 @@ def fit_cbd(q_surface: MortalitySurface) -> CbdParams:
 
 
 def lc_forecast(
-    params: LcParams,
-    rwd1: RwdParams,
-    horizon: int,
-    n_paths: int | None = None,
-    seed: int | None = None,
+    params: LcParams, horizon: int, n_paths: int | None = None, seed: int | None = None
 ):
     """Death-probability forecast: :meth:`LcParams.q_of` of the projected kappa_t.
 
     Central without ``n_paths``, sampled with it: see :func:`~mortcast.timeseries.forecast_q`.
     """
-    check_walk(rwd1, params, "Lee-Carter")
-    return forecast_q(rwd1, horizon, params.q_of, params.ages, n_paths, seed)
+    return forecast_q(params, params.q_of, horizon, n_paths, seed)
 
 
 def cbd_forecast(
-    params: CbdParams,
-    rwd2: RwdParams,
-    horizon: int,
-    n_paths: int | None = None,
-    seed: int | None = None,
+    params: CbdParams, horizon: int, n_paths: int | None = None, seed: int | None = None
 ):
     """Death-probability forecast: :meth:`CbdParams.q_of` of the projected kappa.
 
     Central without ``n_paths``, sampled with it: see :func:`~mortcast.timeseries.forecast_q`.
     """
-    check_walk(rwd2, params, "CBD")
-    return forecast_q(rwd2, horizon, params.q_of, params.ages, n_paths, seed)
+    return forecast_q(params, params.q_of, horizon, n_paths, seed)

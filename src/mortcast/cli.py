@@ -34,9 +34,9 @@ from .ingest import (
     write_hmd,
 )
 from .lifetable import AGE, YEAR, AgeRange, MortalitySurface, YearRange, surface_central_rate_to_q
-from .models import MODELS, time_indices
+from .models import MODELS
 from .sl_model import FitConfig
-from .timeseries import calibrate_rwd, path_quantiles
+from .timeseries import PATH_LIMIT, path_quantiles
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -314,8 +314,8 @@ def cmd_fit(args) -> int:
 def cmd_forecast(args) -> int:
     if args.horizon < 1:
         raise _UsageError(f"horizon must be positive, got {args.horizon}")
-    if args.mode == "sample" and args.paths < 1:
-        raise _UsageError(f"paths must be positive, got {args.paths}")
+    if args.mode == "sample" and not 1 <= args.paths < PATH_LIMIT:
+        raise _UsageError(f"paths must be in [1, 2**32), got {args.paths}")
     if args.mode == "sample" and args.seed < 0:
         raise _UsageError(f"seed must be a nonnegative integer, got {args.seed}")
     raw = Path(args.params).read_bytes()
@@ -324,13 +324,12 @@ def cmd_forecast(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    rwd = calibrate_rwd(time_indices(params), params.years)
     if args.mode == "central":
-        surface = model.forecast(params, rwd, args.horizon)
+        surface = model.forecast(params, args.horizon)
         export_csv(surface, out_dir / "forecast.csv", comments=header)
         print(f"wrote {out_dir / 'forecast.csv'}")
     else:
-        paths = model.forecast(params, rwd, args.horizon, n_paths=args.paths, seed=args.seed)
+        paths = model.forecast(params, args.horizon, n_paths=args.paths, seed=args.seed)
         # nothing else holds the paths array, so the quantiles may reorder it
         bands = path_quantiles(paths, QUANTILE_PROBS)
         years = YearRange(params.years.t_max + 1, params.years.t_max + args.horizon)

@@ -17,9 +17,9 @@ from .errors import DomainError
 from .lifetable import AgeRange, MortalitySurface, SurfaceKind, YearRange, surface_central_rate_to_q
 # unused here, but perfbench's tracer self-test checks that this copy is rebound
 from .lifetable import survival_to_q  # noqa: F401
-from .models import MODELS, time_indices
+from .models import MODELS
 from .sl_model import FitConfig
-from .timeseries import calibrate_rwd
+from .timeseries import time_indices
 
 MODEL_ORDER = tuple(name.upper() for name in MODELS)
 
@@ -209,10 +209,8 @@ def run_backtest(
             continue
         model = MODELS[label.lower()]
         params, diagnostics = model.fit(sub, q_all, config.fit_years, config.t0, config.fit)
-        indices = time_indices(params)
-        q_hat_fit = params.q_of(indices)
-        rwd = calibrate_rwd(indices, config.fit_years)
-        forecast = model.forecast(params, rwd, len(config.forecast_years))
+        q_hat_fit = params.q_of(time_indices(params))
+        forecast = model.forecast(params, len(config.forecast_years))
         estimates[label] = (q_hat_fit, forecast.values)
         if diagnostics is not None:
             sl_converged = diagnostics.converged

@@ -139,10 +139,14 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.gompertz_a <= 0.0 or self.gompertz_b <= 0.0:
-            raise DomainError("Gompertz level and slope must be positive")
-        if self.noise_sd < 0.0:
-            raise DomainError("noise_sd must be nonnegative")
+        # written so that a NaN fails too
+        if not (self.gompertz_a > 0.0 and self.gompertz_b > 0.0):
+            a, b = self.gompertz_a, self.gompertz_b
+            raise DomainError(f"Gompertz level and slope must be positive, got {a} and {b}")
+        if not np.isfinite(self.improvement):
+            raise DomainError(f"improvement must be finite, got {self.improvement}")
+        if not self.noise_sd >= 0.0:
+            raise DomainError(f"noise_sd must be nonnegative, got {self.noise_sd}")
         if self.seed < 0:
             raise DomainError(f"seed must be a nonnegative integer, got {self.seed}")
 

@@ -19,10 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .benchmark_models import CbdParams, LcParams, cbd_forecast, fit_cbd, fit_lc, lc_forecast
-from .lifetable import YEAR, surface_q_to_survival
+from .lifetable import surface_q_to_survival
 from .sl_model import SlParams, fit_sl, sl_forecast
 from .transforms import build_l_diff
 
@@ -34,8 +32,9 @@ class Model:
     ``fit`` gets central rates and their death probabilities over years
     that cover the fit window and, when ``reference_year`` is set, the
     reference year t0; it returns the params and the fit's diagnostics,
-    or None for a closed-form fit. ``forecast`` takes (params, rwd,
-    horizon, n_paths, seed) and is central when ``n_paths`` is None.
+    or None for a closed-form fit. ``forecast`` takes (params, horizon,
+    n_paths, seed), projects the walk calibrated on the params' own time
+    indices, and is central when ``n_paths`` is None.
     """
 
     name: str  # CLI name; backtest reports use name.upper()
@@ -43,11 +42,6 @@ class Model:
     fit: Callable[..., tuple]  # (rates, q, fit_years, t0, config)
     forecast: Callable[..., object]
     reference_year: bool = False
-
-
-def time_indices(params) -> np.ndarray:
-    """The YEAR rows of ``params.ROWS`` stacked in order: (n_years, dim)."""
-    return np.column_stack([getattr(params, attr) for _, attr, axis in params.ROWS if axis == YEAR])
 
 
 def _fit_sl(rates, q, fit_years, t0, config):

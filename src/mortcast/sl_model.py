@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError, FitError
 from .lifetable import AGE, YEAR, AgeRange, YearRange, _freeze_series, survival_to_q
-from .timeseries import RwdParams, check_walk, forecast_q
+from .timeseries import forecast_q
 from .transforms import LDiffSurface, check_l_domain, invert_l_diff
 
 
@@ -100,8 +100,9 @@ class FitConfig:
     def __post_init__(self):
         if not (0.0 < self.gamma < 2.0):
             raise DomainError(f"gamma must lie in (0, 2), got {self.gamma}")
-        if self.epsilon <= 0.0:
-            raise DomainError("epsilon must be positive")
+        # written so that a NaN fails too
+        if not self.epsilon > 0.0:
+            raise DomainError(f"epsilon must be positive, got {self.epsilon}")
         if self.k_max < 1:
             raise DomainError("k_max must be a positive integer")
 
@@ -250,15 +251,11 @@ def fit_sl(delta: LDiffSurface, config: FitConfig | None = None) -> tuple[SlPara
 
 
 def sl_forecast(
-    params: SlParams,
-    rwd: RwdParams,
-    horizon: int,
-    n_paths: int | None = None,
-    seed: int | None = None,
+    params: SlParams, horizon: int, n_paths: int | None = None, seed: int | None = None
 ):
     """Death-probability forecast over the given horizon.
 
-    Projects (alpha1, alpha2) by the calibrated walk and applies
+    Projects (alpha1, alpha2) by the walk calibrated on them and applies
     :meth:`SlParams.q_of` to the projected states in one array expression:
     one surface over the years after the fit window without ``n_paths``, an
     (n_paths, n_ages, horizon) array with it, whose path p is reproducible
@@ -268,6 +265,5 @@ def sl_forecast(
     non-monotone curve, DomainError names the path, the year and the two
     ages between which survival increases.
     """
-    check_walk(rwd, params, "SL")
     q_of = partial(params.q_of, first_year=params.years.t_max + 1)
-    return forecast_q(rwd, horizon, q_of, params.ages, n_paths, seed)
+    return forecast_q(params, q_of, horizon, n_paths, seed)

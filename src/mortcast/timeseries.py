@@ -3,8 +3,8 @@
 The same machinery backs the two-dimensional time processes of the
 survival-transform and CBD models and the one-dimensional Lee-Carter time
 index: state_{t+1} = state_t + drift + factor @ z with standard normal z.
-:func:`forecast_q` turns projected states into death probabilities for
-all three models.
+:func:`forecast_q` calibrates the walk on a fit's time indices and turns
+its projected states into death probabilities for all three models.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 from .errors import DomainError
 from .lifetable import (
     YEAR,
-    AgeRange,
     MortalitySurface,
     SurfaceKind,
     YearRange,
@@ -29,6 +28,10 @@ from .lifetable import (
 # the temporaries of a model's array expression stay a few MB however many
 # paths are asked for.
 PATH_CHUNK = 256
+
+# A path's index is one 32-bit word of its stream's seed, so n_paths must
+# stay below this.
+PATH_LIMIT = 2**32
 
 # numpy.random.SeedSequence's hash constants and pool size (O'Neill's
 # seed_seq_fe, as in numpy/random/bit_generator.pyx) and PCG64's 128-bit
@@ -74,14 +77,13 @@ class RwdParams:
 
     ``drift`` is the per-year step, and its length the walk's ``dim``;
     ``innovation_factor`` is a triangular matrix A with nonnegative diagonal
-    such that A @ A.T is the innovation covariance. ``last_state`` and
-    ``last_year`` anchor projections. The arrays are stored as read-only copies.
+    such that A @ A.T is the innovation covariance. ``last_state`` anchors
+    projections. The arrays are stored as read-only copies.
     """
 
     drift: np.ndarray
     innovation_factor: np.ndarray
     last_state: np.ndarray
-    last_year: int
 
     def __post_init__(self):
         for name in ("drift", "innovation_factor", "last_state"):
@@ -103,27 +105,20 @@ class RwdParams:
         return self.drift.size
 
 
-def calibrate_rwd(series, years: YearRange) -> RwdParams:
+def calibrate_rwd(series) -> RwdParams:
     """Gaussian maximum-likelihood calibration on first differences.
 
-    Parameters
-    ----------
-    series : array_like
-        Observed states, shape (n,) for one dimension or (n, dim).
-    years : YearRange
-        Calendar years of the observations, one per row of ``series``.
-
-    The drift is the mean first difference and the innovation factor the
-    Cholesky factor of their sample covariance (denominator n-1). A series
-    with identical differences therefore calibrates to a zero factor.
+    ``series`` holds the observed states, one row per year: shape (n,) for
+    one dimension or (n, dim). The drift is the mean first difference and
+    the innovation factor the Cholesky factor of their sample covariance
+    (denominator n-1). A series with identical differences therefore
+    calibrates to a zero factor.
     """
     arr = np.asarray(series, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2 or not np.all(np.isfinite(arr)):
         raise DomainError("series must be a finite (n,) or (n, dim) array")
-    if len(years) != len(arr):
-        raise DomainError(f"{len(arr)} observations but {len(years)} years")
     if len(arr) < 3:
         raise DomainError("need at least 3 observations to estimate the innovation covariance")
 
@@ -131,25 +126,12 @@ def calibrate_rwd(series, years: YearRange) -> RwdParams:
     drift = diffs.mean(axis=0)
     centered = diffs - drift
     cov = centered.T @ centered / (diffs.shape[0] - 1)
-    return RwdParams(
-        drift=drift,
-        innovation_factor=_psd_cholesky(cov),
-        last_state=arr[-1],
-        last_year=years.t_max,
-    )
+    return RwdParams(drift=drift, innovation_factor=_psd_cholesky(cov), last_state=arr[-1])
 
 
-def check_walk(rwd: RwdParams, params, model: str) -> None:
-    """Reject a walk that cannot project ``params``, the fit of the named model.
-
-    The walk needs one dimension per YEAR row of ``params.ROWS`` and must
-    end at the last fit year.
-    """
-    dim, years = sum(axis == YEAR for _, _, axis in params.ROWS), params.years
-    if rwd.dim != dim:
-        raise DomainError(f"{model} forecasting needs a {dim}-dimensional walk, got dim {rwd.dim}")
-    if rwd.last_year != years.t_max:
-        raise DomainError(f"walk calibrated through {rwd.last_year} but fit ends {years.t_max}")
+def time_indices(params) -> np.ndarray:
+    """The YEAR rows of ``params.ROWS`` stacked in order: (n_years, dim)."""
+    return np.column_stack([getattr(params, attr) for _, attr, axis in params.ROWS if axis == YEAR])
 
 
 def project_central(params: RwdParams, horizon: int) -> np.ndarray:
@@ -246,11 +228,11 @@ def simulate_paths(params: RwdParams, horizon: int, n_paths: int, seed: int) -> 
     a fixed seed whatever the number of paths. The streams' seeds are
     computed for all paths at once and loaded into one reused PCG64; drift,
     innovation factor and the cumulative sum are then applied to all paths
-    at once. ``n_paths`` must be below 2**32, so that p is one seed word.
+    at once. ``n_paths`` must be below PATH_LIMIT, so that p is one seed word.
     """
     if horizon < 1:
         raise DomainError(f"horizon must be positive, got {horizon}")
-    if not 1 <= n_paths < 2**32:
+    if not 1 <= n_paths < PATH_LIMIT:
         raise DomainError(f"n_paths must be in [1, 2**32), got {n_paths}")
     if seed < 0:
         raise DomainError("seed must be a nonnegative integer")
@@ -276,9 +258,12 @@ def path_quantiles(paths: np.ndarray, probs) -> np.ndarray:
     i = floor(v) and g = v - i, the result is a + (b - a) * g, or
     b - (b - a) * (1 - g) when g >= 0.5, as numpy's ``_lerp`` computes it.
     Where v >= n - 1, numpy takes i = -1: a and b are both the last order
-    statistic and g = v + 1. ``paths`` is sorted in place along its first
-    axis, so its rows come back reordered, and no copy of it is made. The
-    values must be finite, as forecast_q guarantees for its sample arrays.
+    statistic and g = v + 1. The bits match in every cell whose paths do not
+    mix -0.0 and +0.0: numpy's partition leaves equal zeros in no defined
+    order, so there a zero result may differ from numpy's in its sign bit.
+    ``paths`` is sorted in place along its first axis, so its rows come back
+    reordered, and no copy of it is made. The values must be finite, as
+    forecast_q guarantees for its sample arrays.
     """
     if any(not 0.0 <= q <= 1.0 for q in probs):
         raise DomainError(f"quantile probabilities must lie in [0, 1], got {list(probs)}")
@@ -310,28 +295,24 @@ def forecast_states(
     return simulate_paths(params, horizon, n_paths, seed)
 
 
-def forecast_q(
-    params: RwdParams,
-    horizon: int,
-    q_of,
-    ages: AgeRange,
-    n_paths: int | None = None,
-    seed: int | None = None,
-):
-    """Death probabilities for the years after ``params.last_year``.
+def forecast_q(params, q_of, horizon: int, n_paths: int | None = None, seed: int | None = None):
+    """Death probabilities for the ``horizon`` years after the fit ``params``.
 
-    ``q_of`` is a model's array expression: it maps states of shape
-    (..., horizon, dim) to death probabilities of shape (..., n_ages,
-    horizon). Without ``n_paths`` it maps the central projection to one
-    validated MortalitySurface. With ``n_paths`` it maps the simulated paths
-    PATH_CHUNK at a time into one preallocated (n_paths, n_ages, horizon)
-    array, checking each block once (finite, inside [0, 1], first bad cell
-    named by path, age and year), and returns the array. A DomainError that
-    ``q_of`` raises with a ``cell`` has the path ``cell[0]`` of the block,
-    and is re-raised naming that sample path.
+    The walk is :func:`calibrate_rwd` of the params' :func:`time_indices`,
+    and the forecast covers ``params.ages``. ``q_of`` is the model's array
+    expression: it maps states of shape (..., horizon, dim) to death
+    probabilities of shape (..., n_ages, horizon). Without ``n_paths`` it
+    maps the central projection to one validated MortalitySurface. With
+    ``n_paths`` it maps the simulated paths PATH_CHUNK at a time into one
+    preallocated (n_paths, n_ages, horizon) array, checking each block once
+    (finite, inside [0, 1], first bad cell named by path, age and year),
+    and returns the array. A DomainError that ``q_of`` raises with a
+    ``cell`` has the path ``cell[0]`` of the block, and is re-raised naming
+    that sample path.
     """
-    states = forecast_states(params, horizon, n_paths, seed)
-    years = YearRange(params.last_year + 1, params.last_year + horizon)
+    states = forecast_states(calibrate_rwd(time_indices(params)), horizon, n_paths, seed)
+    ages, last = params.ages, params.years.t_max
+    years = YearRange(last + 1, last + horizon)
     if n_paths is None:
         return MortalitySurface(ages, years, SurfaceKind.DEATH_PROB, q_of(states))
     out = np.empty((states.shape[0], len(ages), horizon))

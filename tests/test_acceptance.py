@@ -217,7 +217,7 @@ def test_criterion_07_rwd_calibration():
     factor = np.array([[0.2, 0.0], [0.0, 0.05]])
     z = rng.standard_normal((n, 2))
     series = np.vstack([np.zeros(2), np.cumsum(drift + z @ factor.T, axis=0)])
-    params = calibrate_rwd(series, YearRange(0, n))
+    params = calibrate_rwd(series)
     se = np.sqrt(np.diag(factor @ factor.T) / n)
     assert np.all(np.abs(params.drift - drift) <= 3.0 * se)
     est = params.innovation_factor @ params.innovation_factor.T
@@ -225,10 +225,10 @@ def test_criterion_07_rwd_calibration():
     assert np.linalg.norm(est - true) / np.linalg.norm(true) <= 0.10
 
     # exact zero factor on affine series with representable slopes
-    for k, (slope1, slope2) in enumerate(((1.0, -2.0), (0.5, 0.25), (3.0, -0.125))):
+    for slope1, slope2 in ((1.0, -2.0), (0.5, 0.25), (3.0, -0.125)):
         t = np.arange(10, dtype=float)
         series = np.column_stack([5.0 + slope1 * t, -1.0 + slope2 * t])
-        params = calibrate_rwd(series, YearRange(1990 + k, 1999 + k))
+        params = calibrate_rwd(series)
         assert np.array_equal(params.drift, [slope1, slope2])
         assert np.all(params.innovation_factor == 0.0)
 

@@ -7,7 +7,6 @@ from mortcast import (
     DomainError,
     LcParams,
     MortalitySurface,
-    RwdParams,
     SurfaceKind,
     YearRange,
     cbd_forecast,
@@ -163,88 +162,66 @@ class TestFitCbd:
             fit_cbd(q_surface(values))
 
 
-def walk(drift, last_state, last_year, factor=None):
-    drift = np.atleast_1d(np.asarray(drift, dtype=float))
-    if factor is None:
-        factor = np.zeros((drift.size, drift.size))
-    return RwdParams(
-        drift=drift,
-        innovation_factor=np.asarray(factor, dtype=float),
-        last_state=np.atleast_1d(np.asarray(last_state, dtype=float)),
-        last_year=last_year,
-    )
-
-
 class TestLcForecast:
+    """The forecast walks the kappa_t of the 1999-2001 fit: a dyadic affine series
+    calibrates to its exact step and a zero innovation factor."""
+
     @staticmethod
-    def params():
+    def params(kappa_t):
         return LcParams(
             alpha_x=np.array([-4.0, -3.0]),
             beta_x=np.array([0.25, 0.75]),
-            kappa_t=np.array([0.5, -0.5]),
+            kappa_t=np.array(kappa_t),
             ages=AgeRange(60, 61),
-            years=YearRange(2000, 2001),
+            years=YearRange(1999, 2001),
         )
 
     def test_one_step_hand_check(self):
-        params = self.params()
-        out = lc_forecast(params, walk([-0.1], [-0.5], 2001), horizon=1)
+        # drift -0.5 from -0.5
+        params = self.params([0.5, 0.0, -0.5])
+        out = lc_forecast(params, horizon=1)
         assert out.kind is SurfaceKind.DEATH_PROB
         assert out.years == YearRange(2002, 2002)
-        m = np.exp(params.alpha_x + params.beta_x * (-0.6))
+        m = np.exp(params.alpha_x + params.beta_x * (-1.0))
         np.testing.assert_allclose(out.values[:, 0], 1.0 - np.exp(-m), atol=1e-15)
 
     def test_zero_drift_repeats_last_state(self):
-        params = self.params()
-        out = lc_forecast(params, walk([0.0], [-0.5], 2001), horizon=4)
+        params = self.params([0.0, 0.0, 0.0])
+        out = lc_forecast(params, horizon=4)
         first = out.values[:, 0]
         for h in range(1, 4):
             np.testing.assert_array_equal(out.values[:, h], first)
 
     def test_sample_degenerate_matches_central(self):
-        params = self.params()
-        rwd = walk([-0.2], [-0.5], 2001)
-        central = lc_forecast(params, rwd, horizon=3)
-        out = lc_forecast(params, rwd, horizon=3, n_paths=2, seed=1)
+        params = self.params([0.25, 0.0, -0.25])
+        central = lc_forecast(params, horizon=3)
+        out = lc_forecast(params, horizon=3, n_paths=2, seed=1)
         assert out.shape == (2, 2, 3)
         for p in range(2):
             np.testing.assert_array_equal(out[p], central.values)
 
-    def test_walk_validation(self):
-        params = self.params()
-        with pytest.raises(DomainError):
-            lc_forecast(params, walk([0.0, 0.0], [0.0, 0.0], 2001), horizon=1)
-        with pytest.raises(DomainError):
-            lc_forecast(params, walk([0.0], [0.0], 2005), horizon=1)
-
 
 class TestCbdForecast:
+    """The forecast walks the (kappa1_t, kappa2_t) of the 1999-2001 fit."""
+
     @staticmethod
-    def params():
+    def params(kappa1_t, kappa2_t):
         return CbdParams(
-            kappa1_t=np.array([-3.0, -2.9]),
-            kappa2_t=np.array([0.1, 0.11]),
+            kappa1_t=np.array(kappa1_t),
+            kappa2_t=np.array(kappa2_t),
             x_bar=60.5,
             ages=AgeRange(60, 61),
-            years=YearRange(2000, 2001),
+            years=YearRange(1999, 2001),
         )
 
     def test_one_step_hand_check(self):
-        params = self.params()
-        rwd = walk([0.1, 0.01], [-2.9, 0.11], 2001)
-        out = cbd_forecast(params, rwd, horizon=1)
-        expected = 1.0 / (1.0 + np.exp(-(-2.8 + 0.12 * (np.array([60.0, 61.0]) - 60.5))))
-        np.testing.assert_allclose(out.values[:, 0], expected, atol=1e-15)
+        # drift (0.125, 0.03125) from (-3.0, 0.125)
+        params = self.params([-3.25, -3.125, -3.0], [0.0625, 0.09375, 0.125])
+        out = cbd_forecast(params, horizon=1)
+        eta = -2.875 + 0.15625 * (np.array([60.0, 61.0]) - 60.5)
+        np.testing.assert_allclose(out.values[:, 0], 1.0 / (1.0 + np.exp(-eta)), atol=1e-15)
 
     def test_flat_slope_gives_age_constant_q(self):
-        params = self.params()
-        rwd = walk([0.05, 0.0], [-2.9, 0.0], 2001)
-        out = cbd_forecast(params, rwd, horizon=3)
+        params = self.params([-3.0, -2.95, -2.9], [0.0, 0.0, 0.0])
+        out = cbd_forecast(params, horizon=3)
         np.testing.assert_allclose(out.values[0], out.values[1], atol=1e-15)
-
-    def test_walk_validation(self):
-        params = self.params()
-        with pytest.raises(DomainError):
-            cbd_forecast(params, walk([0.0], [0.0], 2001), horizon=1)
-        with pytest.raises(DomainError):
-            cbd_forecast(params, walk([0.0, 0.0], [0.0, 0.0], 1999), horizon=1)

@@ -256,15 +256,21 @@ class TestForecast:
         )
         assert code == 0
 
-    def test_usage_checks(self, tmp_path):
+    def test_usage_checks(self, tmp_path, capsys):
         params, _ = self.fit_lc_dir(tmp_path)
         assert main(
             ["forecast", "--params", str(params), "--horizon", "0", "--out", str(tmp_path / "x")]
         ) == 1
-        assert main(
-            ["forecast", "--params", str(params), "--horizon", "2", "--mode", "sample",
-             "--paths", "0", "--out", str(tmp_path / "x")]
-        ) == 1
+        # a path's index must fit one 32-bit seed word
+        for paths in (0, 2**32):
+            capsys.readouterr()
+            assert main(
+                ["forecast", "--params", str(params), "--horizon", "2", "--mode", "sample",
+                 "--paths", str(paths), "--out", str(tmp_path / "x")]
+            ) == 1
+            err = capsys.readouterr().err
+            assert err == f"mortcast: usage error: paths must be in [1, 2**32), got {paths}\n"
+        assert not (tmp_path / "x").exists()
 
     def test_missing_params_file_is_data_error(self, tmp_path):
         assert main(
@@ -427,6 +433,37 @@ class TestNegativeSeed:
         err = capsys.readouterr().err
         assert err == "mortcast: usage error: seed must be a nonnegative integer, got -1\n"
         assert not (tmp_path / "out").exists()
+
+
+class TestNonFiniteConfig:
+    """A NaN generator or fit setting is a usage error (exit 1), caught before any work."""
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--noise-sd", "nan", "noise_sd must be nonnegative, got nan"),
+            ("--gompertz-a", "nan", "Gompertz level and slope must be positive, got nan and 0.09"),
+            ("--gompertz-b", "nan", "Gompertz level and slope must be positive, got 0.005 and nan"),
+            ("--improvement", "nan", "improvement must be finite, got nan"),
+            ("--improvement", "inf", "improvement must be finite, got inf"),
+        ],
+    )
+    def test_synth_setting(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "out" / "rates.txt"
+        assert main(["synth", *SYNTH_WINDOW, f"{flag}={value}", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"mortcast: usage error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "backtest"])
+    def test_epsilon(self, tmp_path, capsys, command):
+        argv = {
+            "fit": ["fit", "--model", "sl", *FIT_WINDOW],
+            "backtest": ["backtest", *TestBacktest.ARGS],
+        }[command]
+        out = tmp_path / "out"
+        assert main([*argv, "--synth", "gompertz", "--epsilon", "nan", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "mortcast: usage error: epsilon must be positive, got nan\n"
+        assert not out.exists()
 
 
 class TestBacktest:

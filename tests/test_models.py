@@ -24,7 +24,8 @@ from mortcast import (
 )
 from mortcast.cli import _read_params, main
 from mortcast.lifetable import AGE, YEAR, surface_central_rate_to_q
-from mortcast.models import MODELS, time_indices
+from mortcast.models import MODELS
+from mortcast.timeseries import time_indices
 
 T0 = 1989
 FIT_YEARS = YearRange(1990, 2004)
@@ -106,8 +107,7 @@ def test_params_leave_the_callers_arrays_writeable():
                   ages=ages, years=years),
     ]
     assert {type(p) for p in built} == {m.params for m in MODELS.values()}
-    RwdParams(drift=fresh([0.1]), innovation_factor=fresh([[0.2]]), last_state=fresh([1.0]),
-              last_year=2001)
+    RwdParams(drift=fresh([0.1]), innovation_factor=fresh([[0.2]]), last_state=fresh([1.0]))
     assert all(arr.flags.writeable for arr in given_arrays)
     for params in built:
         assert not any(getattr(params, attr).flags.writeable

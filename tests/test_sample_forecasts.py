@@ -1,14 +1,17 @@
 """Sample-mode forecasts as (n_paths, n_ages, horizon) arrays built in path chunks."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mortcast import (
     AgeRange,
     CbdParams,
     DomainError,
     LcParams,
-    RwdParams,
     SlParams,
     SurfaceKind,
     YearRange,
@@ -16,6 +19,7 @@ from mortcast import (
     lc_forecast,
     sl_forecast,
 )
+from mortcast import timeseries
 from mortcast.lifetable import check_surface_values
 from mortcast.timeseries import PATH_CHUNK
 
@@ -23,69 +27,52 @@ AGES = AgeRange(60, 64)
 YEARS = YearRange(2000, 2004)
 N_AGES = len(AGES)
 
-
-def walk(drift, factor, last_state):
-    return RwdParams(
-        drift=np.asarray(drift, dtype=float),
-        innovation_factor=np.asarray(factor, dtype=float),
-        last_state=np.asarray(last_state, dtype=float),
-        last_year=YEARS.t_max,
-    )
+# Each model's time indices wander, so its calibrated walk has a nonzero
+# innovation factor and every sample path differs.
 
 
 def sl_model():
     kappa = np.linspace(-1.0, 1.0, N_AGES)
     kappa /= np.linalg.norm(kappa)
     params = SlParams(
-        alpha1=np.linspace(0.0, -0.1, len(YEARS)),
-        alpha2=np.full(len(YEARS), 0.02),
+        alpha1=np.array([-0.02, -0.05, -0.06, -0.09, -0.1]),
+        alpha2=np.array([0.02, 0.022, 0.019, 0.021, 0.02]),
         kappa=kappa,
         base_survival=np.cumprod(np.full(N_AGES, 0.97)),
         t0=YEARS.t_min - 1,
         ages=AGES,
         years=YEARS,
     )
-    rwd = walk([-0.02, 0.001], [[0.01, 0.0], [0.001, 0.002]], [-0.1, 0.02])
-
-    def forecast(**kw):
-        return sl_forecast(params, rwd, **kw)
-
-    return forecast
+    return lambda **kw: sl_forecast(params, **kw)
 
 
 def lc_model():
     params = LcParams(
         alpha_x=np.linspace(-4.5, -3.0, N_AGES),
         beta_x=np.full(N_AGES, 1.0 / N_AGES),
-        kappa_t=np.linspace(1.0, -1.0, len(YEARS)),
+        kappa_t=np.array([1.0, 0.4, 0.1, -0.6, -0.9]),
         ages=AGES,
         years=YEARS,
     )
-    rwd = walk([-0.5], [[0.3]], [-1.0])
-
-    def forecast(**kw):
-        return lc_forecast(params, rwd, **kw)
-
-    return forecast
+    return lambda **kw: lc_forecast(params, **kw)
 
 
 def cbd_model():
     params = CbdParams(
-        kappa1_t=np.linspace(-3.0, -3.1, len(YEARS)),
-        kappa2_t=np.full(len(YEARS), 0.1),
+        kappa1_t=np.array([-3.0, -3.06, -3.07, -3.13, -3.15]),
+        kappa2_t=np.array([0.1, 0.102, 0.099, 0.101, 0.1]),
         x_bar=62.0,
         ages=AGES,
         years=YEARS,
     )
-    rwd = walk([-0.02, 0.001], [[0.05, 0.0], [0.002, 0.004]], [-3.1, 0.1])
-
-    def forecast(**kw):
-        return cbd_forecast(params, rwd, **kw)
-
-    return forecast
+    return lambda **kw: cbd_forecast(params, **kw)
 
 
 MODELS = {"sl": sl_model, "lc": lc_model, "cbd": cbd_model}
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
 
 
 @pytest.mark.parametrize("model", sorted(MODELS))
@@ -96,34 +83,44 @@ class TestSampleArray:
         assert out.shape == (7, N_AGES, 6)
         assert np.all((out >= 0.0) & (out <= 1.0))
 
-    def test_paths_independent_of_chunking(self, model):
-        # more paths than one chunk: the first paths match a 3-path forecast
+    @settings(max_examples=25, deadline=None)
+    @given(
+        counts=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+        chunks=st.tuples(st.integers(1, 48), st.integers(1, 48)),
+    )
+    # more paths than one default chunk against fewer than one
+    @example(counts=(PATH_CHUNK + 5, 3), chunks=(PATH_CHUNK, PATH_CHUNK))
+    def test_paths_independent_of_chunking(self, model, counts, chunks):
+        # path p is the same bits whatever n_paths and PATH_CHUNK are
         forecast = MODELS[model]()
-        many = forecast(horizon=6, n_paths=PATH_CHUNK + 5, seed=4)
-        few = forecast(horizon=6, n_paths=3, seed=4)
-        np.testing.assert_array_equal(many[:3], few)
-        assert not np.array_equal(many[PATH_CHUNK - 1], many[PATH_CHUNK])
+        outs = []
+        for n_paths, chunk in zip(counts, chunks):
+            # patched here, not by monkeypatch: hypothesis reruns the body per example
+            with mock.patch.object(timeseries, "PATH_CHUNK", chunk):
+                outs.append(forecast(horizon=6, n_paths=n_paths, seed=4))
+        common = min(counts)
+        np.testing.assert_array_equal(bits(outs[0][:common]), bits(outs[1][:common]))
+        # no chunk repeats another's draws
+        longest = max(outs, key=len)
+        assert len(np.unique(longest.reshape(len(longest), -1), axis=0)) == len(longest)
 
 
 class TestInvalidPaths:
     def test_non_monotone_path_is_named(self):
         kappa = np.array([-1.0, 1.0]) / np.sqrt(2.0)
+        # alpha2 falls by 0.2 a year, exactly, so the walk has that drift and
+        # no noise; past -0.53 survival at 61 overtakes 60
         params = SlParams(
-            alpha1=np.zeros(2), alpha2=np.zeros(2), kappa=kappa,
-            base_survival=np.array([0.9, 0.8]), t0=1999,
-            ages=AgeRange(60, 61), years=YearRange(2000, 2001),
-        )
-        # alpha2 drifts down by 0.2 a year; past -0.53 survival at 61 overtakes 60
-        rwd = RwdParams(
-            drift=np.array([0.0, -0.2]), innovation_factor=np.zeros((2, 2)),
-            last_state=np.zeros(2), last_year=2001,
+            alpha1=np.zeros(3), alpha2=np.array([0.4, 0.2, 0.0]), kappa=kappa,
+            base_survival=np.array([0.9, 0.8]), t0=1998,
+            ages=AgeRange(60, 61), years=YearRange(1999, 2001),
         )
         with pytest.raises(DomainError, match="from age 60 to 61 in year 2004$"):
-            sl_forecast(params, rwd, horizon=4)
+            sl_forecast(params, horizon=4)
         with pytest.raises(
             DomainError, match="from age 60 to 61 in year 2004 on sample path 0$"
         ):
-            sl_forecast(params, rwd, horizon=4, n_paths=3, seed=0)
+            sl_forecast(params, horizon=4, n_paths=3, seed=0)
 
     def test_check_names_path_age_and_year(self):
         block = np.full((3, N_AGES, 2), 0.01)

@@ -8,7 +8,6 @@ from mortcast import (
     DomainError,
     FitConfig,
     LDiffSurface,
-    RwdParams,
     SlParams,
     SynthConfig,
     YearRange,
@@ -315,74 +314,51 @@ class TestFit:
 
 
 class TestForecast:
-    @staticmethod
-    def params_2x2():
-        return SlParams(
-            alpha1=np.array([0.0, -0.2]),
-            alpha2=np.array([0.01, 0.0]),
-            kappa=np.array([-INV_SQRT_2, INV_SQRT_2]),
-            base_survival=np.array([0.9, 0.8]),
-            t0=1999,
-            ages=AgeRange(60, 61),
-            years=YearRange(2000, 2001),
-        )
+    """The forecast walks the (alpha1, alpha2) of the 1999-2001 fit: dyadic affine
+    series calibrate to their exact step and a zero innovation factor."""
 
     @staticmethod
-    def walk(drift, factor, last_state, last_year=2001):
-        drift = np.asarray(drift, dtype=float)
-        return RwdParams(
-            drift=drift,
-            innovation_factor=np.asarray(factor, dtype=float),
-            last_state=np.asarray(last_state, dtype=float),
-            last_year=last_year,
+    def params_2x2(alpha1, alpha2):
+        return SlParams(
+            alpha1=np.array(alpha1),
+            alpha2=np.array(alpha2),
+            kappa=np.array([-INV_SQRT_2, INV_SQRT_2]),
+            base_survival=np.array([0.9, 0.8]),
+            t0=1998,
+            ages=AgeRange(60, 61),
+            years=YearRange(1999, 2001),
         )
 
     def test_one_step_hand_check(self):
-        params = self.params_2x2()
+        # drift (0.125, 0.0625) from (-0.25, 0.0)
+        params = self.params_2x2([-0.5, -0.375, -0.25], [-0.125, -0.0625, 0.0])
         base = params.base_survival
-        rwd = self.walk([0.1, 0.05], np.zeros((2, 2)), [-0.2, 0.0])
-        out = sl_forecast(params, rwd, horizon=1)
+        out = sl_forecast(params, horizon=1)
         assert out.years == YearRange(2002, 2002)
-        delta = -0.1 + 0.05 * params.kappa
+        delta = -0.125 + 0.0625 * params.kappa
         s = np.array(
             [l_inverse(l_transform(base[i]) + delta[i]) for i in range(2)]
         )
         np.testing.assert_allclose(out.values[:, 0], survival_to_q(s), atol=1e-14)
 
     def test_zero_drift_repeats_state(self):
-        params = self.params_2x2()
-        rwd = self.walk([0.0, 0.0], np.zeros((2, 2)), [-0.3, 0.4])
-        out = sl_forecast(params, rwd, horizon=5)
+        params = self.params_2x2([-0.3] * 3, [0.4] * 3)
+        out = sl_forecast(params, horizon=5)
         expected = survival_to_q(invert_l_diff(-0.3 + 0.4 * params.kappa, params.base_survival))
         for h in range(5):
             np.testing.assert_allclose(out.values[:, h], expected, atol=1e-14)
 
     def test_degenerate_sample_matches_central(self):
-        params = self.params_2x2()
-        rwd = self.walk([0.05, -0.01], np.zeros((2, 2)), [-0.3, 0.4])
-        central = sl_forecast(params, rwd, horizon=4)
-        out = sl_forecast(params, rwd, horizon=4, n_paths=3, seed=9)
+        # drift (0.0625, -0.015625) from (-0.25, 0.375), zero factor
+        params = self.params_2x2([-0.375, -0.3125, -0.25], [0.40625, 0.390625, 0.375])
+        central = sl_forecast(params, horizon=4)
+        out = sl_forecast(params, horizon=4, n_paths=3, seed=9)
         assert out.shape == (3, 2, 4)
         for p in range(3):
             np.testing.assert_array_equal(out[p], central.values)
 
     def test_non_monotone_curve_raises(self):
-        params = self.params_2x2()
         # a large negative alpha2 state pushes old-age survival above young-age
-        rwd = self.walk([0.0, 0.0], np.zeros((2, 2)), [0.0, -3.0])
+        params = self.params_2x2([0.0] * 3, [-3.0] * 3)
         with pytest.raises(DomainError):
-            sl_forecast(params, rwd, horizon=1)
-
-    def test_walk_shape_validation(self):
-        params = self.params_2x2()
-        bad_dim = RwdParams(
-            drift=np.zeros(1),
-            innovation_factor=np.zeros((1, 1)),
-            last_state=np.zeros(1),
-            last_year=2001,
-        )
-        with pytest.raises(DomainError):
-            sl_forecast(params, bad_dim, horizon=1)
-        stale = self.walk([0.0, 0.0], np.zeros((2, 2)), [0.0, 0.0], last_year=2000)
-        with pytest.raises(DomainError):
-            sl_forecast(params, stale, horizon=1)
+            sl_forecast(params, horizon=1)

@@ -7,7 +7,6 @@ from hypothesis.extra import numpy as hnp
 from mortcast import (
     DomainError,
     RwdParams,
-    YearRange,
     calibrate_rwd,
     forecast_states,
     path_quantiles,
@@ -18,13 +17,12 @@ from mortcast import timeseries
 from mortcast.timeseries import PATH_CHUNK
 
 
-def make_params(drift, factor, last_state, last_year=2009):
+def make_params(drift, factor, last_state):
     drift = np.atleast_1d(np.asarray(drift, dtype=float))
     return RwdParams(
         drift=drift,
         innovation_factor=np.asarray(factor, dtype=float),
         last_state=np.atleast_1d(np.asarray(last_state, dtype=float)),
-        last_year=last_year,
     )
 
 
@@ -45,37 +43,32 @@ def bits(a):
 class TestCalibrate:
     def test_constant_series_exact_zero(self):
         series = np.tile([1.0, 2.0], (5, 1))
-        params = calibrate_rwd(series, YearRange(2000, 2004))
+        params = calibrate_rwd(series)
         np.testing.assert_array_equal(params.drift, [0.0, 0.0])
         np.testing.assert_array_equal(params.innovation_factor, np.zeros((2, 2)))
         np.testing.assert_array_equal(params.last_state, [1.0, 2.0])
-        assert params.last_year == 2004
 
     def test_affine_series_exact(self):
         t = np.arange(5, dtype=float)
         series = np.column_stack([1.0 + 0.5 * t, 3.0 - 2.0 * t])
-        params = calibrate_rwd(series, YearRange(2000, 2004))
+        params = calibrate_rwd(series)
         np.testing.assert_array_equal(params.drift, [0.5, -2.0])
         np.testing.assert_array_equal(params.innovation_factor, np.zeros((2, 2)))
 
     def test_one_dimensional_series(self):
-        params = calibrate_rwd(np.array([0.0, 1.0, 2.0, 3.0]), YearRange(2000, 2003))
+        params = calibrate_rwd(np.array([0.0, 1.0, 2.0, 3.0]))
         assert params.dim == 1
         assert params.drift[0] == 1.0
         assert params.innovation_factor[0, 0] == 0.0
 
     def test_minimum_length(self):
         with pytest.raises(DomainError):
-            calibrate_rwd(np.zeros((2, 2)), YearRange(2000, 2001))
-
-    def test_years_must_match_rows(self):
-        with pytest.raises(DomainError):
-            calibrate_rwd(np.zeros((4, 2)), YearRange(2000, 2002))
+            calibrate_rwd(np.zeros((2, 2)))
 
     def test_factor_reproduces_sample_covariance(self):
         rng = np.random.default_rng(17)
         series = np.cumsum(rng.normal(size=(50, 3)), axis=0)
-        params = calibrate_rwd(series, YearRange(1960, 2009))
+        params = calibrate_rwd(series)
         diffs = np.diff(series, axis=0)
         cov = np.cov(diffs, rowvar=False, ddof=1)
         a = params.innovation_factor
@@ -90,7 +83,7 @@ class TestCalibrate:
         factor = np.array([[0.2, 0.0], [0.0, 0.05]])
         z = rng.standard_normal((n, 2))
         series = np.vstack([np.zeros(2), np.cumsum(drift + z @ factor.T, axis=0)])
-        params = calibrate_rwd(series, YearRange(0, n))
+        params = calibrate_rwd(series)
         se = np.sqrt(np.diag(factor @ factor.T) / n)
         assert np.all(np.abs(params.drift - drift) <= 3.0 * se)
         est_cov = params.innovation_factor @ params.innovation_factor.T
@@ -117,7 +110,6 @@ class TestRwdParams:
                 drift=np.zeros(2),
                 innovation_factor=np.zeros((2, 2)),
                 last_state=np.zeros(3),
-                last_year=2009,
             )
 
 
@@ -261,9 +253,17 @@ class TestPathQuantiles:
     )
     # one path: numpy takes its value as b - (b - a) * (1 - g) with g = 1, keeping -0.0
     @example(values=np.array([[[-0.0]]]), probs=[0.0])
+    # mixed signed zeros: the median is -0.0 here and 0.0 from np.quantile
+    @example(values=np.array([-0.0, -0.0, 0.0, -1.0]).reshape(4, 1, 1), probs=[0.5])
     def test_property_matches_numpy(self, values, probs):
         expected = np.quantile(values, probs, axis=0)
-        np.testing.assert_array_equal(bits(path_quantiles(values.copy(), probs)), bits(expected))
+        got = path_quantiles(values.copy(), probs)
+        # numpy's partition leaves equal zeros in no defined order, so a cell whose
+        # paths mix -0.0 and +0.0 matches by value; every other cell bit for bit
+        zero = values == 0.0
+        mixed = (zero & np.signbit(values)).any(axis=0) & (zero & ~np.signbit(values)).any(axis=0)
+        np.testing.assert_array_equal(got[:, mixed], expected[:, mixed])
+        np.testing.assert_array_equal(bits(got[:, ~mixed]), bits(expected[:, ~mixed]))
 
     def test_sorts_input_in_place(self):
         values = np.random.default_rng(1).random((50, 2, 3))
