@@ -176,7 +176,9 @@ def lc_forecast(
 ):
     """Death-probability forecast: :meth:`LcParams.q_of` of the projected kappa_t.
 
-    Central without ``n_paths``, sampled with it: see :func:`~mortcast.timeseries.forecast_q`.
+    Central without ``n_paths``, sampled with it as a non-contiguous
+    (n_paths, n_ages, horizon) view of path-last storage: see
+    :func:`~mortcast.timeseries.forecast_q`.
     """
     return forecast_q(params, params.q_of, horizon, n_paths, seed)
 
@@ -186,6 +188,8 @@ def cbd_forecast(
 ):
     """Death-probability forecast: :meth:`CbdParams.q_of` of the projected kappa.
 
-    Central without ``n_paths``, sampled with it: see :func:`~mortcast.timeseries.forecast_q`.
+    Central without ``n_paths``, sampled with it as a non-contiguous
+    (n_paths, n_ages, horizon) view of path-last storage: see
+    :func:`~mortcast.timeseries.forecast_q`.
     """
     return forecast_q(params, params.q_of, horizon, n_paths, seed)

@@ -36,7 +36,7 @@ from .ingest import (
 from .lifetable import AGE, YEAR, AgeRange, MortalitySurface, YearRange, surface_central_rate_to_q
 from .models import MODELS
 from .sl_model import FitConfig
-from .timeseries import PATH_LIMIT, path_quantiles
+from .timeseries import PATH_LIMIT, forecast_years, path_quantiles
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -332,7 +332,7 @@ def cmd_forecast(args) -> int:
         paths = model.forecast(params, args.horizon, n_paths=args.paths, seed=args.seed)
         # nothing else holds the paths array, so the quantiles may reorder it
         bands = path_quantiles(paths, QUANTILE_PROBS)
-        years = YearRange(params.years.t_max + 1, params.years.t_max + args.horizon)
+        years = forecast_years(params, args.horizon)
         export_quantiles_csv(bands, params.ages, years, out_dir / "quantiles.csv", comments=header)
         print(f"wrote {out_dir / 'quantiles.csv'}")
     return EXIT_OK

@@ -143,10 +143,12 @@ class SynthConfig:
         if not (self.gompertz_a > 0.0 and self.gompertz_b > 0.0):
             a, b = self.gompertz_a, self.gompertz_b
             raise DomainError(f"Gompertz level and slope must be positive, got {a} and {b}")
-        if not np.isfinite(self.improvement):
-            raise DomainError(f"improvement must be finite, got {self.improvement}")
         if not self.noise_sd >= 0.0:
             raise DomainError(f"noise_sd must be nonnegative, got {self.noise_sd}")
+        for name in ("gompertz_a", "gompertz_b", "improvement", "noise_sd"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
         if self.seed < 0:
             raise DomainError(f"seed must be a nonnegative integer, got {self.seed}")
 

@@ -259,7 +259,9 @@ def sl_forecast(
     :meth:`SlParams.q_of` to the projected states in one array expression:
     one surface over the years after the fit window without ``n_paths``, an
     (n_paths, n_ages, horizon) array with it, whose path p is reproducible
-    from ``seed`` alone (see :func:`~mortcast.timeseries.forecast_q`).
+    from ``seed`` alone. That array is a non-contiguous view of path-last
+    storage: copy it before relying on C order (see
+    :func:`~mortcast.timeseries.forecast_q`).
 
     A projected curve is always inside (0, 1); if a sampled path produces a
     non-monotone curve, DomainError names the path, the year and the two

@@ -262,8 +262,10 @@ def path_quantiles(paths: np.ndarray, probs) -> np.ndarray:
     mix -0.0 and +0.0: numpy's partition leaves equal zeros in no defined
     order, so there a zero result may differ from numpy's in its sign bit.
     ``paths`` is sorted in place along its first axis, so its rows come back
-    reordered, and no copy of it is made. The values must be finite, as
-    forecast_q guarantees for its sample arrays.
+    reordered, and no copy of it is made. The sort is fastest when each
+    cell's paths are contiguous, as in the path-last storage behind
+    forecast_q's sample arrays. The values must be finite, as forecast_q
+    guarantees for those arrays.
     """
     if any(not 0.0 <= q <= 1.0 for q in probs):
         raise DomainError(f"quantile probabilities must lie in [0, 1], got {list(probs)}")
@@ -295,34 +297,46 @@ def forecast_states(
     return simulate_paths(params, horizon, n_paths, seed)
 
 
+def forecast_years(params, horizon: int) -> YearRange:
+    """The ``horizon`` years that follow the fit ``params``: the years of a forecast."""
+    last = params.years.t_max
+    return YearRange(last + 1, last + horizon)
+
+
 def forecast_q(params, q_of, horizon: int, n_paths: int | None = None, seed: int | None = None):
-    """Death probabilities for the ``horizon`` years after the fit ``params``.
+    """Death probabilities for the :func:`forecast_years` after the fit ``params``.
 
     The walk is :func:`calibrate_rwd` of the params' :func:`time_indices`,
     and the forecast covers ``params.ages``. ``q_of`` is the model's array
     expression: it maps states of shape (..., horizon, dim) to death
     probabilities of shape (..., n_ages, horizon). Without ``n_paths`` it
     maps the central projection to one validated MortalitySurface. With
-    ``n_paths`` it maps the simulated paths PATH_CHUNK at a time into one
-    preallocated (n_paths, n_ages, horizon) array, checking each block once
-    (finite, inside [0, 1], first bad cell named by path, age and year),
-    and returns the array. A DomainError that ``q_of`` raises with a
-    ``cell`` has the path ``cell[0]`` of the block, and is re-raised naming
-    that sample path.
+    ``n_paths`` it maps the simulated paths PATH_CHUNK at a time, checking
+    each block once (finite, inside [0, 1], first bad cell named by path,
+    age and year), and returns an (n_paths, n_ages, horizon) array. A
+    DomainError that ``q_of`` raises with a ``cell`` has the path
+    ``cell[0]`` of the block, and is re-raised naming that sample path.
+
+    The sample array is stored path-last, (n_ages, horizon, n_paths) in C
+    order, so that each cell's paths are contiguous for
+    :func:`path_quantiles`; the returned array is a non-contiguous view of
+    that storage with the path axis moved first. Reorder it freely, but
+    copy it before relying on C order.
     """
     states = forecast_states(calibrate_rwd(time_indices(params)), horizon, n_paths, seed)
-    ages, last = params.ages, params.years.t_max
-    years = YearRange(last + 1, last + horizon)
+    ages, years = params.ages, forecast_years(params, horizon)
     if n_paths is None:
         return MortalitySurface(ages, years, SurfaceKind.DEATH_PROB, q_of(states))
-    out = np.empty((states.shape[0], len(ages), horizon))
+    out = np.empty((len(ages), horizon, states.shape[0]))
     for start in range(0, states.shape[0], PATH_CHUNK):
-        block = out[start : start + PATH_CHUNK]
         try:
-            block[...] = q_of(states[start : start + PATH_CHUNK])
+            block = q_of(states[start : start + PATH_CHUNK])
         except DomainError as exc:
             if not exc.cell:
                 raise
             raise DomainError(f"{exc} on sample path {start + exc.cell[0]}") from None
         check_surface_values(block, SurfaceKind.DEATH_PROB, ages, years, first_path=start)
-    return out
+        out[..., start : start + PATH_CHUNK] = np.moveaxis(block, 0, -1)
+        # freed before the next chunk's temporaries are made
+        del block
+    return np.moveaxis(out, -1, 0)

@@ -436,7 +436,7 @@ class TestNegativeSeed:
 
 
 class TestNonFiniteConfig:
-    """A NaN generator or fit setting is a usage error (exit 1), caught before any work."""
+    """A NaN or infinite generator or fit setting is a usage error (exit 1), caught early."""
 
     @pytest.mark.parametrize(
         "flag, value, message",
@@ -446,6 +446,9 @@ class TestNonFiniteConfig:
             ("--gompertz-b", "nan", "Gompertz level and slope must be positive, got 0.005 and nan"),
             ("--improvement", "nan", "improvement must be finite, got nan"),
             ("--improvement", "inf", "improvement must be finite, got inf"),
+            ("--gompertz-a", "inf", "gompertz_a must be finite, got inf"),
+            ("--gompertz-b", "inf", "gompertz_b must be finite, got inf"),
+            ("--noise-sd", "inf", "noise_sd must be finite, got inf"),
         ],
     )
     def test_synth_setting(self, tmp_path, capsys, flag, value, message):

@@ -1,4 +1,4 @@
-"""Sample-mode forecasts as (n_paths, n_ages, horizon) arrays built in path chunks."""
+"""Sample-mode forecasts: (n_paths, n_ages, horizon) views of path-last arrays filled in chunks."""
 
 from unittest import mock
 
@@ -20,8 +20,9 @@ from mortcast import (
     sl_forecast,
 )
 from mortcast import timeseries
+from mortcast.ingest import QUANTILE_PROBS
 from mortcast.lifetable import check_surface_values
-from mortcast.timeseries import PATH_CHUNK
+from mortcast.timeseries import PATH_CHUNK, path_quantiles
 
 AGES = AgeRange(60, 64)
 YEARS = YearRange(2000, 2004)
@@ -82,6 +83,14 @@ class TestSampleArray:
         assert isinstance(out, np.ndarray)
         assert out.shape == (7, N_AGES, 6)
         assert np.all((out >= 0.0) & (out <= 1.0))
+
+    def test_paths_are_stored_path_last(self, model):
+        # each cell's paths are contiguous, and sorting that storage gives numpy's quantiles
+        out = MODELS[model]()(horizon=6, n_paths=PATH_CHUNK + 9, seed=5)
+        assert np.moveaxis(out, 0, -1).flags.c_contiguous
+        copy = out.copy()
+        bands = path_quantiles(out, QUANTILE_PROBS)
+        np.testing.assert_array_equal(bits(bands), bits(np.quantile(copy, QUANTILE_PROBS, axis=0)))
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -197,6 +197,41 @@ class TestNormalizeGauge:
                 out.fitted_surface(), scaled.fitted_surface(), atol=1e-13
             )
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_affine_regauge_is_undone(self, data):
+        n_ages, n_years = data.draw(st.integers(3, 10)), data.draw(st.integers(1, 8))
+        kappa = np.array(
+            data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n_ages, max_size=n_ages))
+        )
+        assume(np.ptp(kappa) >= 0.5)
+        alpha1, alpha2 = (
+            np.array(data.draw(st.lists(st.floats(-b, b), min_size=n_years, max_size=n_years)))
+            for b in (5.0, 2.0)
+        )
+        # kappa -> s * kappa + m, with alpha1 and alpha2 moved so the fit is the same
+        s = data.draw(st.floats(0.1, 10.0)) * data.draw(st.sampled_from([-1.0, 1.0]))
+        m = data.draw(st.floats(-5.0, 5.0))
+        regauged = SlParams(
+            alpha1=alpha1 - m * alpha2 / s,
+            alpha2=alpha2 / s,
+            kappa=s * kappa + m,
+            base_survival=np.linspace(0.95, 0.5, n_ages),
+            t0=1999,
+            ages=AgeRange(60, 59 + n_ages),
+            years=YearRange(2000, 1999 + n_years),
+        )
+        out = normalize_gauge(regauged)
+        assert out.kappa.sum() == pytest.approx(0.0, abs=1e-12)
+        assert out.kappa @ out.kappa == pytest.approx(1.0, abs=1e-12)
+        assert out.kappa[-1] >= 0.0
+        # rounding grows with the largest term of alpha1 + alpha2 * kappa
+        terms = [regauged.alpha1, np.outer(regauged.kappa, regauged.alpha2)]
+        scale = 1.0 + max(np.abs(t).max() for t in terms)
+        np.testing.assert_allclose(
+            out.fitted_surface(), regauged.fitted_surface(), rtol=0, atol=1e-14 * scale
+        )
+
     def test_idempotent(self):
         rng = np.random.default_rng(5)
         _, params = manifold_delta(rng)
