@@ -103,8 +103,12 @@ class FitConfig:
         # written so that a NaN fails too
         if not self.epsilon > 0.0:
             raise DomainError(f"epsilon must be positive, got {self.epsilon}")
-        if self.k_max < 1:
-            raise DomainError("k_max must be a positive integer")
+        if not np.isfinite(self.epsilon):
+            raise DomainError(f"epsilon must be finite, got {self.epsilon}")
+        # bool is an int subclass, but no sweep budget
+        integral = isinstance(self.k_max, (int, np.integer)) and not isinstance(self.k_max, bool)
+        if not (integral and self.k_max >= 1):
+            raise DomainError(f"k_max must be a positive integer, got {self.k_max!r}")
 
 
 @dataclass(frozen=True)
@@ -185,6 +189,12 @@ def fit_sl(delta: LDiffSurface, config: FitConfig | None = None) -> tuple[SlPara
     diagnostics trace the pre-normalization objective, which is
     non-increasing across sweeps for gamma in (0, 2).
 
+    The sweep runs in buffers allocated once per fit, and each sweep
+    starts from the residual that the previous objective evaluation left
+    behind. It does the same float operations, in the same order, as
+    writing each step as one numpy expression on fresh arrays, so the
+    iterates are the same bits.
+
     Raises FitError if kappa collapses to the zero vector mid-fit, which
     makes the alpha2 step undefined.
     """
@@ -197,45 +207,59 @@ def fit_sl(delta: LDiffSurface, config: FitConfig | None = None) -> tuple[SlPara
     alpha1 = start.alpha1.copy()
     alpha2 = start.alpha2.copy()
     kappa = start.kappa.copy()
+    kappa_col = kappa[:, None]
     target = delta.values
     gamma = config.gamma
+    n_ages, n_years = target.shape
+
+    # per-fit buffers: resid holds target - alpha1 - alpha2 * kappa, work
+    # every product, steps the sweep's d1 | d2 | dk
+    resid = np.empty_like(target)
+    work = np.empty_like(target)
+    steps = np.empty(2 * n_years + n_ages)
+    d1 = steps[:n_years]
+    d2 = steps[n_years:2 * n_years]
+    dk = steps[2 * n_years:]
 
     def objective():
-        r = target - alpha1[None, :] - alpha2[None, :] * kappa[:, None]
-        return float(np.sum(r * r))
+        """Residual sum of squares; leaves the residual in resid."""
+        np.subtract(target, alpha1, out=resid)
+        np.multiply(alpha2, kappa_col, out=work)
+        np.subtract(resid, work, out=resid)
+        np.multiply(resid, resid, out=work)
+        return float(np.add.reduce(work, axis=None))
 
     trace = [objective()]
     converged = False
     max_delta = np.inf
     sweeps = 0
     for sweeps in range(1, config.k_max + 1):
-        resid = target - alpha1[None, :] - alpha2[None, :] * kappa[:, None]
-
-        d1 = gamma * resid.mean(axis=0)
+        # resid is the residual objective() left at the current parameters
+        np.true_divide(np.add.reduce(resid, axis=0), n_ages, out=d1)
+        np.multiply(gamma, d1, out=d1)
         alpha1 += d1
-        resid -= d1[None, :]
+        resid -= d1
 
         kk = kappa @ kappa
         if kk == 0.0:
             raise FitError("kappa collapsed to zero during fitting: the alpha2 step is undefined")
-        d2 = gamma * (kappa @ resid) / kk
+        np.multiply(gamma, kappa @ resid, out=d2)
+        np.true_divide(d2, kk, out=d2)
         alpha2 += d2
-        resid -= kappa[:, None] * d2[None, :]
+        np.multiply(kappa_col, d2, out=work)
+        resid -= work
 
         aa = alpha2 @ alpha2
         if aa > 0.0:
-            dk = gamma * (resid @ alpha2) / aa
+            np.multiply(gamma, resid @ alpha2, out=dk)
+            np.true_divide(dk, aa, out=dk)
             kappa += dk
         else:
             # objective is flat in kappa when alpha2 is identically zero
-            dk = np.zeros_like(kappa)
+            dk.fill(0.0)
 
         trace.append(objective())
-        max_delta = max(
-            float(np.max(np.abs(d1))),
-            float(np.max(np.abs(d2))),
-            float(np.max(np.abs(dk))),
-        )
+        max_delta = float(np.abs(steps).max())
         if max_delta < config.epsilon:
             converged = True
             break

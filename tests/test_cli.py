@@ -457,15 +457,24 @@ class TestNonFiniteConfig:
         assert capsys.readouterr().err == f"mortcast: usage error: {message}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["fit", "backtest"])
-    def test_epsilon(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize(
+        "command, value, message",
+        [
+            pytest.param("fit", "nan", "epsilon must be positive, got nan", id="fit"),
+            pytest.param("backtest", "nan", "epsilon must be positive, got nan", id="backtest"),
+            # accepted, epsilon = inf stopped every fit after one sweep as "converged"
+            pytest.param("fit", "inf", "epsilon must be finite, got inf", id="fit-inf"),
+            pytest.param("backtest", "inf", "epsilon must be finite, got inf", id="backtest-inf"),
+        ],
+    )
+    def test_epsilon(self, tmp_path, capsys, command, value, message):
         argv = {
             "fit": ["fit", "--model", "sl", *FIT_WINDOW],
             "backtest": ["backtest", *TestBacktest.ARGS],
         }[command]
         out = tmp_path / "out"
-        assert main([*argv, "--synth", "gompertz", "--epsilon", "nan", "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "mortcast: usage error: epsilon must be positive, got nan\n"
+        assert main([*argv, "--synth", "gompertz", "--epsilon", value, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"mortcast: usage error: {message}\n"
         assert not out.exists()
 
 

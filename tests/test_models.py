@@ -18,6 +18,7 @@ from mortcast import (
     SynthConfig,
     YearRange,
     evaluation,
+    generate_manifold,
     generate_synthetic,
     run_backtest,
     write_hmd,
@@ -30,6 +31,8 @@ from mortcast.timeseries import time_indices
 T0 = 1989
 FIT_YEARS = YearRange(1990, 2004)
 HOLDOUT = YearRange(2005, 2007)
+# the in-sample MSE that counts as exact recovery of a model's own manifold
+EXACT_MSE = 1e-20
 
 
 def bits(x):
@@ -87,6 +90,33 @@ def test_params_csv_round_trip(name, noise_sd, seed, x_min, n_ages):
         run_backtest(rates, config)
     _, in_sample = scored.call_args_list[0].args  # the fit-window score comes first
     np.testing.assert_array_equal(bits(read.q_of(indices)), bits(in_sample))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(MODELS)),
+    x_min=st.integers(0, 100),
+    n_ages=st.integers(2, 50),
+    fit_from=st.integers(1900, 2000),
+    n_fit=st.integers(3, 50),
+    holdout=st.integers(1, 30),
+)
+def test_exact_recovery_of_own_manifold(name, x_min, n_ages, fit_from, n_fit, holdout):
+    """Each model fits the surface its own exact generator makes to rounding.
+
+    The generated span starts at the reference year t0, which the SL
+    manifold uses as its base curve. Three fit years are the fewest the
+    walk calibration accepts.
+    """
+    fit_years = YearRange(fit_from, fit_from + n_fit - 1)
+    config = BacktestConfig(
+        ages=AgeRange(x_min, x_min + n_ages - 1), fit_years=fit_years,
+        forecast_years=YearRange(fit_years.t_max + 1, fit_years.t_max + holdout),
+        t0=fit_from - 1, models=(name.upper(),), mi_age=None,
+    )
+    span = YearRange(config.t0, config.forecast_years.t_max)
+    report = run_backtest(generate_manifold(name, config.ages, span), config)
+    assert report.metrics_for(name.upper()).fit_mse <= EXACT_MSE
 
 
 def test_params_leave_the_callers_arrays_writeable():

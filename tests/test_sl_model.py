@@ -67,6 +67,74 @@ def zero_delta(n_ages=5, n_years=4):
     )
 
 
+def reference_fit_sl(delta, config):
+    """fit_sl's sweep as plain numpy expressions, one fresh array per step.
+
+    The oracle of fit_sl's buffered sweep: the same float operations in the
+    same order, so every output must agree bit for bit.
+    """
+    start = init_sl(delta)
+    alpha1 = start.alpha1.copy()
+    alpha2 = start.alpha2.copy()
+    kappa = start.kappa.copy()
+    target = delta.values
+    gamma = config.gamma
+
+    def objective():
+        r = target - alpha1[None, :] - alpha2[None, :] * kappa[:, None]
+        return float(np.sum(r * r))
+
+    trace = [objective()]
+    converged = False
+    max_delta = np.inf
+    sweeps = 0
+    for sweeps in range(1, config.k_max + 1):
+        resid = target - alpha1[None, :] - alpha2[None, :] * kappa[:, None]
+
+        d1 = gamma * resid.mean(axis=0)
+        alpha1 += d1
+        resid -= d1[None, :]
+
+        kk = kappa @ kappa
+        d2 = gamma * (kappa @ resid) / kk
+        alpha2 += d2
+        resid -= kappa[:, None] * d2[None, :]
+
+        aa = alpha2 @ alpha2
+        if aa > 0.0:
+            dk = gamma * (resid @ alpha2) / aa
+            kappa += dk
+        else:
+            dk = np.zeros_like(kappa)
+
+        trace.append(objective())
+        max_delta = max(
+            float(np.max(np.abs(d1))),
+            float(np.max(np.abs(d2))),
+            float(np.max(np.abs(dk))),
+        )
+        if max_delta < config.epsilon:
+            converged = True
+            break
+
+    params = normalize_gauge(SlParams(
+        alpha1=alpha1, alpha2=alpha2, kappa=kappa, base_survival=start.base_survival,
+        t0=start.t0, ages=start.ages, years=start.years,
+    ))
+    return params, (sweeps, converged, np.asarray(trace), max_delta)
+
+
+def assert_same_fit_bits(delta, config):
+    params, diag = fit_sl(delta, config)
+    want, (sweeps, converged, trace, max_delta) = reference_fit_sl(delta, config)
+    for attr in ("alpha1", "alpha2", "kappa"):
+        assert np.array_equal(getattr(params, attr), getattr(want, attr)), attr
+    assert np.array_equal(diag.objective_trace, trace)
+    assert diag.iterations == sweeps
+    assert diag.converged is converged
+    assert np.array_equal(diag.max_param_delta, max_delta)
+
+
 class TestObjective:
     def test_exact_params_give_zero(self):
         rng = np.random.default_rng(1)
@@ -153,10 +221,13 @@ class TestFitConfig:
         FitConfig(gamma=1.999)
 
     def test_other_knobs(self):
-        with pytest.raises(DomainError):
-            FitConfig(epsilon=0.0)
-        with pytest.raises(DomainError):
-            FitConfig(k_max=0)
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(DomainError, match="epsilon must be"):
+                FitConfig(epsilon=bad)
+        for bad in (0, -3, 2.5, 3.0, True, "7"):
+            with pytest.raises(DomainError, match="k_max must be a positive integer"):
+                FitConfig(k_max=bad)
+        FitConfig(epsilon=1e300, k_max=np.int64(1))
 
 
 class TestNormalizeGauge:
@@ -340,6 +411,26 @@ class TestFit:
         assert not diag.converged
         assert diag.iterations == 2
         assert diag.max_param_delta >= 1e-8
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        noise_sd=st.floats(0.0, 0.05),
+        seed=st.integers(0, 2**32 - 1),
+        gamma=st.sampled_from([0.25, 0.5, 1.0, 1.5, 1.9]),
+        n_ages=st.integers(2, 9),
+        n_years=st.integers(2, 9),
+        k_max=st.integers(1, 150),
+    )
+    def test_sweep_matches_plain_reference_bit_for_bit(
+        self, noise_sd, seed, gamma, n_ages, n_years, k_max
+    ):
+        rng = np.random.default_rng(seed)
+        delta, _ = manifold_delta(rng, n_ages=n_ages, n_years=n_years, noise_sd=noise_sd)
+        assert_same_fit_bits(delta, FitConfig(gamma=gamma, k_max=k_max))
+
+    def test_zero_surface_matches_plain_reference(self):
+        # alpha2 starts and stays zero, so every sweep takes the flat-kappa branch
+        assert_same_fit_bits(zero_delta(), FitConfig())
 
     def test_needs_two_ages_and_years(self):
         with pytest.raises(DomainError):
