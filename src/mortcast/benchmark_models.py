@@ -55,7 +55,10 @@ class LcParams:
         force of mortality within each year.
         """
         kappa = states[..., None, :, 0]
-        return central_rate_to_q(np.exp(self.alpha_x[:, None] + self.beta_x[:, None] * kappa))
+        # an overflow gives an infinite rate, which central_rate_to_q then rejects
+        with np.errstate(over="ignore"):
+            m = np.exp(self.alpha_x[:, None] + self.beta_x[:, None] * kappa)
+        return central_rate_to_q(m)
 
 
 @dataclass(frozen=True)

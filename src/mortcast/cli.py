@@ -197,10 +197,10 @@ def _synthesize(name: str, ages: AgeRange, years: YearRange, **gompertz) -> Mort
     return generate_manifold(name, ages, years)
 
 
-def _resolved_header(args, skip=("command",)) -> list[str]:
+def _resolved_header(args) -> list[str]:
     lines = []
     for key in sorted(vars(args)):
-        if key in skip:
+        if key == "command":
             continue
         lines.append(f"{key} = {getattr(args, key)}")
     return lines
@@ -366,9 +366,8 @@ def cmd_backtest(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     export_csv(report, out_dir / "report.csv", comments=header)
     print(f"wrote {out_dir / 'report.csv'}")
-    if report.mi_observed is not None:
-        export_mi_csv(report, out_dir / "mi_rates.csv", comments=header)
-        print(f"wrote {out_dir / 'mi_rates.csv'}")
+    export_mi_csv(report, out_dir / "mi_rates.csv", comments=header)
+    print(f"wrote {out_dir / 'mi_rates.csv'}")
     if report.sl_converged is False:
         print("SL fit did not converge within k_max sweeps", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

@@ -56,17 +56,17 @@ def mape(observed, estimated, denominator: str = "estimate") -> float:
     return float(np.mean(np.abs(x - xh) / den) * 100.0)
 
 
-def mi_rate(q_series, q_ref: float, scale: float = 100.0):
-    """Cumulative mortality-improvement rate against a reference year.
+def mi_rate(q_series, q_ref: float):
+    """Cumulative mortality-improvement rate against a reference year, in percent.
 
-    Delta_t = -log(q_t / q_ref) * scale; positive when mortality improved.
+    Delta_t = -100 * log(q_t / q_ref); positive when mortality improved.
     """
     q = np.asarray(q_series, dtype=float)
     if not (0.0 < q_ref < 1.0):
         raise DomainError(f"reference probability must lie in (0, 1), got {q_ref}")
     if np.any(q <= 0.0) or np.any(q >= 1.0):
         raise DomainError("probabilities must lie strictly inside (0, 1)")
-    return -np.log(q / q_ref) * scale
+    return -np.log(q / q_ref) * 100.0
 
 
 def mape_delta_last_two(obs_delta, est_delta) -> float:
@@ -90,8 +90,9 @@ class BacktestConfig:
 
     Defaults reproduce the standard setup: ages 60-94, fit 1960-1989,
     holdout 1990-2009, reference year 1959, all three models, central
-    forecasts, improvement rates tracked at age 65 against the final fit
-    year.
+    forecasts. Every backtest tracks improvement rates at ``mi_age``, an
+    age of the window (default 65), against ``mi_ref_year``, which is t0 or
+    a fit year (default the final fit year).
     """
 
     ages: AgeRange = AgeRange(60, 94)
@@ -100,7 +101,7 @@ class BacktestConfig:
     t0: int = 1959
     models: tuple[str, ...] = MODEL_ORDER
     mape_denominator: str = "estimate"
-    mi_age: int | None = 65
+    mi_age: int = 65
     mi_ref_year: int | None = None
     fit: FitConfig = field(default_factory=FitConfig)
 
@@ -119,7 +120,7 @@ class BacktestConfig:
             raise DomainError(f"unknown models {unknown}; choose from {MODEL_ORDER}")
         if self.mape_denominator not in ("estimate", "observed"):
             raise DomainError(f"unknown denominator convention {self.mape_denominator!r}")
-        if self.mi_age is not None and self.mi_age not in self.ages:
+        if self.mi_age not in self.ages:
             raise DomainError(f"improvement-rate age {self.mi_age} outside {self.ages}")
         ref = self.mi_ref_year
         if ref is not None and ref not in self.fit_years and ref != self.t0:
@@ -161,8 +162,8 @@ class BacktestReport:
     sex: str
     config: BacktestConfig
     metrics: tuple[ModelMetrics, ...]
-    mi_observed: np.ndarray | None
-    mi_forecast: dict[str, np.ndarray] | None
+    mi_observed: np.ndarray
+    mi_forecast: dict[str, np.ndarray]
     sl_converged: bool | None
 
     def metrics_for(self, model: str) -> ModelMetrics:
@@ -226,21 +227,14 @@ def run_backtest(
         for label, (q_hat_fit, q_hat_out) in estimates.items()
     ]
 
-    mi_observed = None
-    mi_forecast = None
-    if config.mi_age is not None:
-        i = config.ages.index(config.mi_age)
-        ref = config.ref_year
-        q_ref = float(q_all.values[i, q_all.years.index(ref)])
-        mi_observed = mi_rate(q_out_obs.values[i, :], q_ref)
-        mi_forecast = {label: mi_rate(out[i, :], q_ref) for label, (_, out) in estimates.items()}
-
+    i = config.ages.index(config.mi_age)
+    q_ref = float(q_all.values[i, q_all.years.index(config.ref_year)])
     return BacktestReport(
         country=country,
         sex=sex,
         config=config,
         metrics=tuple(metrics),
-        mi_observed=mi_observed,
-        mi_forecast=mi_forecast,
+        mi_observed=mi_rate(q_out_obs.values[i, :], q_ref),
+        mi_forecast={label: mi_rate(out[i, :], q_ref) for label, (_, out) in estimates.items()},
         sl_converged=sl_converged,
     )

@@ -31,6 +31,7 @@ from .transforms import invert_l_diff, logistic
 _HMD_HEADER = ("Year", "Age", "Female", "Male", "Total")
 _COLUMNS = {"female": 0, "male": 1, "total": 2}  # index among a row's three values
 _OPEN_AGE = 110
+_FIRST_YEAR = 1750  # the earliest year an HMD table may hold
 # probabilities of the sample-forecast bands in quantiles.csv
 QUANTILE_PROBS = (0.05, 0.5, 0.95)
 
@@ -94,7 +95,7 @@ def parse_hmd(source, column: str, ages: AgeRange, years: YearRange) -> Mortalit
         open_age = fields[1] == open_token
         age = _OPEN_AGE if open_age else _number(fields[1], int, "age", line_no)
         cells = [None if t == "." else _number(t, float, "value", line_no) for t in fields[2:]]
-        if year < 1750:
+        if year < _FIRST_YEAR:
             raise ParseError(f"line {line_no}: implausible year {year}")
         if not 0 <= age <= _OPEN_AGE:
             raise ParseError(f"line {line_no}: age {age} outside [0, {_OPEN_AGE}]")
@@ -263,8 +264,16 @@ def generate_manifold(manifold: str, ages: AgeRange, years: YearRange) -> Mortal
 def write_hmd(surface: MortalitySurface, destination, title: str = "synthetic") -> None:
     """Write a surface in the HMD 1x1 layout so parse_hmd can read it back.
 
-    The surface's values land in all three sex columns.
+    The surface's values land in all three sex columns. A surface with an
+    age above _OPEN_AGE or a year before _FIRST_YEAR, which parse_hmd
+    rejects, is refused before anything is written.
     """
+    if surface.ages.x_max > _OPEN_AGE:
+        age = max(surface.ages.x_min, _OPEN_AGE + 1)
+        raise DomainError(f"HMD tables hold ages 0-{_OPEN_AGE}, cannot write age {age}")
+    if surface.years.t_min < _FIRST_YEAR:
+        year = surface.years.t_min
+        raise DomainError(f"HMD tables start in {_FIRST_YEAR}, cannot write year {year}")
     lines = [title, "", "   ".join(_HMD_HEADER)]
     for t, column in zip(surface.years, surface.values.T.tolist()):
         for x, value in zip(surface.ages, column):
@@ -329,9 +338,10 @@ def export_csv(obj, destination, comments=()) -> None:
 
 
 def export_mi_csv(report: BacktestReport, destination, comments=()) -> None:
-    """Improvement-rate series: observed and per-model columns by year."""
-    if report.mi_observed is None:
-        raise DomainError("report carries no improvement-rate series")
+    """Improvement rates at the backtest's ``mi_age``, in percent, by holdout year.
+
+    Header "year,observed,<model>...": the observed series, then each model's.
+    """
     models = [m.model for m in report.metrics]
     columns = [report.mi_observed.tolist()] + [report.mi_forecast[m].tolist() for m in models]
     rows = zip(report.config.forecast_years, *columns)

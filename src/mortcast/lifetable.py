@@ -218,11 +218,11 @@ class MortalitySurface:
         return MortalitySurface(ages, years, self.kind, block)
 
 
-def _as_float_array(x, name: str) -> tuple[np.ndarray, bool]:
+def _as_float_array(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{name} must be finite")
-    return arr, arr.ndim == 0
+    return arr
 
 
 def central_rate_to_q(m):
@@ -230,24 +230,22 @@ def central_rate_to_q(m):
 
     Accepts scalars or arrays; elementwise on arrays.
     """
-    arr, scalar = _as_float_array(m, "central rate")
+    arr = _as_float_array(m, "central rate")
     if np.any(arr < 0.0):
         raise DomainError("central rate must be nonnegative")
-    q = -np.expm1(-arr)
-    return float(q) if scalar else q
+    return -np.expm1(-arr)
 
 
 def q_to_central_rate(q):
     """Central death rate -log(1 - q) from a death probability in [0, 1)."""
-    arr, scalar = _as_float_array(q, "death probability")
+    arr = _as_float_array(q, "death probability")
     if np.any(arr < 0.0) or np.any(arr >= 1.0):
         raise DomainError("death probability must lie in [0, 1)")
-    m = -np.log1p(-arr)
-    return float(m) if scalar else m
+    return -np.log1p(-arr)
 
 
 def _validate_q_vector(q_col) -> np.ndarray:
-    q, _ = _as_float_array(q_col, "death probabilities")
+    q = _as_float_array(q_col, "death probabilities")
     if q.ndim != 1 or q.size == 0:
         raise DomainError("expected a non-empty 1-d vector of death probabilities")
     if np.any(q < 0.0):
@@ -280,7 +278,7 @@ def survival_to_q(s_col) -> np.ndarray:
     the same shape. If a curve increases, the DomainError's ``cell`` is the
     index of the last position before the first increase.
     """
-    s, _ = _as_float_array(s_col, "survival values")
+    s = _as_float_array(s_col, "survival values")
     if s.ndim == 0 or s.shape[-1] == 0:
         raise DomainError("expected non-empty survival curves")
     if np.any(s <= 0.0):

@@ -47,16 +47,17 @@ _MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
 
 
-def _psd_cholesky(cov: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
+def _psd_cholesky(cov: np.ndarray) -> np.ndarray:
     """Lower-triangular factor L with L @ L.T ~= cov for PSD cov.
 
-    Columns whose pivot falls at or below the tolerance are zeroed, so
-    semidefinite covariances (deterministic directions) factor cleanly
-    instead of failing. An exactly zero covariance gives exactly zero L.
+    Columns whose pivot falls at or below 1e-12 times the largest variance
+    are zeroed, so semidefinite covariances (deterministic directions)
+    factor cleanly instead of failing. An exactly zero covariance gives
+    exactly zero L.
     """
     n = cov.shape[0]
     L = np.zeros_like(cov)
-    tol = rel_tol * max(float(np.max(np.abs(np.diag(cov)))), 0.0)
+    tol = 1e-12 * max(float(np.max(np.abs(np.diag(cov)))), 0.0)
     for j in range(n):
         d = cov[j, j] - L[j, :j] @ L[j, :j]
         if d <= tol:
@@ -108,17 +109,15 @@ class RwdParams:
 def calibrate_rwd(series) -> RwdParams:
     """Gaussian maximum-likelihood calibration on first differences.
 
-    ``series`` holds the observed states, one row per year: shape (n,) for
-    one dimension or (n, dim). The drift is the mean first difference and
-    the innovation factor the Cholesky factor of their sample covariance
-    (denominator n-1). A series with identical differences therefore
+    ``series`` holds the observed states, one row per year and one column
+    per dimension: shape (n, dim), also when dim is 1. The drift is the
+    mean first difference and the innovation factor the Cholesky factor of
+    their sample covariance (denominator n-1). A series with identical differences therefore
     calibrates to a zero factor.
     """
     arr = np.asarray(series, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
     if arr.ndim != 2 or not np.all(np.isfinite(arr)):
-        raise DomainError("series must be a finite (n,) or (n, dim) array")
+        raise DomainError("series must be a finite (n, dim) array")
     if len(arr) < 3:
         raise DomainError("need at least 3 observations to estimate the innovation covariance")
 

@@ -54,26 +54,23 @@ def l_transform(s):
 
     Accepts scalars or arrays. Values within 1e-15 of 1 are rejected.
     """
-    arr, scalar = _as_float_array(s, "survival value")
+    arr = _as_float_array(s, "survival value")
     check_l_domain(arr, "survival value")
-    out = np.log(-np.log(arr))
-    return float(out) if scalar else out
+    return np.log(-np.log(arr))
 
 
 def l_inverse(y):
     """Inverse of :func:`l_transform`: exp(-exp(y)), landing in (0, 1)."""
-    arr, scalar = _as_float_array(y, "transformed value")
-    out = np.exp(-np.exp(arr))
-    return float(out) if scalar else out
+    arr = _as_float_array(y, "transformed value")
+    return np.exp(-np.exp(arr))
 
 
 def logit(p):
     """log(p / (1 - p)) for p strictly inside (0, 1)."""
-    arr, scalar = _as_float_array(p, "probability")
+    arr = _as_float_array(p, "probability")
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise DomainError("logit requires probabilities strictly inside (0, 1)")
-    out = np.log(arr / (1.0 - arr))
-    return float(out) if scalar else out
+    return np.log(arr / (1.0 - arr))
 
 
 def logistic(x):
@@ -121,7 +118,7 @@ class LDiffSurface:
 
 def build_l_diff(
     surv: MortalitySurface,
-    t0: int | None = None,
+    t0: int,
     fit_years: YearRange | None = None,
 ) -> LDiffSurface:
     """Difference the L transform of each fit year's curve against year t0.
@@ -130,8 +127,8 @@ def build_l_diff(
     ----------
     surv : MortalitySurface
         Survival surface (kind SURVIVAL) covering t0 and every fit year.
-    t0 : int, optional
-        Reference year. Defaults to the year before the fit window.
+    t0 : int
+        Reference year.
     fit_years : YearRange, optional
         Years to difference. Defaults to every year after t0 in ``surv``.
 
@@ -140,12 +137,8 @@ def build_l_diff(
     """
     if surv.kind is not SurfaceKind.SURVIVAL:
         raise DomainError(f"expected a survival surface, got {surv.kind.value}")
-    if t0 is None and fit_years is None:
-        t0 = surv.years.t_min
     if fit_years is None:
         fit_years = YearRange(t0 + 1, surv.years.t_max)
-    if t0 is None:
-        t0 = fit_years.t_min - 1
     if t0 not in surv.years:
         raise DomainError(f"reference year {t0} outside survival years {surv.years}")
     if not surv.years.covers(fit_years):
@@ -180,9 +173,11 @@ def invert_l_diff(delta_col, base_survival) -> np.ndarray:
     of shape (n_ages,) or a stack of shape (..., n_ages), and the result has
     the same shape.
     """
-    delta, _ = _as_float_array(delta_col, "difference values")
-    base, _ = _as_float_array(base_survival, "base survival")
+    delta = _as_float_array(delta_col, "difference values")
+    base = _as_float_array(base_survival, "base survival")
     if base.ndim != 1 or delta.ndim == 0 or delta.shape[-1] != base.shape[0]:
         raise DomainError("base survival must be a vector as long as the last axis of the differences")
     check_l_domain(base, "base survival")
-    return np.exp(-np.exp(np.log(-np.log(base)) + delta))
+    # an overflow gives survival 0, which survival_to_q then rejects
+    with np.errstate(over="ignore"):
+        return np.exp(-np.exp(np.log(-np.log(base)) + delta))

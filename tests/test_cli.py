@@ -65,6 +65,27 @@ class TestSynth:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("window, message", [
+        (["--x-min", "60", "--x-max", "120", "--t-min", "1960", "--t-max", "1970"],
+         "HMD tables hold ages 0-110, cannot write age 111"),
+        (["--x-min", "60", "--x-max", "94", "--t-min", "1700", "--t-max", "1710"],
+         "HMD tables start in 1750, cannot write year 1700"),
+    ])
+    def test_window_outside_hmd_is_refused(self, tmp_path, capsys, window, message):
+        out = tmp_path / "t.txt"
+        capsys.readouterr()
+        assert main(["synth", *window, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"mortcast: error: {message}\n"
+        assert not out.exists()
+
+    def test_widest_hmd_window_round_trips(self, tmp_path):
+        out = tmp_path / "t.txt"
+        window = ["--x-min", "0", "--x-max", "110", "--t-min", "1750", "--t-max", "1760"]
+        assert main(["synth", *window, "--out", str(out)]) == 0
+        fit = ["fit", "--model", "lc", "--input", str(out), "--x-min", "0", "--x-max", "110",
+               "--t-min", "1750", "--t-max", "1760", "--out", str(tmp_path / "fit")]
+        assert main(fit) == 0
+
 
 class TestFit:
     def test_sl_artifacts_match_library_fit(self, tmp_path):
@@ -400,6 +421,25 @@ class TestInvalidSamplePath:
         # and the name does not depend on how paths are chunked
         monkeypatch.setattr(timeseries, "PATH_CHUNK", 16)
         assert forecast(500, "chunked") == (3, err)
+
+
+class TestForecastOverflow:
+    """A horizon whose states overflow exp is a data error with one stderr line, no warning."""
+
+    @pytest.mark.parametrize("model, message", [
+        ("sl", "survival values must be strictly positive"),
+        ("lc", "central rate must be finite"),
+    ])
+    def test_exit_data_with_one_line(self, tmp_path, capsys, model, message):
+        data = synth_file(tmp_path, manifold="gompertz", extra=["--improvement", "0.05"])
+        fit = ["fit", "--model", model, "--input", str(data), *FIT_WINDOW,
+               "--out", str(tmp_path / "fit")]
+        assert main(fit) == 0
+        capsys.readouterr()
+        code = main(["forecast", "--params", str(tmp_path / "fit" / "params.csv"),
+                     "--horizon", "20000", "--out", str(tmp_path / "fc")])
+        assert code == 3
+        assert capsys.readouterr().err == f"mortcast: error: {message}\n"
 
 
 class TestNegativeSeed:

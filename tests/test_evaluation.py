@@ -76,11 +76,6 @@ class TestMiRate:
         out = mi_rate(q, q_ref)
         np.testing.assert_allclose(out, np.arange(1, 6, dtype=float), atol=1e-12)
 
-    def test_scale(self):
-        assert mi_rate([0.015], 0.02, scale=1.0)[0] == pytest.approx(
-            MI_OVER_ONE_THIRD / 100.0, abs=1e-14
-        )
-
     def test_domain(self):
         with pytest.raises(DomainError):
             mi_rate([0.0], 0.01)
@@ -145,7 +140,6 @@ class TestBacktestConfig:
     def test_mi_age_inside_window(self):
         with pytest.raises(DomainError):
             BacktestConfig(mi_age=50)
-        BacktestConfig(mi_age=None)
 
     def test_ref_year_override(self):
         config = BacktestConfig(mi_ref_year=1959)
@@ -213,11 +207,6 @@ class TestRunBacktest:
         np.testing.assert_allclose(
             report.mi_forecast["SL"], report.mi_observed, atol=1e-6
         )
-
-    def test_mi_disabled(self):
-        report = run_backtest(small_data("lc"), small_config(mi_age=None))
-        assert report.mi_observed is None
-        assert report.mi_forecast is None
 
     def test_coverage_validation(self):
         data = small_data("lc")

@@ -60,7 +60,7 @@ def test_params_csv_round_trip(name, noise_sd, seed, x_min, n_ages):
     rates = generate_synthetic(SynthConfig(ages=ages, years=years, noise_sd=noise_sd, seed=seed))
     config = BacktestConfig(
         ages=ages, fit_years=FIT_YEARS, forecast_years=HOLDOUT, t0=T0,
-        models=(name.upper(),), mi_age=None,
+        models=(name.upper(),), mi_age=x_min,
     )
     params, diag = model.fit(rates, surface_central_rate_to_q(rates), FIT_YEARS, T0, config.fit)
 
@@ -112,7 +112,7 @@ def test_exact_recovery_of_own_manifold(name, x_min, n_ages, fit_from, n_fit, ho
     config = BacktestConfig(
         ages=AgeRange(x_min, x_min + n_ages - 1), fit_years=fit_years,
         forecast_years=YearRange(fit_years.t_max + 1, fit_years.t_max + holdout),
-        t0=fit_from - 1, models=(name.upper(),), mi_age=None,
+        t0=fit_from - 1, models=(name.upper(),), mi_age=x_min,
     )
     span = YearRange(config.t0, config.forecast_years.t_max)
     report = run_backtest(generate_manifold(name, config.ages, span), config)

@@ -56,10 +56,12 @@ class TestCalibrate:
         np.testing.assert_array_equal(params.innovation_factor, np.zeros((2, 2)))
 
     def test_one_dimensional_series(self):
-        params = calibrate_rwd(np.array([0.0, 1.0, 2.0, 3.0]))
+        params = calibrate_rwd(np.array([[0.0], [1.0], [2.0], [3.0]]))
         assert params.dim == 1
         assert params.drift[0] == 1.0
         assert params.innovation_factor[0, 0] == 0.0
+        with pytest.raises(DomainError, match=r"^series must be a finite \(n, dim\) array$"):
+            calibrate_rwd(np.array([0.0, 1.0, 2.0, 3.0]))
 
     def test_minimum_length(self):
         with pytest.raises(DomainError):

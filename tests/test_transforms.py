@@ -144,7 +144,7 @@ class TestBuildLDiff:
 
     def test_default_t0_and_window(self):
         surv = make_survival(np.array([[0.9, 0.8, 0.7]]), t_min=1999)
-        delta = build_l_diff(surv)
+        delta = build_l_diff(surv, t0=1999)
         assert delta.t0 == 1999
         assert delta.years == YearRange(2000, 2001)
 
