@@ -29,7 +29,6 @@ from .ingest import (
     generate_sl_exact,
     generate_synthetic,
     parse_hmd,
-    read_surface_csv,
     write_hmd,
 )
 from .lifetable import (
@@ -52,7 +51,6 @@ from .sl_model import (
     init_sl,
     normalize_gauge,
     sl_forecast,
-    sl_objective,
 )
 from .timeseries import (
     RwdParams,
@@ -117,11 +115,9 @@ __all__ = [
     "project_central",
     "q_to_central_rate",
     "q_to_survival",
-    "read_surface_csv",
     "run_backtest",
     "simulate_paths",
     "sl_forecast",
-    "sl_objective",
     "surface_q_to_survival",
     "survival_to_q",
     "write_hmd",

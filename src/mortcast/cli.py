@@ -23,6 +23,7 @@ from .ingest import (
     _MANIFOLDS,
     QUANTILE_PROBS,
     SynthConfig,
+    _write_text,
     decode_utf8,
     export_csv,
     export_mi_csv,
@@ -124,8 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     models = ",".join(MODELS)
     bt.add_argument("--models", default=models, help=f"comma list from {models}")
     bt.add_argument("--mi-age", type=int, default=65)
-    bt.add_argument("--mi-ref-year", type=int, default=None, help="default: last fit year")
-    bt.add_argument("--mape-denominator", choices=["estimate", "observed"], default="estimate")
     bt.add_argument("--country", default="", help="label for the report rows")
     _add_fit_knobs(bt)
     bt.add_argument("--out", required=True)
@@ -282,7 +281,6 @@ def cmd_fit(args) -> int:
     rates, digest = _load_rates(args, ages, span)
     header = _resolved_header(args) + [f"input_sha256 = {digest}"]
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     params, diag = model.fit(rates, surface_central_rate_to_q(rates), fit_years, args.t0, config)
     if diag is not None:
@@ -303,7 +301,7 @@ def cmd_fit(args) -> int:
     write_csv(out_dir / "params.csv", ("param", "index", "value"), rows, header)
     # config.txt is plain "key = value" text, not CSV
     text = "".join(f"{line}\n" for line in header)
-    (out_dir / "config.txt").write_text("# resolved configuration\n" + text, encoding="utf-8")
+    _write_text(out_dir / "config.txt", "# resolved configuration\n" + text)
     print(f"wrote {out_dir / 'params.csv'}")
     if diag is not None and not diag.converged:
         print("fit did not converge within k_max sweeps", file=sys.stderr)
@@ -322,7 +320,6 @@ def cmd_forecast(args) -> int:
     model, params = _read_params(raw, args.params)
     header = _resolved_header(args) + [f"input_sha256 = {_digest(raw)}", f"model = {model.name}"]
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.mode == "central":
         surface = model.forecast(params, args.horizon)
@@ -352,9 +349,7 @@ def cmd_backtest(args) -> int:
         forecast_years=_checked(YearRange, args.forecast_from, args.forecast_to),
         t0=args.t0,
         models=models,
-        mape_denominator=args.mape_denominator,
         mi_age=args.mi_age,
-        mi_ref_year=args.mi_ref_year,
         fit=_checked(FitConfig, gamma=args.gamma, epsilon=args.epsilon, k_max=args.k_max),
     )
     span = _checked(YearRange, args.t0, args.forecast_to)
@@ -363,7 +358,6 @@ def cmd_backtest(args) -> int:
 
     report = run_backtest(rates, config, country=args.country, sex=args.sex)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     export_csv(report, out_dir / "report.csv", comments=header)
     print(f"wrote {out_dir / 'report.csv'}")
     export_mi_csv(report, out_dir / "mi_rates.csv", comments=header)
@@ -382,7 +376,6 @@ def cmd_synth(args) -> int:
         improvement=args.improvement, noise_sd=args.noise_sd, seed=args.seed,
     )
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     title = "synthetic " + args.manifold + "; " + "; ".join(_resolved_header(args))
     write_hmd(surface, out, title=title)
     print(f"wrote {out}")

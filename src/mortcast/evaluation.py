@@ -34,26 +34,19 @@ def mse(observed, estimated) -> float:
     return float(d @ d / x.size)
 
 
-def mape(observed, estimated, denominator: str = "estimate") -> float:
+def mape(observed, estimated) -> float:
     """Mean absolute percentage error, in percent.
 
-    Divides each absolute error by the ESTIMATE, the convention used
-    throughout the report tables this feeds; pass denominator="observed"
-    for the textbook variant.
+    Divides each absolute error by the ESTIMATE, the convention of the
+    report tables this feeds: (100/n) * sum(|X - X_hat| / X_hat).
     """
     x = np.asarray(observed, dtype=float).ravel()
     xh = np.asarray(estimated, dtype=float).ravel()
     if x.size == 0 or x.shape != xh.shape:
         raise DomainError(f"need equal nonzero lengths, got {x.size} and {xh.size}")
-    if denominator == "estimate":
-        den = xh
-    elif denominator == "observed":
-        den = x
-    else:
-        raise DomainError(f"unknown denominator convention {denominator!r}")
-    if np.any(den == 0.0):
+    if np.any(xh == 0.0):
         raise DomainError("zero denominator in percentage error")
-    return float(np.mean(np.abs(x - xh) / den) * 100.0)
+    return float(np.mean(np.abs(x - xh) / xh) * 100.0)
 
 
 def mi_rate(q_series, q_ref: float):
@@ -90,9 +83,9 @@ class BacktestConfig:
 
     Defaults reproduce the standard setup: ages 60-94, fit 1960-1989,
     holdout 1990-2009, reference year 1959, all three models, central
-    forecasts. Every backtest tracks improvement rates at ``mi_age``, an
-    age of the window (default 65), against ``mi_ref_year``, which is t0 or
-    a fit year (default the final fit year).
+    forecasts. Every backtest scores MAPE over the estimate (see
+    :func:`mape`) and tracks improvement rates at ``mi_age``, an age of the
+    window (default 65), against the last fit year.
     """
 
     ages: AgeRange = AgeRange(60, 94)
@@ -100,9 +93,7 @@ class BacktestConfig:
     forecast_years: YearRange = YearRange(1990, 2009)
     t0: int = 1959
     models: tuple[str, ...] = MODEL_ORDER
-    mape_denominator: str = "estimate"
     mi_age: int = 65
-    mi_ref_year: int | None = None
     fit: FitConfig = field(default_factory=FitConfig)
 
     def __post_init__(self):
@@ -118,17 +109,8 @@ class BacktestConfig:
         unknown = [m for m in self.models if m not in MODEL_ORDER]
         if unknown:
             raise DomainError(f"unknown models {unknown}; choose from {MODEL_ORDER}")
-        if self.mape_denominator not in ("estimate", "observed"):
-            raise DomainError(f"unknown denominator convention {self.mape_denominator!r}")
         if self.mi_age not in self.ages:
             raise DomainError(f"improvement-rate age {self.mi_age} outside {self.ages}")
-        ref = self.mi_ref_year
-        if ref is not None and ref not in self.fit_years and ref != self.t0:
-            raise DomainError(f"improvement reference year {ref} outside the fitted data")
-
-    @property
-    def ref_year(self) -> int:
-        return self.fit_years.t_max if self.mi_ref_year is None else self.mi_ref_year
 
 
 @dataclass(frozen=True)
@@ -220,15 +202,16 @@ def run_backtest(
         ModelMetrics(
             model=label,
             fit_mse=mse(q_fit_obs.values, q_hat_fit),
-            fit_mape=mape(q_fit_obs.values, q_hat_fit, config.mape_denominator),
+            fit_mape=mape(q_fit_obs.values, q_hat_fit),
             forecast_mse=mse(q_out_obs.values, q_hat_out),
-            forecast_mape=mape(q_out_obs.values, q_hat_out, config.mape_denominator),
+            forecast_mape=mape(q_out_obs.values, q_hat_out),
         )
         for label, (q_hat_fit, q_hat_out) in estimates.items()
     ]
 
     i = config.ages.index(config.mi_age)
-    q_ref = float(q_all.values[i, q_all.years.index(config.ref_year)])
+    # improvement rates are taken against the last fit year
+    q_ref = float(q_fit_obs.values[i, -1])
     return BacktestReport(
         country=country,
         sex=sex,

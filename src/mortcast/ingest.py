@@ -2,8 +2,8 @@
 
 Reads Human Mortality Database period 1x1 central death rate (Mx) tables,
 generates synthetic surfaces for desk-scale verification, and writes HMD
-tables and every CSV artifact. The readers reject malformed input with a
-line number; they never repair.
+tables and every CSV artifact. The reader rejects malformed input with a
+line number; it never repairs.
 """
 
 from __future__ import annotations
@@ -47,13 +47,6 @@ def decode_utf8(data: bytes, name) -> str:
         ) from None
 
 
-def _read_lines(source) -> list[str]:
-    """The lines of an open text stream, or of the UTF-8 file at a path."""
-    if hasattr(source, "read"):
-        return source.read().splitlines()
-    return decode_utf8(Path(source).read_bytes(), source).splitlines()
-
-
 def _number(token: str, convert, what: str, line_no: int):
     try:
         return convert(token)
@@ -64,16 +57,20 @@ def _number(token: str, convert, what: str, line_no: int):
 def parse_hmd(source, column: str, ages: AgeRange, years: YearRange) -> MortalitySurface:
     """Read one column of an HMD Mx 1x1 table into a central-rate surface.
 
-    The file must carry a title line, a blank line, and the header
-    "Year Age Female Male Total" before the data rows. Every row is checked
-    in full: five fields, a year from 1750, an age in [0, 110] or "110+",
-    and three numbers or "." (missing). Rows outside the requested window
-    are then skipped; inside it, a missing value, the open "110+" group, a
-    duplicate cell, or an uncovered cell is an error naming the line.
+    ``source`` is an open text stream or the path of a UTF-8 file. The file
+    must carry a title line, a blank line, and the header "Year Age Female
+    Male Total" before the data rows. Every row is checked in full: five
+    fields, a year from 1750, an age in [0, 110] or "110+", and three
+    numbers or "." (missing). Rows outside the requested window are then
+    skipped; inside it, a missing value, the open "110+" group, a duplicate
+    cell, or an uncovered cell is an error naming the line.
     """
     if column not in _COLUMNS:
         raise DomainError(f"unknown column {column!r}; choose female, male, or total")
-    lines = _read_lines(source)
+    if hasattr(source, "read"):
+        lines = source.read().splitlines()
+    else:
+        lines = decode_utf8(Path(source).read_bytes(), source).splitlines()
     if len(lines) < 3:
         raise ParseError(f"line {len(lines) + 1}: file ends before the header")
     if lines[1].strip():
@@ -283,10 +280,18 @@ def write_hmd(surface: MortalitySurface, destination, title: str = "synthetic") 
 
 
 def _write_text(destination, text: str) -> None:
+    """Write ``text`` to an open text stream, or as UTF-8 to a path.
+
+    Every artifact file goes through here. A path's parent directory is
+    created on the first write into it, so a command that fails before
+    writing leaves no directory behind.
+    """
     if hasattr(destination, "write"):
         destination.write(text)
     else:
-        Path(destination).write_text(text, encoding="utf-8")
+        path = Path(destination)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
 
 
 def write_csv(destination, header, rows, comments=()) -> None:
@@ -364,36 +369,3 @@ def export_quantiles_csv(
     cells = np.moveaxis(quantiles, 0, -1).tolist()
     rows = ((x, t, *bands) for x, row in zip(ages, cells) for t, bands in zip(years, row))
     write_csv(destination, ("age", "year", "q05", "q50", "q95"), rows, comments)
-
-
-def read_surface_csv(source, kind: SurfaceKind) -> MortalitySurface:
-    """Rebuild a surface written by export_csv. Comment lines are skipped."""
-    lines = [
-        (line_no, line) for line_no, line in enumerate(_read_lines(source), start=1)
-        if line.strip() and not line.startswith("#")
-    ]
-    if lines and lines[0][1].strip() != "age,year,value":
-        raise ParseError(f"line {lines[0][0]}: expected header age,year,value")
-    rows: dict[tuple[int, int], float] = {}
-    for line_no, line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ParseError(f"line {line_no}: expected 3 fields, got {len(parts)}")
-        try:
-            key = (int(parts[0]), int(parts[1]))
-            value = float(parts[2])
-        except ValueError:
-            raise ParseError(f"line {line_no}: unparseable row {line!r}") from None
-        if key in rows:
-            raise ParseError(f"line {line_no}: duplicate cell age {key[0]}, year {key[1]}")
-        rows[key] = value
-    if not rows:
-        raise ParseError("no data rows found")
-    ages = AgeRange(min(x for x, _ in rows), max(x for x, _ in rows))
-    years = YearRange(min(t for _, t in rows), max(t for _, t in rows))
-    for x in ages:
-        for t in years:
-            if (x, t) not in rows:
-                raise ParseError(f"grid not dense: no row for age {x}, year {t}")
-    values = np.array([[rows[x, t] for t in years] for x in ages])
-    return MortalitySurface(ages=ages, years=years, kind=kind, values=values)

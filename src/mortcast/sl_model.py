@@ -119,14 +119,6 @@ class FitDiagnostics:
     max_param_delta: float
 
 
-def sl_objective(delta: LDiffSurface, params: SlParams) -> float:
-    """Sum of squared residuals of the fitted surface against delta."""
-    if params.ages != delta.ages or params.years != delta.years:
-        raise DomainError("parameter and surface index ranges do not match")
-    resid = delta.values - params.fitted_surface()
-    return float(np.sum(resid * resid))
-
-
 def init_sl(delta: LDiffSurface) -> SlParams:
     """Starting point: fixed kappa, per-year regression of delta on it.
 

@@ -16,11 +16,12 @@ from mortcast import (
     central_rate_to_q,
     fit_sl,
     parse_hmd,
-    read_surface_csv,
     surface_q_to_survival,
 )
 from mortcast import timeseries
 from mortcast.cli import main
+
+from conftest import read_export_csv
 
 # data files cover 1989-2009 so the default reference year 1989 is present
 SYNTH_WINDOW = ["--x-min", "60", "--x-max", "74", "--t-min", "1989", "--t-max", "2009"]
@@ -164,6 +165,7 @@ class TestFit:
         assert code == 2
         # artifacts are still written for inspection
         assert (out_dir / "params.csv").exists()
+        assert (out_dir / "config.txt").exists()
         meta = header_dict(out_dir / "diagnostics.csv")
         assert meta["converged"] == "False"
         assert meta["iterations"] == "2"
@@ -210,7 +212,7 @@ class TestForecast:
             ["forecast", "--params", str(params), "--horizon", "5", "--out", str(out_dir)]
         )
         assert code == 0
-        forecast = read_surface_csv(out_dir / "forecast.csv", SurfaceKind.DEATH_PROB)
+        forecast = read_export_csv((out_dir / "forecast.csv").read_text(), SurfaceKind.DEATH_PROB)
         assert forecast.years == YearRange(2010, 2014)
         assert forecast.ages == AgeRange(60, 74)
         # no improvement: the projection extends the flat surface exactly
@@ -260,7 +262,7 @@ class TestForecast:
              "--out", str(out_dir)]
         )
         assert code == 0
-        forecast = read_surface_csv(out_dir / "forecast.csv", SurfaceKind.DEATH_PROB)
+        forecast = read_export_csv((out_dir / "forecast.csv").read_text(), SurfaceKind.DEATH_PROB)
         assert forecast.years == YearRange(2010, 2012)
         assert np.all(forecast.values > 0.0) and np.all(forecast.values < 1.0)
 
@@ -409,7 +411,7 @@ class TestInvalidSamplePath:
 
         code, err = forecast(500, "fc")
         assert code == 3
-        assert not (tmp_path / "fc" / "quantiles.csv").exists()
+        assert not (tmp_path / "fc").exists()
         match = self.NAMED.search(err)
         assert match, err
         x, x_next, year, path = (int(g) for g in match.groups())
@@ -440,6 +442,45 @@ class TestForecastOverflow:
                      "--horizon", "20000", "--out", str(tmp_path / "fc")])
         assert code == 3
         assert capsys.readouterr().err == f"mortcast: error: {message}\n"
+
+
+def synth_age_above_hmd(tmp_path, out_dir):
+    window = ["--x-min", "60", "--x-max", "120", "--t-min", "1960", "--t-max", "1970"]
+    return ["synth", *window, "--out", str(out_dir / "t.txt")]
+
+
+def fit_sl_on_zero_base_rate(tmp_path, out_dir):
+    table = tmp_path / "t.txt"
+    window = ["--x-min", "60", "--x-max", "74", "--t-min", "1959", "--t-max", "1970"]
+    assert main(["synth", *window, "--out", str(table)]) == 0
+    lines = table.read_text().splitlines()
+    assert lines[3].split()[:2] == ["1959", "60"]
+    # base survival 1 at age 60 in the reference year
+    lines[3] = "1959   60   0   0   0"
+    table.write_text("\n".join(lines) + "\n")
+    return ["fit", "--model", "sl", "--input", str(table), "--x-min", "60", "--x-max", "74",
+            "--t-min", "1960", "--t-max", "1970", "--out", str(out_dir)]
+
+
+def forecast_invalid_sample_path(tmp_path, out_dir):
+    fit_dir = tmp_path / "fit"
+    assert main(
+        ["fit", "--model", "sl", "--synth", "gompertz", "--noise-sd", "0.05", "--seed", "0",
+         "--x-min", "60", "--x-max", "94", "--t-min", "1960", "--t-max", "2009",
+         "--out", str(fit_dir)]
+    ) == 0
+    return ["forecast", "--params", str(fit_dir / "params.csv"), "--horizon", "50",
+            "--mode", "sample", "--paths", "500", "--seed", "0", "--out", str(out_dir)]
+
+
+@pytest.mark.parametrize(
+    "command", [synth_age_above_hmd, fit_sl_on_zero_base_rate, forecast_invalid_sample_path]
+)
+def test_data_error_leaves_no_output_directory(tmp_path, command):
+    out_dir = tmp_path / "newdir"
+    argv = command(tmp_path, out_dir)
+    assert main(argv) == 3
+    assert not out_dir.exists()
 
 
 class TestNegativeSeed:
@@ -559,6 +600,19 @@ class TestBacktest:
         )
         assert code == 2
         assert (out_dir / "report.csv").exists()
+        assert (out_dir / "mi_rates.csv").exists()
+
+    def test_scoring_conventions_are_not_settable(self, tmp_path):
+        """MAPE divides by the estimate; improvement rates use the last fit year."""
+        out_dir = tmp_path / "bt"
+        flag = ["--mape-denominator", "observed"]
+        assert main(["backtest", "--synth", "sl", *self.ARGS, *flag, "--out", str(out_dir)]) == 1
+        config = tmp_path / "bt.conf"
+        config.write_text("mi_ref_year = 1959\n")
+        assert main(
+            ["backtest", "--config", str(config), "--synth", "sl", *self.ARGS, "--out", str(out_dir)]
+        ) == 1
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("country", ["A,B", "A\nB", "A\rB"])
     def test_country_breaking_a_cell_or_line_is_usage_error(self, tmp_path, capsys, country):

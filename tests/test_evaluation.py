@@ -15,6 +15,7 @@ from mortcast import (
     mse,
     run_backtest,
 )
+from mortcast.lifetable import surface_central_rate_to_q
 
 MI_OVER_ONE_THIRD = 28.768207245178093  # -100 * ln(0.75)
 
@@ -47,17 +48,12 @@ class TestMape:
         assert mape([1.0, 1.0], [2.0, 4.0]) == 62.5
 
     def test_denominator_conventions(self):
-        # |1-2|/2 = 50% against the estimate, |1-2|/1 = 100% against observed
+        # |1-2|/2 = 50%: the estimate 2 is the denominator, not the observed 1
         assert mape([1.0], [2.0]) == 50.0
-        assert mape([1.0], [2.0], denominator="observed") == 100.0
-        with pytest.raises(DomainError):
-            mape([1.0], [2.0], denominator="truth")
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(DomainError):
             mape([1.0], [0.0])
-        with pytest.raises(DomainError):
-            mape([0.0], [1.0], denominator="observed")
 
     def test_shape_mismatch(self):
         with pytest.raises(DomainError):
@@ -121,7 +117,6 @@ class TestBacktestConfig:
         assert config.forecast_years == YearRange(1990, 2009)
         assert config.t0 == 1959
         assert config.models == ("SL", "LC", "CBD")
-        assert config.ref_year == 1989
 
     def test_window_contiguity(self):
         with pytest.raises(DomainError):
@@ -140,12 +135,6 @@ class TestBacktestConfig:
     def test_mi_age_inside_window(self):
         with pytest.raises(DomainError):
             BacktestConfig(mi_age=50)
-
-    def test_ref_year_override(self):
-        config = BacktestConfig(mi_ref_year=1959)
-        assert config.ref_year == 1959
-        with pytest.raises(DomainError):
-            BacktestConfig(mi_ref_year=1995)
 
 
 def small_config(**kwargs):
@@ -201,6 +190,14 @@ class TestRunBacktest:
         b = run_backtest(data, long).metrics_for("CBD")
         assert a.fit_mse == b.fit_mse
         assert a.fit_mape == b.fit_mape
+
+    def test_mi_reference_is_the_last_fit_year(self):
+        data = small_data("lc")
+        report = run_backtest(data, small_config())
+        q = surface_central_rate_to_q(data.subset(ages=AgeRange(65, 65))).values[0]
+        last_fit, holdout = data.years.index(1999), data.years.index(2000)
+        want = mi_rate(q[holdout:], q[last_fit])
+        np.testing.assert_array_equal(report.mi_observed, want)
 
     def test_mi_forecast_tracks_observed_on_manifold(self):
         report = run_backtest(small_data("sl"), small_config())

@@ -21,11 +21,12 @@ from mortcast import (
     generate_manifold,
     generate_synthetic,
     parse_hmd,
-    read_surface_csv,
     run_backtest,
     write_hmd,
 )
 from mortcast.ingest import write_csv
+
+from conftest import read_export_csv
 
 HMD_SAMPLE = """Sample population, Death rates (period 1x1)
 
@@ -158,16 +159,12 @@ class TestParseHmd:
 
 
 class TestUtf8:
-    @pytest.mark.parametrize("read", [
-        lambda path: parse_hmd(path, "male", AgeRange(60, 61), YearRange(1990, 1991)),
-        lambda path: read_surface_csv(path, SurfaceKind.CENTRAL_RATE),
-    ])
-    def test_file_not_utf8_names_file_and_line(self, tmp_path, read):
+    def test_file_not_utf8_names_file_and_line(self, tmp_path):
         path = tmp_path / "latin1.txt"
         path.write_bytes(HMD_SAMPLE.replace("Sample", "S\xe9rie").encode("latin-1"))
         message = f"{path}: line 1: invalid UTF-8 byte 0xe9"
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
-            read(path)
+            parse_hmd(path, "male", AgeRange(60, 61), YearRange(1990, 1991))
 
 
 class TestGenerateSynthetic:
@@ -300,7 +297,7 @@ class TestSurfaceCsv:
         export_csv(out, path, comments=("run = demo", "seed = 9"))
         text = path.read_text()
         assert text.startswith("# run = demo\n# seed = 9\n")
-        back = read_surface_csv(path, SurfaceKind.CENTRAL_RATE)
+        back = read_export_csv(text, SurfaceKind.CENTRAL_RATE)
         assert back.ages == out.ages and back.years == out.years
         np.testing.assert_array_equal(back.values, out.values)
 
@@ -309,22 +306,9 @@ class TestSurfaceCsv:
     def test_round_trip_property(self, out):
         buf = io.StringIO()
         export_csv(out, buf, comments=("property",))
-        buf.seek(0)
-        back = read_surface_csv(buf, SurfaceKind.CENTRAL_RATE)
+        back = read_export_csv(buf.getvalue(), SurfaceKind.CENTRAL_RATE)
         assert back.ages == out.ages and back.years == out.years
         np.testing.assert_array_equal(back.values.view(np.uint64), out.values.view(np.uint64))
-
-    def test_reader_rejects_bad_input(self):
-        with pytest.raises(ParseError, match="header"):
-            read_surface_csv(io.StringIO("x,y,z\n"), SurfaceKind.CENTRAL_RATE)
-        dup = "age,year,value\n60,1990,0.1\n60,1990,0.2\n"
-        with pytest.raises(ParseError, match="duplicate"):
-            read_surface_csv(io.StringIO(dup), SurfaceKind.CENTRAL_RATE)
-        sparse = "age,year,value\n60,1990,0.1\n61,1991,0.2\n"
-        with pytest.raises(ParseError):
-            read_surface_csv(io.StringIO(sparse), SurfaceKind.CENTRAL_RATE)
-        with pytest.raises(ParseError, match="3 fields"):
-            read_surface_csv(io.StringIO("age,year,value\n60,1990\n"), SurfaceKind.CENTRAL_RATE)
 
     def test_unserializable_object(self):
         with pytest.raises(DomainError):

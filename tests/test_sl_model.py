@@ -20,7 +20,6 @@ from mortcast import (
     l_transform,
     normalize_gauge,
     sl_forecast,
-    sl_objective,
     surface_q_to_survival,
     survival_to_q,
 )
@@ -133,34 +132,6 @@ def assert_same_fit_bits(delta, config):
     assert diag.iterations == sweeps
     assert diag.converged is converged
     assert np.array_equal(diag.max_param_delta, max_delta)
-
-
-class TestObjective:
-    def test_exact_params_give_zero(self):
-        rng = np.random.default_rng(1)
-        delta, truth = manifold_delta(rng)
-        assert sl_objective(delta, truth) == 0.0
-
-    def test_sum_of_squares(self):
-        delta = zero_delta(n_ages=2, n_years=2)
-        params = SlParams(
-            alpha1=np.array([1.0, 0.0]),
-            alpha2=np.zeros(2),
-            kappa=np.array([-1.0, 1.0]),
-            base_survival=delta.base_survival,
-            t0=1999,
-            ages=delta.ages,
-            years=delta.years,
-        )
-        # residual is -1 in the first column only
-        assert sl_objective(delta, params) == 2.0
-
-    def test_range_mismatch(self):
-        rng = np.random.default_rng(2)
-        delta, _ = manifold_delta(rng)
-        _, truth = manifold_delta(rng, t_min=2005)
-        with pytest.raises(DomainError):
-            sl_objective(delta, truth)
 
 
 class TestParams:
@@ -359,7 +330,8 @@ class TestFit:
         assume(diag.converged)
         centred = delta.values - delta.values.mean(axis=0)
         s = np.linalg.svd(centred, compute_uv=False)
-        assert abs(sl_objective(delta, params) - np.sum(s[1:] ** 2)) <= 1e-13
+        resid = delta.values - params.fitted_surface()
+        assert abs(np.sum(resid * resid) - np.sum(s[1:] ** 2)) <= 1e-13
 
     def test_zero_surface_converges_immediately(self):
         params, diag = fit_sl(zero_delta())
