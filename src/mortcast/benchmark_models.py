@@ -23,6 +23,7 @@ from .lifetable import (
     _first_cell,
     _freeze_series,
     central_rate_to_q,
+    check_surface_values,
 )
 from .timeseries import forecast_q
 from .transforms import logistic, logit
@@ -48,17 +49,26 @@ class LcParams:
         if abs(self.kappa_t.sum()) > 1e-10:
             raise DomainError(f"kappa_t must sum to 0, got {self.kappa_t.sum()}")
 
-    def q_of(self, states: np.ndarray) -> np.ndarray:
+    def q_of(self, states: np.ndarray, years: YearRange, first_path: int = 0) -> np.ndarray:
         """Death probabilities (..., n_ages, n_years) from states (..., n_years, 1).
 
-        m = exp(alpha_x + beta_x * kappa), converted to q under a constant
-        force of mortality within each year.
+        The states are kappa_t of ``years``; with a leading axis of sample
+        paths, ``states[0]`` is path ``first_path``. m = exp(alpha_x +
+        beta_x * kappa), converted to q under a constant force of mortality
+        within each year. A rate that overflows to infinity raises the
+        DomainError of :func:`check_surface_values`, which names the first
+        such cell by path, age and year.
         """
         kappa = states[..., None, :, 0]
         # an overflow gives an infinite rate, which central_rate_to_q then rejects
         with np.errstate(over="ignore"):
             m = np.exp(self.alpha_x[:, None] + self.beta_x[:, None] * kappa)
-        return central_rate_to_q(m)
+        try:
+            return central_rate_to_q(m)
+        except DomainError:
+            # located only on failure, so valid blocks are not checked twice
+            check_surface_values(m, SurfaceKind.CENTRAL_RATE, self.ages, years, first_path)
+            raise
 
 
 @dataclass(frozen=True)
@@ -80,11 +90,12 @@ class CbdParams:
         if not abs(self.x_bar - (self.ages.x_min + self.ages.x_max) / 2.0) <= 1e-12:
             raise DomainError("x_bar must be the midpoint of the age window")
 
-    def q_of(self, states: np.ndarray) -> np.ndarray:
+    def q_of(self, states: np.ndarray, years: YearRange, first_path: int = 0) -> np.ndarray:
         """Death probabilities (..., n_ages, n_years) from states (..., n_years, 2).
 
-        q is the logistic of kappa1 + kappa2 * (x - x_bar), so always inside
-        (0, 1).
+        q is the logistic of kappa1 + kappa2 * (x - x_bar), so it cannot
+        fail, and ``years`` and ``first_path``, which locate a failed cell
+        in the other models, go unused.
         """
         cx = (self.ages.to_array() - self.x_bar)[:, None]
         return logistic(states[..., None, :, 0] + cx * states[..., None, :, 1])
@@ -183,7 +194,7 @@ def lc_forecast(
     (n_paths, n_ages, horizon) view of path-last storage: see
     :func:`~mortcast.timeseries.forecast_q`.
     """
-    return forecast_q(params, params.q_of, horizon, n_paths, seed)
+    return forecast_q(params, horizon, n_paths, seed)
 
 
 def cbd_forecast(
@@ -195,4 +206,4 @@ def cbd_forecast(
     (n_paths, n_ages, horizon) view of path-last storage: see
     :func:`~mortcast.timeseries.forecast_q`.
     """
-    return forecast_q(params, params.q_of, horizon, n_paths, seed)
+    return forecast_q(params, horizon, n_paths, seed)

@@ -119,7 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_window_flags(bt)
     bt.add_argument("--fit-from", type=int, default=1960)
     bt.add_argument("--fit-to", type=int, default=1989)
-    bt.add_argument("--forecast-from", type=int, default=1990)
     bt.add_argument("--forecast-to", type=int, default=2009)
     bt.add_argument("--t0", type=int, default=None, help="reference year, default fit-from - 1")
     models = ",".join(MODELS)
@@ -346,7 +345,7 @@ def cmd_backtest(args) -> int:
         BacktestConfig,
         ages=_checked(AgeRange, args.x_min, args.x_max),
         fit_years=_checked(YearRange, args.fit_from, args.fit_to),
-        forecast_years=_checked(YearRange, args.forecast_from, args.forecast_to),
+        forecast_years=_checked(YearRange, args.fit_to + 1, args.forecast_to),
         t0=args.t0,
         models=models,
         mi_age=args.mi_age,

@@ -10,16 +10,9 @@ class DomainError(MortcastError, ValueError):
 
     Raised for things like negative death rates, probabilities at or past
     their boundaries, or non-monotone survival curves. When the offending
-    value sits in a surface, the message names the (age, year) cell.
-
-    ``cell`` is the index of the offending element when a check ran over a
-    bare array, so a caller that knows what the axes mean can name the
-    cell in its own terms; it is None otherwise.
+    value sits in a surface or a block of sample paths, the message names
+    its cell: the age and year, and the path if there is one.
     """
-
-    def __init__(self, message: str = "", cell: tuple[int, ...] | None = None):
-        super().__init__(message)
-        self.cell = cell
 
 
 class ParseError(MortcastError, ValueError):

@@ -192,7 +192,7 @@ def run_backtest(
             continue
         model = MODELS[label.lower()]
         params, diagnostics = model.fit(sub, q_all, config.fit_years, config.t0, config.fit)
-        q_hat_fit = params.q_of(time_indices(params))
+        q_hat_fit = params.q_of(time_indices(params), params.years)
         forecast = model.forecast(params, len(config.forecast_years))
         estimates[label] = (q_hat_fit, forecast.values)
         if diagnostics is not None:

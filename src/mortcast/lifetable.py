@@ -275,8 +275,7 @@ def survival_to_q(s_col) -> np.ndarray:
     Exact inverse of :func:`q_to_survival` along the last axis: q at the
     base age is 1 - S(x0), and q_x = 1 - S(x)/S(x-1) above it. Takes one
     curve of shape (n_ages,) or a stack of shape (..., n_ages) and returns
-    the same shape. If a curve increases, the DomainError's ``cell`` is the
-    index of the last position before the first increase.
+    the same shape.
     """
     s = _as_float_array(s_col, "survival values")
     if s.ndim == 0 or s.shape[-1] == 0:
@@ -289,9 +288,7 @@ def survival_to_q(s_col) -> np.ndarray:
     if np.any(rising):
         *curve, x = (int(i) for i in np.argwhere(rising)[0])
         of = f" of curve {tuple(curve)}" if curve else ""
-        raise DomainError(
-            f"survival increases between positions {x} and {x + 1}{of}", cell=(*curve, x)
-        )
+        raise DomainError(f"survival increases between positions {x} and {x + 1}{of}")
     q = np.empty_like(s)
     q[..., 0] = 1.0 - s[..., 0]
     q[..., 1:] = 1.0 - s[..., 1:] / s[..., :-1]

@@ -3,8 +3,9 @@
 SL, Lee-Carter and CBD share one shape: age constants times time
 processes, projected by a random walk with drift. Each model's params
 class is its one declaration: its fields, its death-probability
-expression ``q_of`` over states and its ``ROWS``, the params.csv layout
-from which the time indices, the writer's rows and the reader's
+expression ``q_of(states, years, first_path=0)``, which names the path,
+age and year of any cell where it fails, and its ``ROWS``, the params.csv
+layout from which the time indices, the writer's rows and the reader's
 constructor are all derived. An entry of :data:`MODELS` adds only how the
 model is fitted and forecast. The CLI and the backtest run one path for
 every entry, so adding a model means a params class with ``q_of`` and

@@ -8,12 +8,20 @@ projecting (alpha1, alpha2) as a two-dimensional random walk with drift.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
 from .errors import DomainError, FitError
-from .lifetable import AGE, YEAR, AgeRange, YearRange, _freeze_series, survival_to_q
+from .lifetable import (
+    AGE,
+    YEAR,
+    AgeRange,
+    SurfaceKind,
+    YearRange,
+    _freeze_series,
+    check_surface_values,
+    survival_to_q,
+)
 from .timeseries import forecast_q
 from .transforms import LDiffSurface, check_l_domain, invert_l_diff
 
@@ -54,30 +62,26 @@ class SlParams:
             raise DomainError(f"reference year {self.t0} must precede fit years")
         check_l_domain(self.base_survival, "base_survival", (self.ages, self.t0))
 
-    def q_of(self, states: np.ndarray, first_year: int | None = None) -> np.ndarray:
+    def q_of(self, states: np.ndarray, years: YearRange, first_path: int = 0) -> np.ndarray:
         """Death probabilities (..., n_ages, n_years) from states (..., n_years, 2).
 
-        The states are (alpha1, alpha2) of the years from ``first_year`` on,
-        by default the first fit year. Each year's survival curve is rebuilt
-        through the inverse transform against base_survival. A non-monotone
-        curve raises DomainError naming the year and the two ages, with
-        ``cell`` holding the leading (path) index, if any.
+        The states are (alpha1, alpha2) of ``years``; with a leading axis of
+        sample paths, ``states[0]`` is path ``first_path``. Each year's
+        survival curve is rebuilt through the inverse transform against
+        base_survival. A curve that reaches 0 or rises in age raises the
+        DomainError of :func:`check_surface_values`, which names the first
+        bad cell by path, age and year.
         """
-        if first_year is None:
-            first_year = self.years.t_min
         # (..., n_years, 1) + (..., n_years, 1) * (ages,): age is the last axis
         delta = states[..., :1] + states[..., 1:] * self.kappa
+        survival = invert_l_diff(delta, self.base_survival)
         try:
-            q = survival_to_q(invert_l_diff(delta, self.base_survival))
-        except DomainError as exc:
-            if exc.cell is None:
-                raise
-            *path, h, i = exc.cell
-            x = self.ages.x_min + i
-            raise DomainError(
-                f"survival increases from age {x} to {x + 1} in year {first_year + h}",
-                cell=tuple(path),
-            ) from None
+            q = survival_to_q(survival)
+        except DomainError:
+            # located only on failure, so valid blocks are not checked twice
+            grid = np.swapaxes(survival, -1, -2)
+            check_surface_values(grid, SurfaceKind.SURVIVAL, self.ages, years, first_path)
+            raise
         return np.swapaxes(q, -1, -2)
 
     def fitted_surface(self) -> np.ndarray:
@@ -269,19 +273,12 @@ def fit_sl(delta: LDiffSurface, config: FitConfig | None = None) -> tuple[SlPara
 def sl_forecast(
     params: SlParams, horizon: int, n_paths: int | None = None, seed: int | None = None
 ):
-    """Death-probability forecast over the given horizon.
+    """Death-probability forecast: :meth:`SlParams.q_of` of the projected (alpha1, alpha2).
 
-    Projects (alpha1, alpha2) by the walk calibrated on them and applies
-    :meth:`SlParams.q_of` to the projected states in one array expression:
-    one surface over the years after the fit window without ``n_paths``, an
-    (n_paths, n_ages, horizon) array with it, whose path p is reproducible
-    from ``seed`` alone. That array is a non-contiguous view of path-last
-    storage: copy it before relying on C order (see
-    :func:`~mortcast.timeseries.forecast_q`).
-
-    A projected curve is always inside (0, 1); if a sampled path produces a
-    non-monotone curve, DomainError names the path, the year and the two
-    ages between which survival increases.
+    Central without ``n_paths``, sampled with it as a non-contiguous
+    (n_paths, n_ages, horizon) view of path-last storage: see
+    :func:`~mortcast.timeseries.forecast_q`. A projected curve that rises
+    in age, or falls to 0 where exp overflows far out, raises DomainError
+    naming its path, age and year.
     """
-    q_of = partial(params.q_of, first_year=params.years.t_max + 1)
-    return forecast_q(params, q_of, horizon, n_paths, seed)
+    return forecast_q(params, horizon, n_paths, seed)

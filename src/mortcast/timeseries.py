@@ -302,19 +302,18 @@ def forecast_years(params, horizon: int) -> YearRange:
     return YearRange(last + 1, last + horizon)
 
 
-def forecast_q(params, q_of, horizon: int, n_paths: int | None = None, seed: int | None = None):
+def forecast_q(params, horizon: int, n_paths: int | None = None, seed: int | None = None):
     """Death probabilities for the :func:`forecast_years` after the fit ``params``.
 
     The walk is :func:`calibrate_rwd` of the params' :func:`time_indices`,
-    and the forecast covers ``params.ages``. ``q_of`` is the model's array
-    expression: it maps states of shape (..., horizon, dim) to death
-    probabilities of shape (..., n_ages, horizon). Without ``n_paths`` it
-    maps the central projection to one validated MortalitySurface. With
+    and the forecast covers ``params.ages``. ``params.q_of`` is the model's
+    array expression: it maps states of shape (..., horizon, dim) to death
+    probabilities of shape (..., n_ages, horizon), and names the path, age
+    and year of any cell its own expression fails at. Without ``n_paths``
+    it maps the central projection to one validated MortalitySurface. With
     ``n_paths`` it maps the simulated paths PATH_CHUNK at a time, checking
     each block once (finite, inside [0, 1], first bad cell named by path,
-    age and year), and returns an (n_paths, n_ages, horizon) array. A
-    DomainError that ``q_of`` raises with a ``cell`` has the path
-    ``cell[0]`` of the block, and is re-raised naming that sample path.
+    age and year), and returns an (n_paths, n_ages, horizon) array.
 
     The sample array is stored path-last, (n_ages, horizon, n_paths) in C
     order, so that each cell's paths are contiguous for
@@ -325,15 +324,10 @@ def forecast_q(params, q_of, horizon: int, n_paths: int | None = None, seed: int
     states = forecast_states(calibrate_rwd(time_indices(params)), horizon, n_paths, seed)
     ages, years = params.ages, forecast_years(params, horizon)
     if n_paths is None:
-        return MortalitySurface(ages, years, SurfaceKind.DEATH_PROB, q_of(states))
+        return MortalitySurface(ages, years, SurfaceKind.DEATH_PROB, params.q_of(states, years))
     out = np.empty((len(ages), horizon, states.shape[0]))
     for start in range(0, states.shape[0], PATH_CHUNK):
-        try:
-            block = q_of(states[start : start + PATH_CHUNK])
-        except DomainError as exc:
-            if not exc.cell:
-                raise
-            raise DomainError(f"{exc} on sample path {start + exc.cell[0]}") from None
+        block = params.q_of(states[start : start + PATH_CHUNK], years, start)
         check_surface_values(block, SurfaceKind.DEATH_PROB, ages, years, first_path=start)
         out[..., start : start + PATH_CHUNK] = np.moveaxis(block, 0, -1)
         # freed before the next chunk's temporaries are made

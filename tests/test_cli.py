@@ -426,22 +426,33 @@ class TestInvalidSamplePath:
 
 
 class TestForecastOverflow:
-    """A horizon whose states overflow exp is a data error with one stderr line, no warning."""
+    """A horizon whose states overflow exp is a data error naming its cell in one stderr line.
 
-    @pytest.mark.parametrize("model, message", [
-        ("sl", "survival values must be strictly positive"),
-        ("lc", "central rate must be finite"),
+    The noise-free fit calibrates a walk without noise, so every sample path
+    is the central one and path 0 is the first bad path.
+    """
+
+    SAMPLE = ["--mode", "sample", "--paths", "3"]
+
+    @pytest.mark.parametrize("model, mode, message", [
+        pytest.param("sl", [], "nonpositive survival at age 60, year 2228", id="sl-central"),
+        pytest.param("sl", SAMPLE, "nonpositive survival at sample path 0, age 60, year 2228",
+                     id="sl-sample"),
+        pytest.param("lc", [], "non-finite central_rate at age 60, year 16291", id="lc-central"),
+        pytest.param("lc", SAMPLE, "non-finite central_rate at sample path 0, age 60, year 16291",
+                     id="lc-sample"),
     ])
-    def test_exit_data_with_one_line(self, tmp_path, capsys, model, message):
+    def test_exit_data_with_one_line(self, tmp_path, capsys, model, mode, message):
         data = synth_file(tmp_path, manifold="gompertz", extra=["--improvement", "0.05"])
         fit = ["fit", "--model", model, "--input", str(data), *FIT_WINDOW,
                "--out", str(tmp_path / "fit")]
         assert main(fit) == 0
         capsys.readouterr()
         code = main(["forecast", "--params", str(tmp_path / "fit" / "params.csv"),
-                     "--horizon", "20000", "--out", str(tmp_path / "fc")])
+                     "--horizon", "20000", *mode, "--out", str(tmp_path / "fc")])
         assert code == 3
         assert capsys.readouterr().err == f"mortcast: error: {message}\n"
+        assert not (tmp_path / "fc").exists()
 
 
 def synth_age_above_hmd(tmp_path, out_dir):
@@ -561,7 +572,7 @@ class TestNonFiniteConfig:
 
 class TestBacktest:
     ARGS = ["--x-min", "60", "--x-max", "74", "--fit-from", "1980", "--fit-to", "1999",
-            "--forecast-from", "2000", "--forecast-to", "2009"]
+            "--forecast-to", "2009"]
 
     def test_report_and_mi_artifacts(self, tmp_path):
         out_dir = tmp_path / "bt"
@@ -625,13 +636,15 @@ class TestBacktest:
         assert err.count("\n") == 1 and "--country" in err
         assert not out_dir.exists()
 
-    def test_window_contiguity_is_usage_error(self, tmp_path):
-        code = main(
-            ["backtest", "--synth", "lc", "--x-min", "60", "--x-max", "74",
-             "--fit-from", "1980", "--fit-to", "1999", "--forecast-from", "2001",
-             "--forecast-to", "2009", "--out", str(tmp_path / "bt")]
-        )
-        assert code == 1
+    def test_window_contiguity_is_usage_error(self, tmp_path, capsys):
+        """The holdout starts the year after --fit-to: there is no flag to leave a gap."""
+        out_dir = tmp_path / "bt"
+        argv = ["backtest", "--synth", "lc", *self.ARGS, "--out", str(out_dir)]
+        assert main([*argv, "--forecast-from", "2001"]) == 1
+        assert "unrecognized arguments: --forecast-from 2001" in capsys.readouterr().err
+        # and an empty holdout is refused too
+        assert main([*argv, "--forecast-to", "1999"]) == 1
+        assert not out_dir.exists()
 
 
 class TestConfigFile:

@@ -1,9 +1,10 @@
 """Every error that names the first offending cell of a grid, by age, then year.
 
 The reference-curve errors name the first offending age, or the position
-where no ages are known. The texts are pinned in full; a generated
-property checks the cell that ``check_surface_values`` names against a
-plain-loop oracle.
+where no ages are known. The texts are pinned in full; generated
+properties check the cell that ``check_surface_values`` names against a
+plain-loop oracle, and that SL's ``q_of`` fails exactly when its curves
+do, with that oracle's message.
 """
 
 import io
@@ -18,6 +19,7 @@ from hypothesis.extra import numpy as hnp
 from mortcast import (
     AgeRange,
     DomainError,
+    LcParams,
     LDiffSurface,
     MortalitySurface,
     MortcastError,
@@ -31,6 +33,7 @@ from mortcast import (
     l_transform,
     parse_hmd,
     surface_q_to_survival,
+    survival_to_q,
 )
 from mortcast.cli import _read_params
 from mortcast.lifetable import check_surface_values
@@ -67,6 +70,20 @@ def sl_params(base_survival):
         alpha1=np.zeros(3), alpha2=np.zeros(3), kappa=np.array([-1.0, 0.0, 1.0]),
         base_survival=np.array(base_survival), t0=YEARS.t_min - 1, ages=AGES, years=YEARS,
     )
+
+
+def sl_q_of(states, first_path=0):
+    """SL death probabilities over YEARS; L0 = log(-log S) is -2.25, -1.50, -1.25."""
+    return sl_params([0.9, 0.8, 0.75]).q_of(np.array(states, dtype=float), YEARS, first_path)
+
+
+def lc_q_of(kappa):
+    """Lee-Carter death probabilities over YEARS from log m = -4 + beta_x * kappa_t."""
+    params = LcParams(
+        alpha_x=np.full(3, -4.0), beta_x=np.array([0.0, 0.25, 0.75]), kappa_t=np.zeros(3),
+        ages=AGES, years=YEARS,
+    )
+    return params.q_of(np.array(kappa, dtype=float)[:, None], YEARS)
 
 
 def sl_params_csv(base_survival):
@@ -173,6 +190,21 @@ CASES = {
         paths_block(SurfaceKind.SURVIVAL, 0.5, (1, 2, 1), 0.9),
         "survival increases from age 61 to 62 in year 2001 on sample path 11",
     ),
+    # (alpha1, alpha2) per year: alpha2 below -0.25 breaks ages 61-62, below -0.75 also 60-61
+    "SlParams.q_of survival increases": (
+        lambda: sl_q_of([[0.0, -0.5], [0.0, -1.0], [0.0, 0.0]]),
+        "survival increases from age 60 to 61 in year 2001",
+    ),
+    # exp overflows where L0 + delta passes 709: at 62 in 2000, at 61 and 62 in 2001
+    "SlParams.q_of sample path overflow": (
+        lambda: sl_q_of(np.stack([np.zeros((3, 2)), [[0, 1000], [1000, 1000], [0, 0]]]), 10),
+        "nonpositive survival at sample path 11, age 61, year 2001",
+    ),
+    # log m passes 709 at 62 in 2000, at 61 and 62 in 2001
+    "LcParams.q_of overflow": (
+        lambda: lc_q_of([1000.0, 3000.0, 0.0]),
+        "non-finite central_rate at age 61, year 2001",
+    ),
 }
 
 
@@ -258,3 +290,47 @@ def test_check_names_the_first_bad_cell(case):
     with pytest.raises(DomainError) as exc:
         check_surface_values(*case)
     assert str(exc.value) == expected
+
+
+@st.composite
+def sl_blocks(draw):
+    """SL params and states; large states make curves underflow to 0 or rise in age."""
+    n_ages, n_years = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+    n_paths = draw(st.sampled_from([None, 1, 3]))
+    ages = AgeRange(60, 60 + n_ages - 1)
+    params = SlParams(
+        alpha1=np.zeros(3), alpha2=np.zeros(3),
+        kappa=draw(hnp.arrays(float, n_ages, elements=st.floats(-1.0, 1.0))),
+        # not necessarily falling in age, so some curves rise even at zero states
+        base_survival=draw(hnp.arrays(float, n_ages, elements=st.floats(0.01, 0.99))),
+        t0=YEARS.t_min - 1, ages=ages, years=YEARS,
+    )
+    shape = (n_years, 2) if n_paths is None else (n_paths, n_years, 2)
+    state = st.one_of(st.floats(-8.0, 8.0), st.sampled_from([-1000.0, 1000.0]))
+    states = draw(hnp.arrays(float, shape, elements=state))
+    t_min = draw(st.integers(1900, 2100))
+    years = YearRange(t_min, t_min + n_years - 1)
+    return params, states, years, draw(st.integers(0, 10_000))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sl_blocks())
+def test_sl_q_of_fails_with_the_survival_grid_message(case):
+    params, states, years, first_path = case
+    survival = invert_l_diff(states[..., :1] + states[..., 1:] * params.kappa, params.base_survival)
+    try:
+        expected = np.swapaxes(survival_to_q(survival), -1, -2)
+    except DomainError:
+        expected = None
+    if expected is not None:
+        got = params.q_of(states, years, first_path)
+        np.testing.assert_array_equal(
+            np.ascontiguousarray(got).view(np.uint64), np.ascontiguousarray(expected).view(np.uint64)
+        )
+        return
+    grid = np.swapaxes(survival, -1, -2)
+    message = first_fault(grid, SurfaceKind.SURVIVAL, params.ages, years, first_path)
+    assert message is not None
+    with pytest.raises(DomainError) as exc:
+        params.q_of(states, years, first_path)
+    assert str(exc.value) == message

@@ -131,6 +131,23 @@ class TestInvalidPaths:
         ):
             sl_forecast(params, horizon=4, n_paths=3, seed=0)
 
+    def test_rising_cell_is_first_by_age_then_year(self):
+        # ages x and x+1 keep their order while dL0_x + alpha2 * dkappa_x >= 0,
+        # with L0 = log(-log(base_survival)). alpha2 falls by 0.1 a year with no
+        # noise; pair 61-62 (dL0 0.25) breaks from 2005 on, pair 60-61 (dL0
+        # 0.75) from 2012. The named cell is the lower pair, not the earlier year.
+        params = SlParams(
+            alpha1=np.zeros(3), alpha2=np.array([0.2, 0.1, 0.0]),
+            kappa=np.array([-1.0, 0.0, 1.0]) / np.sqrt(2.0),
+            base_survival=np.array([0.9, 0.8, 0.75]), t0=1998,
+            ages=AgeRange(60, 62), years=YearRange(1999, 2001),
+        )
+        text = "survival increases from age 60 to 61 in year 2012"
+        with pytest.raises(DomainError, match=f"^{text}$"):
+            sl_forecast(params, horizon=12)
+        with pytest.raises(DomainError, match=f"^{text} on sample path 0$"):
+            sl_forecast(params, horizon=12, n_paths=3, seed=0)
+
     def test_check_names_path_age_and_year(self):
         block = np.full((3, N_AGES, 2), 0.01)
         block[2, 1, 1] = 1.5
