@@ -33,6 +33,8 @@ from .transforms import logistic, logit
 class LcParams:
     """Lee-Carter parameters under sum(beta) = 1, sum(kappa) = 0."""
 
+    NAME = "lc"
+    REFERENCE_YEAR = False
     # params.csv layout: (row name, attribute, AGE | YEAR | type of a scalar)
     ROWS = (("alpha_x", "alpha_x", AGE), ("beta_x", "beta_x", AGE), ("kappa_t", "kappa_t", YEAR))
 
@@ -70,11 +72,20 @@ class LcParams:
             check_surface_values(m, SurfaceKind.CENTRAL_RATE, self.ages, years, first_path)
             raise
 
+    @staticmethod
+    def fit(rates, q, fit_years, t0, config):
+        return fit_lc(rates.subset(years=fit_years)), None
+
+    def forecast(self, horizon, n_paths=None, seed=None):
+        return lc_forecast(self, horizon, n_paths, seed)
+
 
 @dataclass(frozen=True)
 class CbdParams:
     """CBD parameters; x_bar is the midpoint of the fitted age window."""
 
+    NAME = "cbd"
+    REFERENCE_YEAR = False
     # params.csv layout: (row name, attribute, AGE | YEAR | type of a scalar)
     ROWS = (("kappa1", "kappa1_t", YEAR), ("kappa2", "kappa2_t", YEAR), ("x_bar", "x_bar", float))
 
@@ -99,6 +110,13 @@ class CbdParams:
         """
         cx = (self.ages.to_array() - self.x_bar)[:, None]
         return logistic(states[..., None, :, 0] + cx * states[..., None, :, 1])
+
+    @staticmethod
+    def fit(rates, q, fit_years, t0, config):
+        return fit_cbd(q.subset(years=fit_years)), None
+
+    def forecast(self, horizon, n_paths=None, seed=None):
+        return cbd_forecast(self, horizon, n_paths, seed)
 
 
 def fit_lc(m_surface: MortalitySurface) -> LcParams:

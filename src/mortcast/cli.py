@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MortcastError, ParseError
-from .evaluation import BacktestConfig, run_backtest
+from .evaluation import MODELS, BacktestConfig, run_backtest
 from .ingest import (
     _MANIFOLDS,
     QUANTILE_PROBS,
@@ -35,7 +35,6 @@ from .ingest import (
     write_hmd,
 )
 from .lifetable import AGE, YEAR, AgeRange, MortalitySurface, YearRange, surface_central_rate_to_q
-from .models import MODELS
 from .sl_model import FitConfig
 from .timeseries import PATH_LIMIT, forecast_years, path_quantiles
 
@@ -205,7 +204,7 @@ def _resolved_header(args) -> list[str]:
 
 
 def _read_params(raw: bytes, path: str):
-    """Rebuild the model and params written by cmd_fit from its params.csv bytes.
+    """Rebuild the params written by cmd_fit from its params.csv bytes.
 
     The header names the model and its age and year windows, and the rows
     must follow the ROWS layout of the model's params class exactly: each
@@ -238,10 +237,10 @@ def _read_params(raw: bytes, path: str):
     windows = {AGE: ages, YEAR: years}
     layout = [
         (attr, f"{name},{i},", float if axis in windows else axis)
-        for name, attr, axis in model.params.ROWS
+        for name, attr, axis in model.ROWS
         for i in windows.get(axis, [""])
     ]
-    got: dict[str, list] = {attr: [] for _, attr, _ in model.params.ROWS}
+    got: dict[str, list] = {attr: [] for _, attr, _ in model.ROWS}
     for k, (attr, prefix, convert) in enumerate(layout):
         if k == len(rows):
             raise ParseError(f"params file ends at line {len(lines)}, before its {prefix} row")
@@ -255,12 +254,12 @@ def _read_params(raw: bytes, path: str):
         if convert is float and not np.isfinite(got[attr][-1]):
             raise ParseError(f"line {line_no}: non-finite value in {line!r}")
     if len(rows) > len(layout):
-        raise ParseError(f"line {rows[len(layout)][0]}: more rows than the {model.name} layout")
+        raise ParseError(f"line {rows[len(layout)][0]}: more rows than the {model.NAME} layout")
     values = {
         attr: np.array(got[attr]) if axis in windows else got[attr][0]
-        for _, attr, axis in model.params.ROWS
+        for _, attr, axis in model.ROWS
     }
-    return model, model.params(**values, ages=ages, years=years)
+    return model(**values, ages=ages, years=years)
 
 
 def cmd_fit(args) -> int:
@@ -270,7 +269,7 @@ def cmd_fit(args) -> int:
     ages = _checked(AgeRange, args.x_min, args.x_max)
     fit_years = _checked(YearRange, args.t_min, args.t_max)
     config = _checked(FitConfig, gamma=args.gamma, epsilon=args.epsilon, k_max=args.k_max)
-    if model.reference_year:
+    if model.REFERENCE_YEAR:
         span = _checked(YearRange, args.t0, args.t_max)
         if args.t0 >= args.t_min:
             raise _UsageError(f"t0 {args.t0} must precede the fit window")
@@ -316,16 +315,16 @@ def cmd_forecast(args) -> int:
     if args.mode == "sample" and args.seed < 0:
         raise _UsageError(f"seed must be a nonnegative integer, got {args.seed}")
     raw = Path(args.params).read_bytes()
-    model, params = _read_params(raw, args.params)
-    header = _resolved_header(args) + [f"input_sha256 = {_digest(raw)}", f"model = {model.name}"]
+    params = _read_params(raw, args.params)
+    header = _resolved_header(args) + [f"input_sha256 = {_digest(raw)}", f"model = {params.NAME}"]
     out_dir = Path(args.out)
 
     if args.mode == "central":
-        surface = model.forecast(params, args.horizon)
+        surface = params.forecast(args.horizon)
         export_csv(surface, out_dir / "forecast.csv", comments=header)
         print(f"wrote {out_dir / 'forecast.csv'}")
     else:
-        paths = model.forecast(params, args.horizon, n_paths=args.paths, seed=args.seed)
+        paths = params.forecast(args.horizon, n_paths=args.paths, seed=args.seed)
         # nothing else holds the paths array, so the quantiles may reorder it
         bands = path_quantiles(paths, QUANTILE_PROBS)
         years = forecast_years(params, args.horizon)

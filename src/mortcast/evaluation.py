@@ -13,14 +13,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .benchmark_models import CbdParams, LcParams
 from .errors import DomainError
 from .lifetable import AgeRange, MortalitySurface, SurfaceKind, YearRange, surface_central_rate_to_q
 # unused here, but perfbench's tracer self-test checks that this copy is rebound
 from .lifetable import survival_to_q  # noqa: F401
-from .models import MODELS
-from .sl_model import FitConfig
+from .sl_model import FitConfig, SlParams
 from .timeseries import time_indices
 
+# The model table: each params class by its NAME. ``cls.fit(rates, q,
+# fit_years, t0, config)`` gets central rates and their death probabilities
+# over years that cover the fit window and, if REFERENCE_YEAR, t0; it returns
+# the params and the fit's diagnostics, or None for a closed-form fit.
+# ``params.forecast(horizon, n_paths=None, seed=None)`` projects the walk of
+# the params' own time indices, central when n_paths is None. Both call their
+# module's functions by name, so a wrapper installed there sees every call.
+MODELS = {cls.NAME: cls for cls in (SlParams, LcParams, CbdParams)}
 MODEL_ORDER = tuple(name.upper() for name in MODELS)
 
 
@@ -193,7 +201,7 @@ def run_backtest(
         model = MODELS[label.lower()]
         params, diagnostics = model.fit(sub, q_all, config.fit_years, config.t0, config.fit)
         q_hat_fit = params.q_of(time_indices(params), params.years)
-        forecast = model.forecast(params, len(config.forecast_years))
+        forecast = params.forecast(len(config.forecast_years))
         estimates[label] = (q_hat_fit, forecast.values)
         if diagnostics is not None:
             sl_converged = diagnostics.converged

@@ -9,6 +9,7 @@ line number; it never repairs.
 from __future__ import annotations
 
 import io
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -284,14 +285,23 @@ def _write_text(destination, text: str) -> None:
 
     Every artifact file goes through here. A path's parent directory is
     created on the first write into it, so a command that fails before
-    writing leaves no directory behind.
+    writing leaves no directory behind. The text goes to a temporary file
+    beside the path, which replaces the path only once it is complete: a
+    failed write leaves no temporary, and any earlier file keeps its bytes.
     """
     if hasattr(destination, "write"):
         destination.write(text)
-    else:
-        path = Path(destination)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        return
+    path = Path(destination)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    # the process id keeps two commands writing one path apart
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        partial.write_text(text, encoding="utf-8")
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def write_csv(destination, header, rows, comments=()) -> None:

@@ -114,6 +114,17 @@ def _first_cell(mask: np.ndarray, ages: AgeRange, years: YearRange) -> tuple[int
     return (*path, ages.x_min + i, years.t_min + j)
 
 
+def _locate(mask: np.ndarray, ages: AgeRange, years: YearRange, first_path: int = 0) -> str:
+    """"age X, year Y" of the first True cell of ``mask``, by age, then year.
+
+    For a (paths, ages, years) block whose first path has index
+    ``first_path``, "sample path P, " leads.
+    """
+    *path, x, t = _first_cell(mask, ages, years)
+    cell = f"age {x}, year {t}"
+    return f"sample path {first_path + path[0]}, {cell}" if path else cell
+
+
 def _freeze_series(params) -> None:
     """Store each AGE and YEAR series of ``params.ROWS`` as a private read-only float copy.
 
@@ -142,20 +153,17 @@ def check_surface_values(
     the age and year.
     """
 
-    def at(mask):
-        *path, x, t = _first_cell(mask, ages, years)
-        cell = f"age {x}, year {t}"
-        return f"sample path {first_path + path[0]}, {cell}" if path else cell
-
     survival = kind is SurfaceKind.SURVIVAL
     if not np.isfinite(values).all():
-        raise DomainError(f"non-finite {kind.value} at {at(~np.isfinite(values))}")
+        at = _locate(~np.isfinite(values), ages, years, first_path)
+        raise DomainError(f"non-finite {kind.value} at {at}")
     low = values <= 0.0 if survival else values < 0.0
     if low.any():
-        raise DomainError(f"{'nonpositive' if survival else 'negative'} {kind.value} at {at(low)}")
+        at = _locate(low, ages, years, first_path)
+        raise DomainError(f"{'nonpositive' if survival else 'negative'} {kind.value} at {at}")
     if (survival or kind is SurfaceKind.DEATH_PROB) and (values > 1.0).any():
         name = "survival" if survival else "death probability"
-        raise DomainError(f"{name} above 1 at {at(values > 1.0)}")
+        raise DomainError(f"{name} above 1 at {_locate(values > 1.0, ages, years, first_path)}")
     if survival:
         rising = values[..., 1:, :] > values[..., :-1, :]
         if rising.any():

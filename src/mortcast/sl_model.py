@@ -20,10 +20,11 @@ from .lifetable import (
     YearRange,
     _freeze_series,
     check_surface_values,
+    surface_q_to_survival,
     survival_to_q,
 )
 from .timeseries import forecast_q
-from .transforms import LDiffSurface, check_l_domain, invert_l_diff
+from .transforms import LDiffSurface, build_l_diff, check_l_domain, invert_l_diff
 
 
 @dataclass(frozen=True)
@@ -37,6 +38,8 @@ class SlParams:
     sum(kappa^2) = 1, kappa at the oldest age nonnegative.
     """
 
+    NAME = "sl"
+    REFERENCE_YEAR = True
     # params.csv layout: (row name, attribute, AGE | YEAR | type of a scalar)
     ROWS = (
         ("alpha1", "alpha1", YEAR),
@@ -83,6 +86,13 @@ class SlParams:
             check_surface_values(grid, SurfaceKind.SURVIVAL, self.ages, years, first_path)
             raise
         return np.swapaxes(q, -1, -2)
+
+    @staticmethod
+    def fit(rates, q, fit_years, t0, config):
+        return fit_sl(build_l_diff(surface_q_to_survival(q), t0=t0, fit_years=fit_years), config)
+
+    def forecast(self, horizon, n_paths=None, seed=None):
+        return sl_forecast(self, horizon, n_paths, seed)
 
     def fitted_surface(self) -> np.ndarray:
         """alpha1_t + alpha2_t * kappa_x as an (n_ages, n_years) array."""

@@ -17,10 +17,12 @@ import numpy as np
 from .errors import DomainError
 from .lifetable import (
     YEAR,
+    AgeRange,
     MortalitySurface,
     SurfaceKind,
     YearRange,
     _freeze,
+    _locate,
     check_surface_values,
 )
 
@@ -302,6 +304,12 @@ def forecast_years(params, horizon: int) -> YearRange:
     return YearRange(last + 1, last + horizon)
 
 
+def _check_below_one(q: np.ndarray, ages: AgeRange, years: YearRange, first_path: int = 0) -> None:
+    """Reject a death probability that rounds to 1, naming its path, age and year."""
+    if q.max() >= 1.0:
+        raise DomainError(f"death probability of 1 at {_locate(q >= 1.0, ages, years, first_path)}")
+
+
 def forecast_q(params, horizon: int, n_paths: int | None = None, seed: int | None = None):
     """Death probabilities for the :func:`forecast_years` after the fit ``params``.
 
@@ -313,7 +321,9 @@ def forecast_q(params, horizon: int, n_paths: int | None = None, seed: int | Non
     it maps the central projection to one validated MortalitySurface. With
     ``n_paths`` it maps the simulated paths PATH_CHUNK at a time, checking
     each block once (finite, inside [0, 1], first bad cell named by path,
-    age and year), and returns an (n_paths, n_ages, horizon) array.
+    age and year), and returns an (n_paths, n_ages, horizon) array. Either
+    way a q that rounds to 1, as it does far enough out, is a DomainError
+    naming its path, age and year.
 
     The sample array is stored path-last, (n_ages, horizon, n_paths) in C
     order, so that each cell's paths are contiguous for
@@ -324,11 +334,14 @@ def forecast_q(params, horizon: int, n_paths: int | None = None, seed: int | Non
     states = forecast_states(calibrate_rwd(time_indices(params)), horizon, n_paths, seed)
     ages, years = params.ages, forecast_years(params, horizon)
     if n_paths is None:
-        return MortalitySurface(ages, years, SurfaceKind.DEATH_PROB, params.q_of(states, years))
+        q = params.q_of(states, years)
+        _check_below_one(q, ages, years)
+        return MortalitySurface(ages, years, SurfaceKind.DEATH_PROB, q)
     out = np.empty((len(ages), horizon, states.shape[0]))
     for start in range(0, states.shape[0], PATH_CHUNK):
         block = params.q_of(states[start : start + PATH_CHUNK], years, start)
         check_surface_values(block, SurfaceKind.DEATH_PROB, ages, years, first_path=start)
+        _check_below_one(block, ages, years, start)
         out[..., start : start + PATH_CHUNK] = np.moveaxis(block, 0, -1)
         # freed before the next chunk's temporaries are made
         del block

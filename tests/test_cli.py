@@ -155,6 +155,18 @@ class TestFit:
         )
         assert code == 1
 
+    def test_reference_year_inside_fit_window_is_usage_error(self, tmp_path, capsys):
+        out_dir = tmp_path / "fit"
+        code = main(
+            ["fit", "--model", "sl", "--synth", "sl", *FIT_WINDOW, "--t0", "1990",
+             "--out", str(out_dir)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "mortcast: usage error: t0 1990 must precede the fit window\n"
+        )
+        assert not out_dir.exists()
+
     def test_exhausted_sweep_budget_signals_no_convergence(self, tmp_path):
         data = synth_file(tmp_path)
         out_dir = tmp_path / "fit"
@@ -377,6 +389,20 @@ class TestParamsReader:
         assert code == 3
         assert f"line {k + 1}: non-finite value in '{row}{value}'" in err
 
+    def test_extra_row(self, tmp_path, capsys):
+        path, lines = self.fit(tmp_path, "lc")
+        lines.append("kappa_t,2010,0.5")
+        code, err = self.forecast(path, lines, tmp_path, capsys)
+        assert code == 3
+        assert err == f"mortcast: error: line {len(lines)}: more rows than the lc layout\n"
+
+    def test_missing_model_header(self, tmp_path, capsys):
+        path, lines = self.fit(tmp_path, "cbd")
+        del lines[self.line_of(lines, "# model =")]
+        code, err = self.forecast(path, lines, tmp_path, capsys)
+        assert code == 3
+        assert err == "mortcast: error: params file carries no '# model =' header\n"
+
     def test_rows_out_of_order(self, tmp_path, capsys):
         path, lines = self.fit(tmp_path, "lc")
         first, last = self.line_of(lines, "kappa_t,1990,"), self.line_of(lines, "kappa_t,2009,")
@@ -426,10 +452,11 @@ class TestInvalidSamplePath:
 
 
 class TestForecastOverflow:
-    """A horizon whose states overflow exp is a data error naming its cell in one stderr line.
+    """A horizon whose states overflow exp, or whose q rounds to 1, is a data error.
 
-    The noise-free fit calibrates a walk without noise, so every sample path
-    is the central one and path 0 is the first bad path.
+    The error names its cell in one stderr line. The noise-free fit
+    calibrates a walk without noise, so every sample path is the central
+    one and path 0 is the first bad path.
     """
 
     SAMPLE = ["--mode", "sample", "--paths", "3"]
@@ -452,6 +479,27 @@ class TestForecastOverflow:
                      "--horizon", "20000", *mode, "--out", str(tmp_path / "fc")])
         assert code == 3
         assert capsys.readouterr().err == f"mortcast: error: {message}\n"
+        assert not (tmp_path / "fc").exists()
+
+    @pytest.mark.parametrize("model, horizon, mode, message", [
+        pytest.param("lc", "100", [], "age 76, year 2109", id="lc-central"),
+        pytest.param("lc", "100", ["--mode", "sample", "--paths", "200", "--seed", "1"],
+                     "sample path 0, age 76, year 2109", id="lc-sample"),
+        pytest.param("cbd", "20000", [], "age 60, year 2826", id="cbd-central"),
+        pytest.param("cbd", "20000", SAMPLE, "sample path 0, age 60, year 2826", id="cbd-sample"),
+    ])
+    def test_death_probability_of_one(self, tmp_path, capsys, model, horizon, mode, message):
+        data = tmp_path / "improving.txt"
+        assert main(["synth", "--x-min", "60", "--x-max", "94", "--t-min", "1959",
+                     "--t-max", "2009", "--improvement", "0.05", "--out", str(data)]) == 0
+        assert main(["fit", "--model", model, "--input", str(data), "--x-min", "60",
+                     "--x-max", "94", "--t-min", "1960", "--t-max", "2009",
+                     "--out", str(tmp_path / "fit")]) == 0
+        capsys.readouterr()
+        code = main(["forecast", "--params", str(tmp_path / "fit" / "params.csv"),
+                     "--horizon", horizon, *mode, "--out", str(tmp_path / "fc")])
+        assert code == 3
+        assert capsys.readouterr().err == f"mortcast: error: death probability of 1 at {message}\n"
         assert not (tmp_path / "fc").exists()
 
 
@@ -662,6 +710,17 @@ class TestConfigFile:
         ) == 0
         assert header_dict(out_a / "params.csv")["t_max"] == "1999"
         assert header_dict(out_b / "params.csv")["t_max"] == "2009"
+
+    def test_config_flag_without_value_is_usage_error(self, tmp_path, capsys):
+        out_dir = tmp_path / "fit"
+        code = main(
+            ["fit", "--model", "lc", "--synth", "gompertz", *FIT_WINDOW, "--out", str(out_dir),
+             "--config"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.endswith("mortcast fit: error: argument --config: expected one argument\n")
+        assert not out_dir.exists()
 
     def test_malformed_config_is_usage_error(self, tmp_path):
         config = tmp_path / "run.conf"

@@ -330,6 +330,19 @@ class TestWriteCsv:
         write_csv(path, ("a", "b"), [])
         assert path.read_text() == "a,b\n"
 
+    @pytest.mark.parametrize("earlier", [None, b"a,b\n1,2\n"])
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, earlier):
+        path = tmp_path / "out.csv"
+        if earlier is not None:
+            path.write_bytes(earlier)
+        # a lone surrogate cannot be encoded as UTF-8, so the write fails midway
+        rows = [("x", 1.0)] * 1000 + [("\ud800", 2.0)]
+        with pytest.raises(UnicodeEncodeError):
+            write_csv(path, ("a", "b"), rows)
+        assert [p.name for p in tmp_path.iterdir()] == ([] if earlier is None else ["out.csv"])
+        if earlier is not None:
+            assert path.read_bytes() == earlier
+
 
 class TestQuantilesCsv:
     def test_layout(self):

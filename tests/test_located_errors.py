@@ -18,6 +18,7 @@ from hypothesis.extra import numpy as hnp
 
 from mortcast import (
     AgeRange,
+    CbdParams,
     DomainError,
     LcParams,
     LDiffSurface,
@@ -84,6 +85,18 @@ def lc_q_of(kappa):
         ages=AGES, years=YEARS,
     )
     return params.q_of(np.array(kappa, dtype=float)[:, None], YEARS)
+
+
+def cbd_forecast_of_one(n_paths=None):
+    """CBD forecast over 2003-2005 of logit q = kappa1 + 5 (x - 61), kappa1 = 35, 40, 45.
+
+    q rounds to 1 where the logit passes about 36.7: at 62 in 2003, at 61
+    from 2004 and at 60 in 2005. The walk has no noise, so every sample path
+    is the central one.
+    """
+    params = CbdParams(kappa1_t=np.array([20.0, 25.0, 30.0]), kappa2_t=np.full(3, 5.0),
+                       x_bar=61.0, ages=AGES, years=YEARS)
+    return params.forecast(3, n_paths, seed=None if n_paths is None else 0)
 
 
 def sl_params_csv(base_survival):
@@ -204,6 +217,14 @@ CASES = {
     "LcParams.q_of overflow": (
         lambda: lc_q_of([1000.0, 3000.0, 0.0]),
         "non-finite central_rate at age 61, year 2001",
+    ),
+    "forecast death probability of 1": (
+        cbd_forecast_of_one,
+        "death probability of 1 at age 60, year 2005",
+    ),
+    "forecast sample path death probability of 1": (
+        lambda: cbd_forecast_of_one(n_paths=3),
+        "death probability of 1 at sample path 0, age 60, year 2005",
     ),
 }
 

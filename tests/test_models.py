@@ -24,8 +24,8 @@ from mortcast import (
     write_hmd,
 )
 from mortcast.cli import _read_params, main
+from mortcast.evaluation import MODELS
 from mortcast.lifetable import AGE, YEAR, surface_central_rate_to_q
-from mortcast.models import MODELS
 from mortcast.timeseries import time_indices
 
 T0 = 1989
@@ -74,10 +74,10 @@ def test_params_csv_round_trip(name, noise_sd, seed, x_min, n_ages):
         ])
         raw = (Path(tmp) / "params.csv").read_bytes()
     assert code == (2 if diag is not None and not diag.converged else 0)
-    read_model, read = _read_params(raw, "params.csv")
-    assert read_model is model and type(read) is model.params
+    read = _read_params(raw, "params.csv")
+    assert type(read) is model
 
-    for _, attr, axis in model.params.ROWS:
+    for _, attr, axis in model.ROWS:
         got, want = getattr(read, attr), getattr(params, attr)
         if axis is int:
             assert type(got) is int and got == want
@@ -136,7 +136,7 @@ def test_params_leave_the_callers_arrays_writeable():
         CbdParams(kappa1_t=fresh([-4, -3]), kappa2_t=fresh([0.1, 0.1]), x_bar=60.5,
                   ages=ages, years=years),
     ]
-    assert {type(p) for p in built} == {m.params for m in MODELS.values()}
+    assert {type(p) for p in built} == set(MODELS.values())
     RwdParams(drift=fresh([0.1]), innovation_factor=fresh([[0.2]]), last_state=fresh([1.0]))
     assert all(arr.flags.writeable for arr in given_arrays)
     for params in built:
