@@ -22,6 +22,7 @@ from .lifetable import (
     YearRange,
     _first_cell,
     _freeze_series,
+    _paths_first,
     central_rate_to_q,
     check_surface_values,
 )
@@ -51,25 +52,33 @@ class LcParams:
         if abs(self.kappa_t.sum()) > 1e-10:
             raise DomainError(f"kappa_t must sum to 0, got {self.kappa_t.sum()}")
 
-    def q_of(self, states: np.ndarray, years: YearRange, first_path: int = 0) -> np.ndarray:
-        """Death probabilities (..., n_ages, n_years) from states (..., n_years, 1).
+    def q_of(
+        self, states: np.ndarray, years: YearRange, first_path: int = 0, out=None, work=None
+    ) -> np.ndarray:
+        """Death probabilities (n_ages, n_years[, n_paths]) from states (n_years, 1[, n_paths]).
 
-        The states are kappa_t of ``years``; with a leading axis of sample
-        paths, ``states[0]`` is path ``first_path``. m = exp(alpha_x +
-        beta_x * kappa), converted to q under a constant force of mortality
-        within each year. A rate that overflows to infinity raises the
-        DomainError of :func:`check_surface_values`, which names the first
-        such cell by path, age and year.
+        The states are kappa_t of ``years``; with a trailing axis of sample
+        paths, path ``i`` of it is sample path ``first_path + i``. m =
+        exp(alpha_x + beta_x * kappa), converted to q under a constant force
+        of mortality within each year, in ``out`` if it is given: an array
+        of the result's shape. ``work``, the scratch that SL needs, goes
+        unused. A rate that overflows to infinity raises the DomainError of
+        :func:`check_surface_values`, which names the first such cell by
+        path, age and year.
         """
-        kappa = states[..., None, :, 0]
+        kappa = states[:, 0]
+        shape = (-1,) + (1,) * kappa.ndim
+        m = np.multiply(self.beta_x.reshape(shape), kappa, out=out)
+        np.add(self.alpha_x.reshape(shape), m, out=m)
         # an overflow gives an infinite rate, which central_rate_to_q then rejects
         with np.errstate(over="ignore"):
-            m = np.exp(self.alpha_x[:, None] + self.beta_x[:, None] * kappa)
+            np.exp(m, out=m)
         try:
-            return central_rate_to_q(m)
+            return central_rate_to_q(m, out=m)
         except DomainError:
             # located only on failure, so valid blocks are not checked twice
-            check_surface_values(m, SurfaceKind.CENTRAL_RATE, self.ages, years, first_path)
+            grid = _paths_first(m)
+            check_surface_values(grid, SurfaceKind.CENTRAL_RATE, self.ages, years, first_path)
             raise
 
     @staticmethod
@@ -101,15 +110,20 @@ class CbdParams:
         if not abs(self.x_bar - (self.ages.x_min + self.ages.x_max) / 2.0) <= 1e-12:
             raise DomainError("x_bar must be the midpoint of the age window")
 
-    def q_of(self, states: np.ndarray, years: YearRange, first_path: int = 0) -> np.ndarray:
-        """Death probabilities (..., n_ages, n_years) from states (..., n_years, 2).
+    def q_of(
+        self, states: np.ndarray, years: YearRange, first_path: int = 0, out=None, work=None
+    ) -> np.ndarray:
+        """Death probabilities (n_ages, n_years[, n_paths]) from states (n_years, 2[, n_paths]).
 
-        q is the logistic of kappa1 + kappa2 * (x - x_bar), so it cannot
-        fail, and ``years`` and ``first_path``, which locate a failed cell
-        in the other models, go unused.
+        q is the logistic of kappa1 + kappa2 * (x - x_bar), in ``out`` if it
+        is given: an array of the result's shape. It cannot fail, so
+        ``years`` and ``first_path``, which locate a failed cell in the
+        other models, go unused, as does ``work``, the scratch that SL needs.
         """
-        cx = (self.ages.to_array() - self.x_bar)[:, None]
-        return logistic(states[..., None, :, 0] + cx * states[..., None, :, 1])
+        cx = (self.ages.to_array() - self.x_bar).reshape((-1,) + (1,) * (states.ndim - 1))
+        eta = np.multiply(cx, states[:, 1], out=out)
+        np.add(states[:, 0], eta, out=eta)
+        return logistic(eta, out=eta)
 
     @staticmethod
     def fit(rates, q, fit_years, t0, config):
@@ -208,8 +222,8 @@ def lc_forecast(
 ):
     """Death-probability forecast: :meth:`LcParams.q_of` of the projected kappa_t.
 
-    Central without ``n_paths``, sampled with it as a non-contiguous
-    (n_paths, n_ages, horizon) view of path-last storage: see
+    Central without ``n_paths``, a MortalitySurface; sampled with it, the
+    (3, n_ages, horizon) QUANTILE_PROBS bands over the paths: see
     :func:`~mortcast.timeseries.forecast_q`.
     """
     return forecast_q(params, horizon, n_paths, seed)
@@ -220,8 +234,8 @@ def cbd_forecast(
 ):
     """Death-probability forecast: :meth:`CbdParams.q_of` of the projected kappa.
 
-    Central without ``n_paths``, sampled with it as a non-contiguous
-    (n_paths, n_ages, horizon) view of path-last storage: see
+    Central without ``n_paths``, a MortalitySurface; sampled with it, the
+    (3, n_ages, horizon) QUANTILE_PROBS bands over the paths: see
     :func:`~mortcast.timeseries.forecast_q`.
     """
     return forecast_q(params, horizon, n_paths, seed)

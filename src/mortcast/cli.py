@@ -21,7 +21,6 @@ from .errors import MortcastError, ParseError
 from .evaluation import MODELS, BacktestConfig, run_backtest
 from .ingest import (
     _MANIFOLDS,
-    QUANTILE_PROBS,
     SynthConfig,
     _write_text,
     decode_utf8,
@@ -36,7 +35,7 @@ from .ingest import (
 )
 from .lifetable import AGE, YEAR, AgeRange, MortalitySurface, YearRange, surface_central_rate_to_q
 from .sl_model import FitConfig
-from .timeseries import PATH_LIMIT, forecast_years, path_quantiles
+from .timeseries import PATH_LIMIT, forecast_years
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -324,9 +323,7 @@ def cmd_forecast(args) -> int:
         export_csv(surface, out_dir / "forecast.csv", comments=header)
         print(f"wrote {out_dir / 'forecast.csv'}")
     else:
-        paths = params.forecast(args.horizon, n_paths=args.paths, seed=args.seed)
-        # nothing else holds the paths array, so the quantiles may reorder it
-        bands = path_quantiles(paths, QUANTILE_PROBS)
+        bands = params.forecast(args.horizon, n_paths=args.paths, seed=args.seed)
         years = forecast_years(params, args.horizon)
         export_quantiles_csv(bands, params.ages, years, out_dir / "quantiles.csv", comments=header)
         print(f"wrote {out_dir / 'quantiles.csv'}")

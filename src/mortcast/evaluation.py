@@ -26,8 +26,10 @@ from .timeseries import time_indices
 # over years that cover the fit window and, if REFERENCE_YEAR, t0; it returns
 # the params and the fit's diagnostics, or None for a closed-form fit.
 # ``params.forecast(horizon, n_paths=None, seed=None)`` projects the walk of
-# the params' own time indices, central when n_paths is None. Both call their
-# module's functions by name, so a wrapper installed there sees every call.
+# the params' own time indices: a MortalitySurface when n_paths is None, else
+# the (3, n_ages, horizon) QUANTILE_PROBS bands over n_paths sample paths. Both
+# call their module's functions by name, so a wrapper installed there sees
+# every call.
 MODELS = {cls.NAME: cls for cls in (SlParams, LcParams, CbdParams)}
 MODEL_ORDER = tuple(name.upper() for name in MODELS)
 

@@ -27,14 +27,13 @@ from .lifetable import (
     q_to_survival,
     survival_to_q,
 )
+from .timeseries import QUANTILE_PROBS
 from .transforms import invert_l_diff, logistic
 
 _HMD_HEADER = ("Year", "Age", "Female", "Male", "Total")
 _COLUMNS = {"female": 0, "male": 1, "total": 2}  # index among a row's three values
 _OPEN_AGE = 110
 _FIRST_YEAR = 1750  # the earliest year an HMD table may hold
-# probabilities of the sample-forecast bands in quantiles.csv
-QUANTILE_PROBS = (0.05, 0.5, 0.95)
 
 
 def decode_utf8(data: bytes, name) -> str:
@@ -309,8 +308,7 @@ def write_csv(destination, header, rows, comments=()) -> None:
 
     Floats carry 17 significant digits, so they read back bit for bit; other
     cells are written with ``str``. ``destination`` is a path or an open text
-    stream. ``rows`` may be a generator and lines are buffered one at a time:
-    a sample forecast is written while its paths array is alive.
+    stream. ``rows`` may be a generator.
     """
     out = io.StringIO()
     out.writelines(f"# {line}\n" for line in comments)
@@ -369,7 +367,7 @@ def export_quantiles_csv(
     """Sample-forecast bands "age,year,q05,q50,q95", by age then year.
 
     ``quantiles`` has shape (3, n_ages, n_years): the QUANTILE_PROBS bands
-    as :func:`~mortcast.timeseries.path_quantiles` returns them.
+    as a sample forecast returns them.
     """
     if quantiles.shape != (len(QUANTILE_PROBS), len(ages), len(years)):
         raise DomainError(

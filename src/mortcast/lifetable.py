@@ -125,6 +125,15 @@ def _locate(mask: np.ndarray, ages: AgeRange, years: YearRange, first_path: int 
     return f"sample path {first_path + path[0]}, {cell}" if path else cell
 
 
+def _paths_first(values: np.ndarray) -> np.ndarray:
+    """A view of an (ages, years) grid, or an (ages, years, paths) block, with the paths first.
+
+    The forecasts compute sample blocks path-last; :func:`check_surface_values`
+    and :func:`_locate` take them path-first.
+    """
+    return np.moveaxis(values, range(2, values.ndim), range(values.ndim - 2))
+
+
 def _freeze_series(params) -> None:
     """Store each AGE and YEAR series of ``params.ROWS`` as a private read-only float copy.
 
@@ -233,15 +242,18 @@ def _as_float_array(x, name: str) -> np.ndarray:
     return arr
 
 
-def central_rate_to_q(m):
+def central_rate_to_q(m, out=None):
     """Death probability 1 - exp(-m) from a central death rate.
 
-    Accepts scalars or arrays; elementwise on arrays.
+    Accepts scalars or arrays; elementwise on arrays. ``out``, as in numpy's
+    ufuncs, receives the result and may be ``m`` itself; a rejected ``m``
+    is left unchanged.
     """
     arr = _as_float_array(m, "central rate")
     if np.any(arr < 0.0):
         raise DomainError("central rate must be nonnegative")
-    return -np.expm1(-arr)
+    q = np.expm1(np.negative(arr, out=out), out=out)
+    return np.negative(q, out=out)
 
 
 def q_to_central_rate(q):
@@ -277,13 +289,14 @@ def q_to_survival(q_col) -> np.ndarray:
     return np.cumprod(1.0 - q)
 
 
-def survival_to_q(s_col) -> np.ndarray:
+def survival_to_q(s_col, out=None) -> np.ndarray:
     """One-year death probabilities from survival curves.
 
     Exact inverse of :func:`q_to_survival` along the last axis: q at the
     base age is 1 - S(x0), and q_x = 1 - S(x)/S(x-1) above it. Takes one
     curve of shape (n_ages,) or a stack of shape (..., n_ages) and returns
-    the same shape.
+    the same shape, in ``out`` if it is given: an array of that shape that
+    does not overlap the curves.
     """
     s = _as_float_array(s_col, "survival values")
     if s.ndim == 0 or s.shape[-1] == 0:
@@ -297,9 +310,10 @@ def survival_to_q(s_col) -> np.ndarray:
         *curve, x = (int(i) for i in np.argwhere(rising)[0])
         of = f" of curve {tuple(curve)}" if curve else ""
         raise DomainError(f"survival increases between positions {x} and {x + 1}{of}")
-    q = np.empty_like(s)
-    q[..., 0] = 1.0 - s[..., 0]
-    q[..., 1:] = 1.0 - s[..., 1:] / s[..., :-1]
+    q = np.empty_like(s) if out is None else out
+    np.subtract(1.0, s[..., 0], out=q[..., 0])
+    np.divide(s[..., 1:], s[..., :-1], out=q[..., 1:])
+    np.subtract(1.0, q[..., 1:], out=q[..., 1:])
     return q
 
 

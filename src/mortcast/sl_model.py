@@ -19,6 +19,7 @@ from .lifetable import (
     SurfaceKind,
     YearRange,
     _freeze_series,
+    _paths_first,
     check_surface_values,
     surface_q_to_survival,
     survival_to_q,
@@ -65,27 +66,36 @@ class SlParams:
             raise DomainError(f"reference year {self.t0} must precede fit years")
         check_l_domain(self.base_survival, "base_survival", (self.ages, self.t0))
 
-    def q_of(self, states: np.ndarray, years: YearRange, first_path: int = 0) -> np.ndarray:
-        """Death probabilities (..., n_ages, n_years) from states (..., n_years, 2).
+    def q_of(
+        self, states: np.ndarray, years: YearRange, first_path: int = 0, out=None, work=None
+    ) -> np.ndarray:
+        """Death probabilities (n_ages, n_years[, n_paths]) from states (n_years, 2[, n_paths]).
 
-        The states are (alpha1, alpha2) of ``years``; with a leading axis of
-        sample paths, ``states[0]`` is path ``first_path``. Each year's
-        survival curve is rebuilt through the inverse transform against
-        base_survival. A curve that reaches 0 or rises in age raises the
-        DomainError of :func:`check_surface_values`, which names the first
-        bad cell by path, age and year.
+        The states are (alpha1, alpha2) of ``years``; with a trailing axis
+        of sample paths, path ``i`` of it is sample path ``first_path + i``.
+        Each year's survival curve is rebuilt through the inverse transform
+        against base_survival, in ``work`` if it is given, and converted to
+        q, in ``out`` if it is given; both are arrays of the result's shape.
+        A curve that reaches 0 or rises in age raises the DomainError of
+        :func:`check_surface_values`, which names the first bad cell by
+        path, age and year.
         """
-        # (..., n_years, 1) + (..., n_years, 1) * (ages,): age is the last axis
-        delta = states[..., :1] + states[..., 1:] * self.kappa
-        survival = invert_l_diff(delta, self.base_survival)
+        alpha1, alpha2 = states[:, 0], states[:, 1]
+        kappa = self.kappa.reshape((-1,) + (1,) * alpha1.ndim)
+        # delta, then in place the survival curves it gives
+        survival = np.multiply(alpha2, kappa, out=work)
+        np.add(alpha1, survival, out=survival)
+        # age-last views, as the inverse transform and survival_to_q take their curves
+        curves = survival.swapaxes(0, -1)
+        invert_l_diff(curves, self.base_survival, out=curves)
         try:
-            q = survival_to_q(survival)
+            q = survival_to_q(curves, out=None if out is None else out.swapaxes(0, -1))
         except DomainError:
             # located only on failure, so valid blocks are not checked twice
-            grid = np.swapaxes(survival, -1, -2)
+            grid = _paths_first(survival)
             check_surface_values(grid, SurfaceKind.SURVIVAL, self.ages, years, first_path)
             raise
-        return np.swapaxes(q, -1, -2)
+        return q.swapaxes(0, -1)
 
     @staticmethod
     def fit(rates, q, fit_years, t0, config):
@@ -285,8 +295,8 @@ def sl_forecast(
 ):
     """Death-probability forecast: :meth:`SlParams.q_of` of the projected (alpha1, alpha2).
 
-    Central without ``n_paths``, sampled with it as a non-contiguous
-    (n_paths, n_ages, horizon) view of path-last storage: see
+    Central without ``n_paths``, a MortalitySurface; sampled with it, the
+    (3, n_ages, horizon) QUANTILE_PROBS bands over the paths: see
     :func:`~mortcast.timeseries.forecast_q`. A projected curve that rises
     in age, or falls to 0 where exp overflows far out, raises DomainError
     naming its path, age and year.

@@ -23,13 +23,19 @@ from .lifetable import (
     YearRange,
     _freeze,
     _locate,
+    _paths_first,
     check_surface_values,
 )
 
-# Sample paths are mapped to death probabilities this many at a time, so
-# the temporaries of a model's array expression stay a few MB however many
-# paths are asked for.
-PATH_CHUNK = 256
+# Probabilities of the bands a sample forecast returns, written to quantiles.csv.
+QUANTILE_PROBS = (0.05, 0.5, 0.95)
+
+# A sample forecast maps its states to death probabilities in blocks of
+# whole years of at most this many cells (ages x years x paths), or of one
+# year where a year holds more, so its workspace stays about 1 MB however
+# many paths are asked for. A failed forecast is located over path chunks
+# of the whole horizon, of the same size.
+BLOCK_CELLS = 2**17
 
 # A path's index is one 32-bit word of its stream's seed, so n_paths must
 # stay below this.
@@ -246,8 +252,12 @@ def simulate_paths(params: RwdParams, horizon: int, n_paths: int, seed: int) -> 
         pcg["state"], pcg["inc"] = state, inc
         bit_generator.state = full
         generator.standard_normal(out=z[p])
-    increments = params.drift + z @ params.innovation_factor.T
-    return params.last_state + np.cumsum(increments, axis=1)
+    # built in place, so z and the walk are the only arrays of their size
+    walk = z @ params.innovation_factor.T
+    walk += params.drift
+    np.cumsum(walk, axis=1, out=walk)
+    walk += params.last_state
+    return walk
 
 
 def path_quantiles(paths: np.ndarray, probs) -> np.ndarray:
@@ -264,9 +274,9 @@ def path_quantiles(paths: np.ndarray, probs) -> np.ndarray:
     order, so there a zero result may differ from numpy's in its sign bit.
     ``paths`` is sorted in place along its first axis, so its rows come back
     reordered, and no copy of it is made. The sort is fastest when each
-    cell's paths are contiguous, as in the path-last storage behind
-    forecast_q's sample arrays. The values must be finite, as forecast_q
-    guarantees for those arrays.
+    cell's paths are contiguous, as in the path-last blocks that
+    :func:`forecast_q` passes as path-first views. The values must be
+    finite, as forecast_q checks for those blocks.
     """
     if any(not 0.0 <= q <= 1.0 for q in probs):
         raise DomainError(f"quantile probabilities must lie in [0, 1], got {list(probs)}")
@@ -310,26 +320,44 @@ def _check_below_one(q: np.ndarray, ages: AgeRange, years: YearRange, first_path
         raise DomainError(f"death probability of 1 at {_locate(q >= 1.0, ages, years, first_path)}")
 
 
+def _raise_first_fault(params, states: np.ndarray, years: YearRange) -> None:
+    """Raise the DomainError of the first bad path of a failed sample forecast.
+
+    ``states`` are the (horizon, dim, n_paths) states of all ``years``. Path
+    chunks of the whole horizon are mapped as one forecast block is, so the
+    message names the first bad cell by path, then age, then year. Called
+    only once a block has failed, so it raises on some chunk.
+    """
+    ages = params.ages
+    chunk = max(1, BLOCK_CELLS // (len(ages) * len(years)))
+    for start in range(0, states.shape[-1], chunk):
+        q = _paths_first(params.q_of(states[..., start : start + chunk], years, start))
+        check_surface_values(q, SurfaceKind.DEATH_PROB, ages, years, first_path=start)
+        _check_below_one(q, ages, years, start)
+
+
 def forecast_q(params, horizon: int, n_paths: int | None = None, seed: int | None = None):
     """Death probabilities for the :func:`forecast_years` after the fit ``params``.
 
     The walk is :func:`calibrate_rwd` of the params' :func:`time_indices`,
     and the forecast covers ``params.ages``. ``params.q_of`` is the model's
-    array expression: it maps states of shape (..., horizon, dim) to death
-    probabilities of shape (..., n_ages, horizon), and names the path, age
-    and year of any cell its own expression fails at. Without ``n_paths``
-    it maps the central projection to one validated MortalitySurface. With
-    ``n_paths`` it maps the simulated paths PATH_CHUNK at a time, checking
-    each block once (finite, inside [0, 1], first bad cell named by path,
-    age and year), and returns an (n_paths, n_ages, horizon) array. Either
-    way a q that rounds to 1, as it does far enough out, is a DomainError
-    naming its path, age and year.
+    array expression: it maps states of shape (n_years, dim[, n_paths]) to
+    death probabilities of shape (n_ages, n_years[, n_paths]), and names the
+    path, age and year of any cell its own expression fails at. Without
+    ``n_paths`` it maps the central projection to one validated
+    MortalitySurface. Either way a q that rounds to 1, as it does far enough
+    out, is a DomainError naming its path, age and year.
 
-    The sample array is stored path-last, (n_ages, horizon, n_paths) in C
-    order, so that each cell's paths are contiguous for
-    :func:`path_quantiles`; the returned array is a non-contiguous view of
-    that storage with the path axis moved first. Reorder it freely, but
-    copy it before relying on C order.
+    With ``n_paths`` it returns the QUANTILE_PROBS bands over the paths, an
+    (3, n_ages, horizon) array, bit for bit ``numpy.quantile(q, QUANTILE_PROBS,
+    axis=0)`` of the (n_paths, n_ages, horizon) array q of all paths, which is
+    never stored whole. The states are transposed once to (horizon, dim,
+    n_paths); each block of years is then mapped by ``q_of`` into one
+    (n_ages, years, n_paths) store, with one scratch array of that shape,
+    both allocated once per forecast. A block passes when its values lie in
+    [0, 1), and :func:`path_quantiles` then sorts it in place. A block that
+    fails hands over to a search over path chunks of the whole horizon, which
+    names the first bad cell by path, then age, then year.
     """
     states = forecast_states(calibrate_rwd(time_indices(params)), horizon, n_paths, seed)
     ages, years = params.ages, forecast_years(params, horizon)
@@ -337,12 +365,23 @@ def forecast_q(params, horizon: int, n_paths: int | None = None, seed: int | Non
         q = params.q_of(states, years)
         _check_below_one(q, ages, years)
         return MortalitySurface(ages, years, SurfaceKind.DEATH_PROB, q)
-    out = np.empty((len(ages), horizon, states.shape[0]))
-    for start in range(0, states.shape[0], PATH_CHUNK):
-        block = params.q_of(states[start : start + PATH_CHUNK], years, start)
-        check_surface_values(block, SurfaceKind.DEATH_PROB, ages, years, first_path=start)
-        _check_below_one(block, ages, years, start)
-        out[..., start : start + PATH_CHUNK] = np.moveaxis(block, 0, -1)
-        # freed before the next chunk's temporaries are made
-        del block
-    return np.moveaxis(out, -1, 0)
+    # year-major and path-last: a block's states are contiguous, and so is each cell's paths
+    states = np.ascontiguousarray(np.moveaxis(states, 0, -1))
+    per_year = len(ages) * n_paths
+    step = min(horizon, max(1, BLOCK_CELLS // per_year))
+    store, work = np.empty(step * per_year), np.empty(step * per_year)
+    bands = np.empty((len(QUANTILE_PROBS), len(ages), horizon))
+    for t in range(0, horizon, step):
+        n = min(step, horizon - t)
+        shape = (len(ages), n, n_paths)
+        block, scratch = store[: n * per_year].reshape(shape), work[: n * per_year].reshape(shape)
+        block_years = YearRange(years.t_min + t, years.t_min + t + n - 1)
+        try:
+            params.q_of(states[t : t + n], block_years, out=block, work=scratch)
+            valid = block.min() >= 0.0 and block.max() < 1.0
+        except DomainError:
+            valid = False
+        if not valid:
+            _raise_first_fault(params, states, years)
+        bands[:, :, t : t + n] = path_quantiles(np.moveaxis(block, -1, 0), QUANTILE_PROBS)
+    return bands

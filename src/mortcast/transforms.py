@@ -73,10 +73,14 @@ def logit(p):
     return np.log(arr / (1.0 - arr))
 
 
-def logistic(x):
-    """Inverse of :func:`logit`, 1 / (1 + exp(-x)); exactly 0 where exp(-x) overflows."""
+def logistic(x, out=None):
+    """Inverse of :func:`logit`, 1 / (1 + exp(-x)); exactly 0 where exp(-x) overflows.
+
+    ``out``, as in numpy's ufuncs, receives the result and may be ``x`` itself.
+    """
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
+        e = np.exp(np.negative(np.asarray(x, dtype=float), out=out), out=out)
+    return np.divide(1.0, np.add(1.0, e, out=out), out=out)
 
 
 @dataclass(frozen=True)
@@ -165,13 +169,14 @@ def build_l_diff(
     )
 
 
-def invert_l_diff(delta_col, base_survival) -> np.ndarray:
+def invert_l_diff(delta_col, base_survival, out=None) -> np.ndarray:
     """Survival curves implied by difference values and the reference curve.
 
     Computes exp(-exp(L(base) + delta)) elementwise; with delta = 0 this
     returns the base curve. ``delta`` has age as its last axis: one column
     of shape (n_ages,) or a stack of shape (..., n_ages), and the result has
-    the same shape.
+    the same shape. ``out``, as in numpy's ufuncs, receives the result and
+    may be ``delta`` itself.
     """
     delta = _as_float_array(delta_col, "difference values")
     base = _as_float_array(base_survival, "base survival")
@@ -180,4 +185,5 @@ def invert_l_diff(delta_col, base_survival) -> np.ndarray:
     check_l_domain(base, "base survival")
     # an overflow gives survival 0, which survival_to_q then rejects
     with np.errstate(over="ignore"):
-        return np.exp(-np.exp(np.log(-np.log(base)) + delta))
+        e = np.exp(np.add(np.log(-np.log(base)), delta, out=out), out=out)
+        return np.exp(np.negative(e, out=out), out=out)

@@ -195,10 +195,10 @@ class TestLcForecast:
     def test_sample_degenerate_matches_central(self):
         params = self.params([0.25, 0.0, -0.25])
         central = lc_forecast(params, horizon=3)
-        out = lc_forecast(params, horizon=3, n_paths=2, seed=1)
-        assert out.shape == (2, 2, 3)
-        for p in range(2):
-            np.testing.assert_array_equal(out[p], central.values)
+        bands = lc_forecast(params, horizon=3, n_paths=2, seed=1)
+        assert bands.shape == (3, 2, 3)
+        for band in bands:
+            np.testing.assert_array_equal(band, central.values)
 
 
 class TestCbdForecast:

@@ -446,8 +446,9 @@ class TestInvalidSamplePath:
 
         # the named path is the first bad one: the paths before it are valid
         assert path == 0 or forecast(path, "before")[0] == 0
-        # and the name does not depend on how paths are chunked
-        monkeypatch.setattr(timeseries, "PATH_CHUNK", 16)
+        # and the name does not depend on how years are blocked or paths chunked: this
+        # budget makes blocks of one year and chunks of 16 paths over 35 ages x 50 years
+        monkeypatch.setattr(timeseries, "BLOCK_CELLS", 35 * 50 * 16)
         assert forecast(500, "chunked") == (3, err)
 
 

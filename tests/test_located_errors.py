@@ -210,7 +210,9 @@ CASES = {
     ),
     # exp overflows where L0 + delta passes 709: at 62 in 2000, at 61 and 62 in 2001
     "SlParams.q_of sample path overflow": (
-        lambda: sl_q_of(np.stack([np.zeros((3, 2)), [[0, 1000], [1000, 1000], [0, 0]]]), 10),
+        lambda: sl_q_of(
+            np.stack([np.zeros((3, 2)), [[0, 1000], [1000, 1000], [0, 0]]], axis=-1), 10
+        ),
         "nonpositive survival at sample path 11, age 61, year 2001",
     ),
     # log m passes 709 at 62 in 2000, at 61 and 62 in 2001
@@ -326,7 +328,7 @@ def sl_blocks(draw):
         base_survival=draw(hnp.arrays(float, n_ages, elements=st.floats(0.01, 0.99))),
         t0=YEARS.t_min - 1, ages=ages, years=YEARS,
     )
-    shape = (n_years, 2) if n_paths is None else (n_paths, n_years, 2)
+    shape = (n_years, 2) if n_paths is None else (n_years, 2, n_paths)
     state = st.one_of(st.floats(-8.0, 8.0), st.sampled_from([-1000.0, 1000.0]))
     states = draw(hnp.arrays(float, shape, elements=state))
     t_min = draw(st.integers(1900, 2100))
@@ -338,9 +340,14 @@ def sl_blocks(draw):
 @given(sl_blocks())
 def test_sl_q_of_fails_with_the_survival_grid_message(case):
     params, states, years, first_path = case
-    survival = invert_l_diff(states[..., :1] + states[..., 1:] * params.kappa, params.base_survival)
+    # the oracle takes the paths first: (n_paths, n_years, 2) states give
+    # (n_paths, n_years, n_ages) curves
+    by_path = np.moveaxis(states, range(2, states.ndim), range(states.ndim - 2))
+    delta = by_path[..., :1] + by_path[..., 1:] * params.kappa
+    survival = invert_l_diff(delta, params.base_survival)
     try:
         expected = np.swapaxes(survival_to_q(survival), -1, -2)
+        expected = np.moveaxis(expected, range(expected.ndim - 2), range(2, expected.ndim))
     except DomainError:
         expected = None
     if expected is not None:

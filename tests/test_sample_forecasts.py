@@ -1,5 +1,6 @@
-"""Sample-mode forecasts: (n_paths, n_ages, horizon) views of path-last arrays filled in chunks."""
+"""Sample-mode forecasts: QUANTILE_PROBS bands over paths mapped in blocks of years."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -11,31 +12,37 @@ from mortcast import (
     AgeRange,
     CbdParams,
     DomainError,
+    FitConfig,
     LcParams,
     SlParams,
     SurfaceKind,
+    SynthConfig,
     YearRange,
-    cbd_forecast,
-    lc_forecast,
+    calibrate_rwd,
+    generate_synthetic,
+    simulate_paths,
     sl_forecast,
 )
 from mortcast import timeseries
-from mortcast.ingest import QUANTILE_PROBS
-from mortcast.lifetable import check_surface_values
-from mortcast.timeseries import PATH_CHUNK, path_quantiles
+from mortcast.evaluation import MODELS as MODEL_CLASSES
+from mortcast.lifetable import check_surface_values, surface_central_rate_to_q
+from mortcast.timeseries import BLOCK_CELLS, QUANTILE_PROBS, forecast_years, time_indices
 
 AGES = AgeRange(60, 64)
 YEARS = YearRange(2000, 2004)
 N_AGES = len(AGES)
+HORIZON = 6
+# the most paths whose whole forecast fits in one block
+ONE_BLOCK = BLOCK_CELLS // (N_AGES * HORIZON)
 
 # Each model's time indices wander, so its calibrated walk has a nonzero
 # innovation factor and every sample path differs.
 
 
-def sl_model():
+def sl_params():
     kappa = np.linspace(-1.0, 1.0, N_AGES)
     kappa /= np.linalg.norm(kappa)
-    params = SlParams(
+    return SlParams(
         alpha1=np.array([-0.02, -0.05, -0.06, -0.09, -0.1]),
         alpha2=np.array([0.02, 0.022, 0.019, 0.021, 0.02]),
         kappa=kappa,
@@ -44,74 +51,90 @@ def sl_model():
         ages=AGES,
         years=YEARS,
     )
-    return lambda **kw: sl_forecast(params, **kw)
 
 
-def lc_model():
-    params = LcParams(
+def lc_params():
+    return LcParams(
         alpha_x=np.linspace(-4.5, -3.0, N_AGES),
         beta_x=np.full(N_AGES, 1.0 / N_AGES),
         kappa_t=np.array([1.0, 0.4, 0.1, -0.6, -0.9]),
         ages=AGES,
         years=YEARS,
     )
-    return lambda **kw: lc_forecast(params, **kw)
 
 
-def cbd_model():
-    params = CbdParams(
+def cbd_params():
+    return CbdParams(
         kappa1_t=np.array([-3.0, -3.06, -3.07, -3.13, -3.15]),
         kappa2_t=np.array([0.1, 0.102, 0.099, 0.101, 0.1]),
         x_bar=62.0,
         ages=AGES,
         years=YEARS,
     )
-    return lambda **kw: cbd_forecast(params, **kw)
 
 
-MODELS = {"sl": sl_model, "lc": lc_model, "cbd": cbd_model}
+MODELS = {"sl": sl_params, "lc": lc_params, "cbd": cbd_params}
 
 
 def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
+def oracle_bands(params, horizon, n_paths, seed):
+    """numpy's quantiles over the whole (n_ages, horizon, n_paths) array of every path's q."""
+    paths = simulate_paths(calibrate_rwd(time_indices(params)), horizon, n_paths, seed)
+    q = params.q_of(np.moveaxis(paths, 0, -1), forecast_years(params, horizon))
+    return np.quantile(q, QUANTILE_PROBS, axis=-1)
+
+
 @pytest.mark.parametrize("model", sorted(MODELS))
 class TestSampleArray:
-    def test_shape_and_range(self, model):
-        out = MODELS[model]()(horizon=6, n_paths=7, seed=2)
-        assert isinstance(out, np.ndarray)
-        assert out.shape == (7, N_AGES, 6)
-        assert np.all((out >= 0.0) & (out <= 1.0))
+    """The array a sample forecast returns: its QUANTILE_PROBS bands."""
 
-    def test_paths_are_stored_path_last(self, model):
-        # each cell's paths are contiguous, and sorting that storage gives numpy's quantiles
-        out = MODELS[model]()(horizon=6, n_paths=PATH_CHUNK + 9, seed=5)
-        assert np.moveaxis(out, 0, -1).flags.c_contiguous
-        copy = out.copy()
-        bands = path_quantiles(out, QUANTILE_PROBS)
-        np.testing.assert_array_equal(bits(bands), bits(np.quantile(copy, QUANTILE_PROBS, axis=0)))
+    def test_shape_and_range(self, model):
+        bands = MODELS[model]().forecast(HORIZON, n_paths=7, seed=2)
+        assert isinstance(bands, np.ndarray)
+        assert bands.shape == (len(QUANTILE_PROBS), N_AGES, HORIZON)
+        assert np.all((bands >= 0.0) & (bands < 1.0))
+        assert np.all(bands[0] <= bands[1]) and np.all(bands[1] <= bands[2])
+
+    # all paths in one block of the whole horizon, and one path more than that
+    @pytest.mark.parametrize("n_paths", [1, ONE_BLOCK, ONE_BLOCK + 1])
+    def test_bands_equal_numpy_quantile(self, model, n_paths):
+        params = MODELS[model]()
+        bands = params.forecast(HORIZON, n_paths=n_paths, seed=5)
+        np.testing.assert_array_equal(bits(bands), bits(oracle_bands(params, HORIZON, n_paths, 5)))
 
     @settings(max_examples=25, deadline=None)
-    @given(
-        counts=st.tuples(st.integers(1, 40), st.integers(1, 40)),
-        chunks=st.tuples(st.integers(1, 48), st.integers(1, 48)),
+    @given(n_paths=st.integers(1, 40), cells=st.integers(1, N_AGES * HORIZON * 40))
+    # a budget below one year's cells: every block is one year
+    @example(n_paths=40, cells=1)
+    def test_paths_independent_of_chunking(self, model, n_paths, cells):
+        # the bands are the same bits however the years are blocked and the paths chunked
+        params = MODELS[model]()
+        # patched here, not by monkeypatch: hypothesis reruns the body per example
+        with mock.patch.object(timeseries, "BLOCK_CELLS", cells):
+            bands = params.forecast(HORIZON, n_paths=n_paths, seed=4)
+        np.testing.assert_array_equal(bits(bands), bits(oracle_bands(params, HORIZON, n_paths, 4)))
+
+
+@pytest.mark.parametrize("model", sorted(MODEL_CLASSES))
+def test_sample_forecast_memory_stays_below_half_the_paths(model):
+    # the numpy buffers traced while 2000 paths x 40 years are reduced to bands,
+    # against the 22.4 MB that every path's q over 35 ages would take
+    rates = generate_synthetic(SynthConfig(noise_sd=0.01, seed=1))
+    fit_years = YearRange(1960, 2009)
+    params, _ = MODEL_CLASSES[model].fit(
+        rates, surface_central_rate_to_q(rates), fit_years, 1959, FitConfig()
     )
-    # more paths than one default chunk against fewer than one
-    @example(counts=(PATH_CHUNK + 5, 3), chunks=(PATH_CHUNK, PATH_CHUNK))
-    def test_paths_independent_of_chunking(self, model, counts, chunks):
-        # path p is the same bits whatever n_paths and PATH_CHUNK are
-        forecast = MODELS[model]()
-        outs = []
-        for n_paths, chunk in zip(counts, chunks):
-            # patched here, not by monkeypatch: hypothesis reruns the body per example
-            with mock.patch.object(timeseries, "PATH_CHUNK", chunk):
-                outs.append(forecast(horizon=6, n_paths=n_paths, seed=4))
-        common = min(counts)
-        np.testing.assert_array_equal(bits(outs[0][:common]), bits(outs[1][:common]))
-        # no chunk repeats another's draws
-        longest = max(outs, key=len)
-        assert len(np.unique(longest.reshape(len(longest), -1), axis=0)) == len(longest)
+    n_paths, horizon = 2000, 40
+    tracemalloc.start()
+    try:
+        params.forecast(horizon, n_paths=n_paths, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * n_paths * len(params.ages) * horizon * 8
 
 
 class TestInvalidPaths:

@@ -450,10 +450,10 @@ class TestForecast:
         # drift (0.0625, -0.015625) from (-0.25, 0.375), zero factor
         params = self.params_2x2([-0.375, -0.3125, -0.25], [0.40625, 0.390625, 0.375])
         central = sl_forecast(params, horizon=4)
-        out = sl_forecast(params, horizon=4, n_paths=3, seed=9)
-        assert out.shape == (3, 2, 4)
-        for p in range(3):
-            np.testing.assert_array_equal(out[p], central.values)
+        bands = sl_forecast(params, horizon=4, n_paths=5, seed=9)
+        assert bands.shape == (3, 2, 4)
+        for band in bands:
+            np.testing.assert_array_equal(band, central.values)
 
     def test_non_monotone_curve_raises(self):
         # a large negative alpha2 state pushes old-age survival above young-age

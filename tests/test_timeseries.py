@@ -14,7 +14,6 @@ from mortcast import (
     simulate_paths,
 )
 from mortcast import timeseries
-from mortcast.timeseries import PATH_CHUNK
 
 
 def make_params(drift, factor, last_state):
@@ -167,7 +166,7 @@ class TestSimulatePaths:
     @pytest.mark.parametrize(
         "seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**96 - 1, 2**96, 2**100 + 7, 2**200 + 3]
     )
-    @pytest.mark.parametrize("n_paths", [1, PATH_CHUNK + 5])
+    @pytest.mark.parametrize("n_paths", [1, 261])
     def test_streams_are_default_rng_bit_for_bit(self, seed, n_paths):
         params = make_params([0.1, -0.05], [[0.3, 0.0], [0.1, 0.2]], [1.0, 2.0])
         paths = simulate_paths(params, 4, n_paths=n_paths, seed=seed)
