@@ -42,17 +42,14 @@ BLOCK_CELLS = 2**17
 PATH_LIMIT = 2**32
 
 # numpy.random.SeedSequence's hash constants and pool size (O'Neill's
-# seed_seq_fe, as in numpy/random/bit_generator.pyx) and PCG64's 128-bit
-# LCG multiplier (O'Neill 2014, "PCG"). simulate_paths reproduces numpy's
-# Generator(PCG64(SeedSequence([seed, p]))) with them; numpy's own
-# generators are the test oracle.
+# seed_seq_fe, as in numpy/random/bit_generator.pyx). simulate_paths hashes
+# every path's SeedSequence([seed, p]) with them at once; numpy's own
+# SeedSequence and default_rng are the test oracles.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 
 
 def _psd_cholesky(cov: np.ndarray) -> np.ndarray:
@@ -152,24 +149,20 @@ def project_central(params: RwdParams, horizon: int) -> np.ndarray:
     return params.last_state + steps[:, None] * params.drift
 
 
-def _uint32_words(n: int) -> list[int]:
-    """Little-endian 32-bit words of n >= 0, as SeedSequence splits an int."""
-    words = [n & _MASK32]
-    n >>= 32
-    while n:
-        words.append(n & _MASK32)
-        n >>= 32
-    return words
+def _seed_sequence_state(seed: int, n_paths: int) -> np.ndarray:
+    """``SeedSequence([seed, p]).generate_state(4, np.uint64)`` for every p < n_paths.
 
-
-def _seed_sequence_state(entropy: list[np.ndarray]) -> list[np.ndarray]:
-    """``SeedSequence(entropy).generate_state(8, np.uint32)`` for many entropies.
-
-    ``entropy`` lists the uint32 words in order, word k of every entropy
-    in array k. The hash constants advance the same way whatever the
-    words are, so the pool mix runs on whole arrays; uint32 arithmetic
-    wraps as SeedSequence's does.
+    The entropy of path p is the little-endian 32-bit words of ``seed``,
+    then p. The hash constants advance the same way whatever the words are,
+    so the pool mix runs on all paths' words at once; uint32 arithmetic
+    wraps as SeedSequence's does. Each uint64 word of the (n_paths, 4)
+    result joins a little-endian pair of the eight uint32 words hashed out.
     """
+    entropy = [
+        np.full(n_paths, seed >> shift & _MASK32, dtype=np.uint32)
+        for shift in range(0, max(seed.bit_length(), 1), 32)
+    ]
+    entropy.append(np.arange(n_paths, dtype=np.uint32))
     hash_const = _INIT_A
 
     def hashmix(value):
@@ -194,36 +187,37 @@ def _seed_sequence_state(entropy: list[np.ndarray]) -> list[np.ndarray]:
             pool[i_dst] = mix(pool[i_dst], hashmix(word))
 
     hash_const = _INIT_B
-    state = []
+    words = []
     for i in range(8):
         value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
         hash_const = hash_const * _MULT_B & _MASK32
         value = value * np.uint32(hash_const)
-        state.append(value ^ (value >> np.uint32(16)))
-    return state
+        words.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
+    return np.stack([words[2 * k] | words[2 * k + 1] << np.uint64(32) for k in range(4)], axis=1)
 
 
-def _pcg64_streams(seed: int, n_paths: int):
-    """PCG64 (state, inc) seeded by ``SeedSequence([seed, p])``, p < n_paths.
+def _path_seeds(seed: int, n_paths: int):
+    """Seeds for ``numpy.random.PCG64``, one per path p < n_paths, in order.
 
-    The entropy of path p is the words of ``seed`` followed by the one word
-    of p. Its SeedSequence state gives two 128-bit words, high half first:
-    the initial state and the stream. PCG64 seeds with two LCG steps,
-    state = ((inc + initstate) * mult + inc), where inc = 2 * stream + 1.
+    Path p's seed answers PCG64's one request, ``generate_state(4,
+    np.uint64)``, with the words ``SeedSequence([seed, p])`` gives: its row
+    of :func:`_seed_sequence_state`, which PCG64 reads as a raw C-contiguous
+    buffer. Any other request raises ValueError.
     """
-    entropy = [np.full(n_paths, w, dtype=np.uint32) for w in _uint32_words(seed)]
-    entropy.append(np.arange(n_paths, dtype=np.uint32))
-    words = _seed_sequence_state(entropy)
-    # little-endian pairs of uint32 words make the four uint64 words
-    w0, w1, w2, w3 = (
-        (words[2 * k].astype(np.uint64) | words[2 * k + 1].astype(np.uint64) << np.uint64(32))
-        .tolist()
-        for k in range(4)
-    )
-    for hi_state, lo_state, hi_seq, lo_seq in zip(w0, w1, w2, w3):
-        inc = ((hi_seq << 64 | lo_seq) << 1 | 1) & _MASK128
-        init_state = (hi_state << 64) | lo_state
-        yield ((inc + init_state) * _PCG_MULT + inc) & _MASK128, inc
+    # numpy.random is imported here, and the class built per call, so that
+    # importing mortcast, as every CLI command does, does not load it
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PathSeed(ISeedSequence):
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"a path seed holds 4 uint64 words, not {n_words} of {dtype}")
+            return self.state
+
+    return map(PathSeed, _seed_sequence_state(seed, n_paths))
 
 
 def simulate_paths(params: RwdParams, horizon: int, n_paths: int, seed: int) -> np.ndarray:
@@ -232,26 +226,21 @@ def simulate_paths(params: RwdParams, horizon: int, n_paths: int, seed: int) -> 
     Path p draws its (horizon, dim) standard normals from its own stream,
     bit for bit that of ``Generator(PCG64(SeedSequence([seed, p])))``, so any
     path can be reproduced on its own and the result is bit-identical for
-    a fixed seed whatever the number of paths. The streams' seeds are
-    computed for all paths at once and loaded into one reused PCG64; drift,
-    innovation factor and the cumulative sum are then applied to all paths
-    at once. ``n_paths`` must be below PATH_LIMIT, so that p is one seed word.
+    a fixed seed whatever the number of paths. The SeedSequence hashes are
+    computed for all paths at once and handed to numpy's PCG64 as
+    :func:`_path_seeds`; drift, innovation factor and the cumulative sum are
+    then applied to all paths at once. ``n_paths`` must be below PATH_LIMIT,
+    so that p is one seed word, and ``seed`` a nonnegative integer.
     """
     if horizon < 1:
         raise DomainError(f"horizon must be positive, got {horizon}")
     if not 1 <= n_paths < PATH_LIMIT:
         raise DomainError(f"n_paths must be in [1, 2**32), got {n_paths}")
-    if seed < 0:
-        raise DomainError("seed must be a nonnegative integer")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
     z = np.empty((n_paths, horizon, params.dim))
-    bit_generator = np.random.PCG64()
-    generator = np.random.Generator(bit_generator)
-    pcg = {"state": 0, "inc": 0}
-    full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    for p, (state, inc) in enumerate(_pcg64_streams(int(seed), n_paths)):
-        pcg["state"], pcg["inc"] = state, inc
-        bit_generator.state = full
-        generator.standard_normal(out=z[p])
+    for p, path_seed in enumerate(_path_seeds(int(seed), n_paths)):
+        np.random.Generator(np.random.PCG64(path_seed)).standard_normal(out=z[p])
     # built in place, so z and the walk are the only arrays of their size
     walk = z @ params.innovation_factor.T
     walk += params.drift

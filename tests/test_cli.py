@@ -779,3 +779,15 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "fit" in proc.stdout and "backtest" in proc.stdout
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        # only sample forecasts draw, so no other command should pay numpy.random's
+        # import time; numpy 1.x loads it with numpy itself, hence the baseline
+        code = (
+            "import sys, numpy; before = 'numpy.random' in sys.modules; "
+            "import mortcast.cli; print(before, 'numpy.random' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        before, after = proc.stdout.split()
+        assert after == before

@@ -35,6 +35,11 @@ def oracle_paths(params, horizon, n_paths, seed):
     return out
 
 
+# one to seven seed words: the pool of four is padded, exactly filled,
+# and overflowing into SeedSequence's extra-entropy loop
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**96 - 1, 2**96, 2**100 + 7, 2**200 + 3]
+
+
 def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
@@ -161,11 +166,7 @@ class TestSimulatePaths:
         paths = simulate_paths(params, 9, n_paths=6, seed=13)
         np.testing.assert_array_equal(bits(paths), bits(oracle_paths(params, 9, 6, 13)))
 
-    # one to seven seed words: the pool of four is padded, exactly filled,
-    # and overflowing into SeedSequence's extra-entropy loop
-    @pytest.mark.parametrize(
-        "seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**96 - 1, 2**96, 2**100 + 7, 2**200 + 3]
-    )
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
     @pytest.mark.parametrize("n_paths", [1, 261])
     def test_streams_are_default_rng_bit_for_bit(self, seed, n_paths):
         params = make_params([0.1, -0.05], [[0.3, 0.0], [0.1, 0.2]], [1.0, 2.0])
@@ -212,10 +213,35 @@ class TestSimulatePaths:
 
     def test_argument_validation(self):
         params = make_params([0.0], [[0.1]], [0.0])
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="n_paths"):
             simulate_paths(params, 3, n_paths=0, seed=1)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="seed must be a nonnegative integer, got -1$"):
             simulate_paths(params, 3, n_paths=2, seed=-1)
+
+    @pytest.mark.parametrize("seed", [1.9, 2.0])
+    def test_non_integer_seed_is_refused(self, seed):
+        # numpy's SeedSequence refuses these too; truncating would alias seed 1 or 2
+        params = make_params([0.0], [[0.1]], [0.0])
+        with pytest.raises(DomainError, match=f"nonnegative integer, got {seed}$"):
+            simulate_paths(params, 3, n_paths=2, seed=seed)
+
+    def test_numpy_integer_seed(self):
+        params = make_params([0.1], [[0.5]], [0.0])
+        np.testing.assert_array_equal(
+            bits(simulate_paths(params, 4, n_paths=3, seed=np.int64(7))),
+            bits(simulate_paths(params, 4, n_paths=3, seed=7)),
+        )
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_path_seed_answers_as_seed_sequence(self, seed):
+        for p, path_seed in enumerate(timeseries._path_seeds(seed, 3)):
+            want = np.random.SeedSequence([seed, p]).generate_state(4, np.uint64)
+            got = path_seed.generate_state(4, np.uint64)
+            assert got.dtype == want.dtype and got.flags.c_contiguous
+            np.testing.assert_array_equal(got, want)
+            for n_words, dtype in ((5, np.uint64), (8, np.uint64), (8, np.uint32), (9, np.uint32)):
+                with pytest.raises(ValueError, match="4 uint64 words"):
+                    path_seed.generate_state(n_words, dtype)
 
 
 QUANTILE_SIZES = [1, 2, 3, 7, 20, 299, 300, 1000, 4999, 5000]
