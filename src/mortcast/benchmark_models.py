@@ -22,9 +22,6 @@ from .lifetable import (
     YearRange,
     _first_cell,
     _freeze_series,
-    _paths_first,
-    central_rate_to_q,
-    check_surface_values,
 )
 from .timeseries import forecast_q
 from .transforms import logistic, logit
@@ -52,34 +49,26 @@ class LcParams:
         if abs(self.kappa_t.sum()) > 1e-10:
             raise DomainError(f"kappa_t must sum to 0, got {self.kappa_t.sum()}")
 
-    def q_of(
-        self, states: np.ndarray, years: YearRange, first_path: int = 0, out=None, work=None
-    ) -> np.ndarray:
+    def q_of(self, states: np.ndarray, out=None) -> np.ndarray:
         """Death probabilities (n_ages, n_years[, n_paths]) from states (n_years, 1[, n_paths]).
 
-        The states are kappa_t of ``years``; with a trailing axis of sample
-        paths, path ``i`` of it is sample path ``first_path + i``. m =
-        exp(alpha_x + beta_x * kappa), converted to q under a constant force
-        of mortality within each year, in ``out`` if it is given: an array
-        of the result's shape. ``work``, the scratch that SL needs, goes
-        unused. A rate that overflows to infinity raises the DomainError of
-        :func:`check_surface_values`, which names the first such cell by
+        The states are kappa_t per year, with an optional trailing axis of
+        sample paths. q = -expm1(-m) of the central rate m = exp(alpha_x +
+        beta_x * kappa), under a constant force of mortality within each
+        year, in ``out`` if it is given: an array of the result's shape. It
+        never raises: a rate above about 37, or one that overflows to
+        infinity, gives q = 1, which the forecast's check on q names by
         path, age and year.
         """
         kappa = states[:, 0]
         shape = (-1,) + (1,) * kappa.ndim
         m = np.multiply(self.beta_x.reshape(shape), kappa, out=out)
         np.add(self.alpha_x.reshape(shape), m, out=m)
-        # an overflow gives an infinite rate, which central_rate_to_q then rejects
         with np.errstate(over="ignore"):
             np.exp(m, out=m)
-        try:
-            return central_rate_to_q(m, out=m)
-        except DomainError:
-            # located only on failure, so valid blocks are not checked twice
-            grid = _paths_first(m)
-            check_surface_values(grid, SurfaceKind.CENTRAL_RATE, self.ages, years, first_path)
-            raise
+        np.negative(m, out=m)
+        np.expm1(m, out=m)
+        return np.negative(m, out=m)
 
     @staticmethod
     def fit(rates, q, fit_years, t0, config):
@@ -110,15 +99,13 @@ class CbdParams:
         if not abs(self.x_bar - (self.ages.x_min + self.ages.x_max) / 2.0) <= 1e-12:
             raise DomainError("x_bar must be the midpoint of the age window")
 
-    def q_of(
-        self, states: np.ndarray, years: YearRange, first_path: int = 0, out=None, work=None
-    ) -> np.ndarray:
+    def q_of(self, states: np.ndarray, out=None) -> np.ndarray:
         """Death probabilities (n_ages, n_years[, n_paths]) from states (n_years, 2[, n_paths]).
 
-        q is the logistic of kappa1 + kappa2 * (x - x_bar), in ``out`` if it
-        is given: an array of the result's shape. It cannot fail, so
-        ``years`` and ``first_path``, which locate a failed cell in the
-        other models, go unused, as does ``work``, the scratch that SL needs.
+        The states are (kappa1, kappa2) per year, with an optional trailing
+        axis of sample paths. q is the logistic of kappa1 + kappa2 * (x -
+        x_bar), in ``out`` if it is given: an array of the result's shape.
+        It never raises; where the logit is large enough, q rounds to 1.
         """
         cx = (self.ages.to_array() - self.x_bar).reshape((-1,) + (1,) * (states.ndim - 1))
         eta = np.multiply(cx, states[:, 1], out=out)
@@ -224,7 +211,9 @@ def lc_forecast(
 
     Central without ``n_paths``, a MortalitySurface; sampled with it, the
     (3, n_ages, horizon) QUANTILE_PROBS bands over the paths: see
-    :func:`~mortcast.timeseries.forecast_q`.
+    :func:`~mortcast.timeseries.forecast_q`. A rate high enough that q
+    rounds to 1, long before it overflows exp, raises the DomainError of
+    forecast_q's check on q, which names the path, age and year.
     """
     return forecast_q(params, horizon, n_paths, seed)
 
@@ -236,6 +225,8 @@ def cbd_forecast(
 
     Central without ``n_paths``, a MortalitySurface; sampled with it, the
     (3, n_ages, horizon) QUANTILE_PROBS bands over the paths: see
-    :func:`~mortcast.timeseries.forecast_q`.
+    :func:`~mortcast.timeseries.forecast_q`. A logit high enough that q
+    rounds to 1 raises the DomainError of forecast_q's check on q, which
+    names the path, age and year.
     """
     return forecast_q(params, horizon, n_paths, seed)

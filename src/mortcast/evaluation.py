@@ -19,7 +19,7 @@ from .lifetable import AgeRange, MortalitySurface, SurfaceKind, YearRange, surfa
 # unused here, but perfbench's tracer self-test checks that this copy is rebound
 from .lifetable import survival_to_q  # noqa: F401
 from .sl_model import FitConfig, SlParams
-from .timeseries import time_indices
+from .timeseries import q_surface, time_indices
 
 # The model table: each params class by its NAME. ``cls.fit(rates, q,
 # fit_years, t0, config)`` gets central rates and their death probabilities
@@ -202,7 +202,7 @@ def run_backtest(
             continue
         model = MODELS[label.lower()]
         params, diagnostics = model.fit(sub, q_all, config.fit_years, config.t0, config.fit)
-        q_hat_fit = params.q_of(time_indices(params), params.years)
+        q_hat_fit = q_surface(params, time_indices(params), params.years).values
         forecast = params.forecast(len(config.forecast_years))
         estimates[label] = (q_hat_fit, forecast.values)
         if diagnostics is not None:

@@ -151,28 +151,44 @@ def _freeze_series(params) -> None:
 
 
 def check_surface_values(
-    values: np.ndarray, kind: SurfaceKind, ages: AgeRange, years: YearRange, first_path: int = 0
+    values: np.ndarray, kind: SurfaceKind, ages: AgeRange, years: YearRange, first_path: int = 0,
+    below_one: bool = False,
 ) -> None:
     """Finiteness and the admissible values of ``kind``, naming the first bad cell.
 
     Death probabilities lie in [0, 1], survival in (0, 1] and non-increasing
-    in age, anything else is nonnegative. ``values`` is one (ages, years)
-    grid, or a (paths, ages, years) block of sample paths whose first path
-    has index ``first_path``; the message then names the path as well as
-    the age and year.
+    in age, anything else is nonnegative. The faults are searched in that
+    order, each at its first cell by path, then age, then year. ``values``
+    is one (ages, years) grid, or a (paths, ages, years) block of sample
+    paths whose first path has index ``first_path``; the message then names
+    the path as well as the age and year.
+
+    With ``below_one``, the check a forecast's death probabilities get, q
+    must also lie below 1, and the first cell by path, then age, then year
+    whose q is non-finite, negative or 1 is named, with its fault: a
+    forecast's q rounds to 1 long before its hazard overflows.
     """
 
     survival = kind is SurfaceKind.SURVIVAL
-    if not np.isfinite(values).all():
-        at = _locate(~np.isfinite(values), ages, years, first_path)
-        raise DomainError(f"non-finite {kind.value} at {at}")
-    low = values <= 0.0 if survival else values < 0.0
-    if low.any():
-        at = _locate(low, ages, years, first_path)
-        raise DomainError(f"{'nonpositive' if survival else 'negative'} {kind.value} at {at}")
-    if (survival or kind is SurfaceKind.DEATH_PROB) and (values > 1.0).any():
-        name = "survival" if survival else "death probability"
-        raise DomainError(f"{name} above 1 at {_locate(values > 1.0, ages, years, first_path)}")
+    # (bad cells, fault), in the order they are searched
+    faults = [(~np.isfinite(values), f"non-finite {kind.value}")]
+    if survival:
+        faults += [(values <= 0.0, "nonpositive survival"), (values > 1.0, "survival above 1")]
+    else:
+        faults.append((values < 0.0, f"negative {kind.value}"))
+    if below_one:
+        faults.append((values >= 1.0, "death probability of 1"))
+        bad = np.logical_or.reduce([mask for mask, _ in faults])
+        if bad.any():
+            cell = tuple(np.argwhere(bad)[0])
+            fault = next(fault for mask, fault in faults if mask[cell])
+            raise DomainError(f"{fault} at {_locate(bad, ages, years, first_path)}")
+        return
+    if kind is SurfaceKind.DEATH_PROB:
+        faults.append((values > 1.0, "death probability above 1"))
+    for mask, fault in faults:
+        if mask.any():
+            raise DomainError(f"{fault} at {_locate(mask, ages, years, first_path)}")
     if survival:
         rising = values[..., 1:, :] > values[..., :-1, :]
         if rising.any():
@@ -242,18 +258,16 @@ def _as_float_array(x, name: str) -> np.ndarray:
     return arr
 
 
-def central_rate_to_q(m, out=None):
+def central_rate_to_q(m):
     """Death probability 1 - exp(-m) from a central death rate.
 
-    Accepts scalars or arrays; elementwise on arrays. ``out``, as in numpy's
-    ufuncs, receives the result and may be ``m`` itself; a rejected ``m``
-    is left unchanged.
+    Accepts scalars or arrays; elementwise on arrays. The rate must be
+    finite and nonnegative.
     """
     arr = _as_float_array(m, "central rate")
     if np.any(arr < 0.0):
         raise DomainError("central rate must be nonnegative")
-    q = np.expm1(np.negative(arr, out=out), out=out)
-    return np.negative(q, out=out)
+    return -np.expm1(-arr)
 
 
 def q_to_central_rate(q):
@@ -289,14 +303,14 @@ def q_to_survival(q_col) -> np.ndarray:
     return np.cumprod(1.0 - q)
 
 
-def survival_to_q(s_col, out=None) -> np.ndarray:
+def survival_to_q(s_col) -> np.ndarray:
     """One-year death probabilities from survival curves.
 
     Exact inverse of :func:`q_to_survival` along the last axis: q at the
     base age is 1 - S(x0), and q_x = 1 - S(x)/S(x-1) above it. Takes one
     curve of shape (n_ages,) or a stack of shape (..., n_ages) and returns
-    the same shape, in ``out`` if it is given: an array of that shape that
-    does not overlap the curves.
+    the same shape. The curves must be positive, at most 1 at the base age
+    and non-increasing in age.
     """
     s = _as_float_array(s_col, "survival values")
     if s.ndim == 0 or s.shape[-1] == 0:
@@ -310,7 +324,7 @@ def survival_to_q(s_col, out=None) -> np.ndarray:
         *curve, x = (int(i) for i in np.argwhere(rising)[0])
         of = f" of curve {tuple(curve)}" if curve else ""
         raise DomainError(f"survival increases between positions {x} and {x + 1}{of}")
-    q = np.empty_like(s) if out is None else out
+    q = np.empty_like(s)
     np.subtract(1.0, s[..., 0], out=q[..., 0])
     np.divide(s[..., 1:], s[..., :-1], out=q[..., 1:])
     np.subtract(1.0, q[..., 1:], out=q[..., 1:])

@@ -16,16 +16,13 @@ from .lifetable import (
     AGE,
     YEAR,
     AgeRange,
-    SurfaceKind,
     YearRange,
     _freeze_series,
-    _paths_first,
-    check_surface_values,
     surface_q_to_survival,
     survival_to_q,
 )
 from .timeseries import forecast_q
-from .transforms import LDiffSurface, build_l_diff, check_l_domain, invert_l_diff
+from .transforms import LDiffSurface, build_l_diff, check_l_domain
 
 
 @dataclass(frozen=True)
@@ -34,9 +31,10 @@ class SlParams:
 
     alpha1/alpha2 are indexed by fit year, kappa and base_survival by age.
     base_survival is S_t0, the age constant every fitted and projected
-    curve is rebuilt against. The other parameters are only identified up
-    to an affine gauge; fit_sl returns them normalized to sum(kappa) = 0,
-    sum(kappa^2) = 1, kappa at the oldest age nonnegative.
+    curve is rebuilt against, a survival curve that must not rise in age.
+    The other parameters are only identified up to an affine gauge; fit_sl
+    returns them normalized to sum(kappa) = 0, sum(kappa^2) = 1, kappa at
+    the oldest age nonnegative.
     """
 
     NAME = "sl"
@@ -65,37 +63,36 @@ class SlParams:
         if self.t0 >= self.years.t_min:
             raise DomainError(f"reference year {self.t0} must precede fit years")
         check_l_domain(self.base_survival, "base_survival", (self.ages, self.t0))
+        # a curve that rises in age has a negative q at t0, which survival_to_q rejects
+        survival_to_q(self.base_survival)
 
-    def q_of(
-        self, states: np.ndarray, years: YearRange, first_path: int = 0, out=None, work=None
-    ) -> np.ndarray:
+    def q_of(self, states: np.ndarray, out=None) -> np.ndarray:
         """Death probabilities (n_ages, n_years[, n_paths]) from states (n_years, 2[, n_paths]).
 
-        The states are (alpha1, alpha2) of ``years``; with a trailing axis
-        of sample paths, path ``i`` of it is sample path ``first_path + i``.
-        Each year's survival curve is rebuilt through the inverse transform
-        against base_survival, in ``work`` if it is given, and converted to
-        q, in ``out`` if it is given; both are arrays of the result's shape.
-        A curve that reaches 0 or rises in age raises the DomainError of
-        :func:`check_surface_values`, which names the first bad cell by
-        path, age and year.
+        The states are (alpha1, alpha2) per year, with an optional trailing
+        axis of sample paths. q comes from the cumulative hazard e = -log S
+        = exp(L0 + (alpha1 + alpha2 * kappa)), L0 = log(-log base_survival):
+        1 - exp(-e) at the base age, and 1 - exp(e_{x-1} - e_x) above it,
+        each computed as 0.0 - expm1(...) so that a zero increment gives +0.0.
+        It is written in ``out`` if that is given: an array of the result's
+        shape. It never raises: a curve that rises in age gives q < 0, a
+        hazard that grows far out q = 1, and one whose exp overflows at two
+        adjacent ages NaN; the forecast's check on q names the first such
+        cell by path, age and year.
         """
         alpha1, alpha2 = states[:, 0], states[:, 1]
-        kappa = self.kappa.reshape((-1,) + (1,) * alpha1.ndim)
-        # delta, then in place the survival curves it gives
-        survival = np.multiply(alpha2, kappa, out=work)
-        np.add(alpha1, survival, out=survival)
-        # age-last views, as the inverse transform and survival_to_q take their curves
-        curves = survival.swapaxes(0, -1)
-        invert_l_diff(curves, self.base_survival, out=curves)
-        try:
-            q = survival_to_q(curves, out=None if out is None else out.swapaxes(0, -1))
-        except DomainError:
-            # located only on failure, so valid blocks are not checked twice
-            grid = _paths_first(survival)
-            check_surface_values(grid, SurfaceKind.SURVIVAL, self.ages, years, first_path)
-            raise
-        return q.swapaxes(0, -1)
+        shape = (-1,) + (1,) * alpha1.ndim
+        l0 = np.log(-np.log(self.base_survival)).reshape(shape)
+        e = np.multiply(alpha2, self.kappa.reshape(shape), out=out)
+        np.add(alpha1, e, out=e)
+        np.add(l0, e, out=e)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.exp(e, out=e)
+            # the age increments of e, in place: numpy copies the overlapping operand
+            np.subtract(e[:-1], e[1:], out=e[1:])
+            np.negative(e[0], out=e[0])
+            np.expm1(e, out=e)
+        return np.subtract(0.0, e, out=e)
 
     @staticmethod
     def fit(rates, q, fit_years, t0, config):
@@ -228,10 +225,10 @@ def fit_sl(delta: LDiffSurface, config: FitConfig | None = None) -> tuple[SlPara
     gamma = config.gamma
     n_ages, n_years = target.shape
 
-    # per-fit buffers: resid holds target - alpha1 - alpha2 * kappa, work
+    # per-fit buffers: resid holds target - alpha1 - alpha2 * kappa, prod
     # every product, steps the sweep's d1 | d2 | dk
     resid = np.empty_like(target)
-    work = np.empty_like(target)
+    prod = np.empty_like(target)
     steps = np.empty(2 * n_years + n_ages)
     d1 = steps[:n_years]
     d2 = steps[n_years:2 * n_years]
@@ -240,10 +237,10 @@ def fit_sl(delta: LDiffSurface, config: FitConfig | None = None) -> tuple[SlPara
     def objective():
         """Residual sum of squares; leaves the residual in resid."""
         np.subtract(target, alpha1, out=resid)
-        np.multiply(alpha2, kappa_col, out=work)
-        np.subtract(resid, work, out=resid)
-        np.multiply(resid, resid, out=work)
-        return float(np.add.reduce(work, axis=None))
+        np.multiply(alpha2, kappa_col, out=prod)
+        np.subtract(resid, prod, out=resid)
+        np.multiply(resid, resid, out=prod)
+        return float(np.add.reduce(prod, axis=None))
 
     trace = [objective()]
     converged = False
@@ -262,8 +259,8 @@ def fit_sl(delta: LDiffSurface, config: FitConfig | None = None) -> tuple[SlPara
         np.multiply(gamma, kappa @ resid, out=d2)
         np.true_divide(d2, kk, out=d2)
         alpha2 += d2
-        np.multiply(kappa_col, d2, out=work)
-        resid -= work
+        np.multiply(kappa_col, d2, out=prod)
+        resid -= prod
 
         aa = alpha2 @ alpha2
         if aa > 0.0:
@@ -298,7 +295,8 @@ def sl_forecast(
     Central without ``n_paths``, a MortalitySurface; sampled with it, the
     (3, n_ages, horizon) QUANTILE_PROBS bands over the paths: see
     :func:`~mortcast.timeseries.forecast_q`. A projected curve that rises
-    in age, or falls to 0 where exp overflows far out, raises DomainError
-    naming its path, age and year.
+    in age gives a negative q, and one whose hazard grows far out a q of 1;
+    either raises the DomainError of forecast_q's check on q, which names
+    the path, age and year.
     """
     return forecast_q(params, horizon, n_paths, seed)

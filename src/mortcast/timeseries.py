@@ -22,7 +22,6 @@ from .lifetable import (
     SurfaceKind,
     YearRange,
     _freeze,
-    _locate,
     _paths_first,
     check_surface_values,
 )
@@ -32,7 +31,7 @@ QUANTILE_PROBS = (0.05, 0.5, 0.95)
 
 # A sample forecast maps its states to death probabilities in blocks of
 # whole years of at most this many cells (ages x years x paths), or of one
-# year where a year holds more, so its workspace stays about 1 MB however
+# year where a year holds more, so its store stays about 1 MB however
 # many paths are asked for. A failed forecast is located over path chunks
 # of the whole horizon, of the same size.
 BLOCK_CELLS = 2**17
@@ -303,26 +302,32 @@ def forecast_years(params, horizon: int) -> YearRange:
     return YearRange(last + 1, last + horizon)
 
 
-def _check_below_one(q: np.ndarray, ages: AgeRange, years: YearRange, first_path: int = 0) -> None:
-    """Reject a death probability that rounds to 1, naming its path, age and year."""
-    if q.max() >= 1.0:
-        raise DomainError(f"death probability of 1 at {_locate(q >= 1.0, ages, years, first_path)}")
+def q_surface(params, states: np.ndarray, years: YearRange) -> MortalitySurface:
+    """The MortalitySurface of ``params.q_of(states)``, states (n_years, dim) of ``years``.
+
+    A q that is non-finite, negative or rounds to 1 is a DomainError naming
+    the first such cell by age, then year: :func:`check_surface_values`
+    with ``below_one``.
+    """
+    q = params.q_of(states)
+    check_surface_values(q, SurfaceKind.DEATH_PROB, params.ages, years, below_one=True)
+    return MortalitySurface(params.ages, years, SurfaceKind.DEATH_PROB, q)
 
 
 def _raise_first_fault(params, states: np.ndarray, years: YearRange) -> None:
     """Raise the DomainError of the first bad path of a failed sample forecast.
 
     ``states`` are the (horizon, dim, n_paths) states of all ``years``. Path
-    chunks of the whole horizon are mapped as one forecast block is, so the
-    message names the first bad cell by path, then age, then year. Called
-    only once a block has failed, so it raises on some chunk.
+    chunks of the whole horizon are mapped by ``params.q_of`` as one
+    forecast block is, in order, and :func:`check_surface_values` with
+    ``below_one`` names the first bad cell by path, then age, then year.
+    Called only once a block has failed, so it raises on some chunk.
     """
     ages = params.ages
     chunk = max(1, BLOCK_CELLS // (len(ages) * len(years)))
     for start in range(0, states.shape[-1], chunk):
-        q = _paths_first(params.q_of(states[..., start : start + chunk], years, start))
-        check_surface_values(q, SurfaceKind.DEATH_PROB, ages, years, first_path=start)
-        _check_below_one(q, ages, years, start)
+        q = _paths_first(params.q_of(states[..., start : start + chunk]))
+        check_surface_values(q, SurfaceKind.DEATH_PROB, ages, years, start, below_one=True)
 
 
 def forecast_q(params, horizon: int, n_paths: int | None = None, seed: int | None = None):
@@ -331,46 +336,39 @@ def forecast_q(params, horizon: int, n_paths: int | None = None, seed: int | Non
     The walk is :func:`calibrate_rwd` of the params' :func:`time_indices`,
     and the forecast covers ``params.ages``. ``params.q_of`` is the model's
     array expression: it maps states of shape (n_years, dim[, n_paths]) to
-    death probabilities of shape (n_ages, n_years[, n_paths]), and names the
-    path, age and year of any cell its own expression fails at. Without
-    ``n_paths`` it maps the central projection to one validated
-    MortalitySurface. Either way a q that rounds to 1, as it does far enough
-    out, is a DomainError naming its path, age and year.
+    death probabilities of shape (n_ages, n_years[, n_paths]), and never
+    raises. Every fault shows in q: a q that is non-finite, negative, or
+    rounds to 1, as it does far enough out, is a DomainError naming the
+    first such cell by path, then age, then year. Without ``n_paths`` the
+    central projection is mapped to one MortalitySurface by
+    :func:`q_surface`.
 
     With ``n_paths`` it returns the QUANTILE_PROBS bands over the paths, an
     (3, n_ages, horizon) array, bit for bit ``numpy.quantile(q, QUANTILE_PROBS,
     axis=0)`` of the (n_paths, n_ages, horizon) array q of all paths, which is
     never stored whole. The states are transposed once to (horizon, dim,
     n_paths); each block of years is then mapped by ``q_of`` into one
-    (n_ages, years, n_paths) store, with one scratch array of that shape,
-    both allocated once per forecast. A block passes when its values lie in
-    [0, 1), and :func:`path_quantiles` then sorts it in place. A block that
-    fails hands over to a search over path chunks of the whole horizon, which
-    names the first bad cell by path, then age, then year.
+    (n_ages, years, n_paths) store, allocated once per forecast. A block
+    passes when its values lie in [0, 1), and :func:`path_quantiles` then
+    sorts it in place. A block that fails hands over to a search over path
+    chunks of the whole horizon, which names the first bad cell.
     """
     states = forecast_states(calibrate_rwd(time_indices(params)), horizon, n_paths, seed)
     ages, years = params.ages, forecast_years(params, horizon)
     if n_paths is None:
-        q = params.q_of(states, years)
-        _check_below_one(q, ages, years)
-        return MortalitySurface(ages, years, SurfaceKind.DEATH_PROB, q)
+        return q_surface(params, states, years)
     # year-major and path-last: a block's states are contiguous, and so is each cell's paths
     states = np.ascontiguousarray(np.moveaxis(states, 0, -1))
     per_year = len(ages) * n_paths
     step = min(horizon, max(1, BLOCK_CELLS // per_year))
-    store, work = np.empty(step * per_year), np.empty(step * per_year)
+    store = np.empty(step * per_year)
     bands = np.empty((len(QUANTILE_PROBS), len(ages), horizon))
     for t in range(0, horizon, step):
         n = min(step, horizon - t)
-        shape = (len(ages), n, n_paths)
-        block, scratch = store[: n * per_year].reshape(shape), work[: n * per_year].reshape(shape)
-        block_years = YearRange(years.t_min + t, years.t_min + t + n - 1)
-        try:
-            params.q_of(states[t : t + n], block_years, out=block, work=scratch)
-            valid = block.min() >= 0.0 and block.max() < 1.0
-        except DomainError:
-            valid = False
-        if not valid:
+        block = store[: n * per_year].reshape(len(ages), n, n_paths)
+        params.q_of(states[t : t + n], out=block)
+        # written so that a NaN fails too
+        if not (block.min() >= 0.0 and block.max() < 1.0):
             _raise_first_fault(params, states, years)
         bands[:, :, t : t + n] = path_quantiles(np.moveaxis(block, -1, 0), QUANTILE_PROBS)
     return bands

@@ -169,21 +169,18 @@ def build_l_diff(
     )
 
 
-def invert_l_diff(delta_col, base_survival, out=None) -> np.ndarray:
+def invert_l_diff(delta_col, base_survival) -> np.ndarray:
     """Survival curves implied by difference values and the reference curve.
 
     Computes exp(-exp(L(base) + delta)) elementwise; with delta = 0 this
     returns the base curve. ``delta`` has age as its last axis: one column
     of shape (n_ages,) or a stack of shape (..., n_ages), and the result has
-    the same shape. ``out``, as in numpy's ufuncs, receives the result and
-    may be ``delta`` itself.
+    the same shape. Where exp overflows, the survival is 0.
     """
     delta = _as_float_array(delta_col, "difference values")
     base = _as_float_array(base_survival, "base survival")
     if base.ndim != 1 or delta.ndim == 0 or delta.shape[-1] != base.shape[0]:
         raise DomainError("base survival must be a vector as long as the last axis of the differences")
     check_l_domain(base, "base survival")
-    # an overflow gives survival 0, which survival_to_q then rejects
     with np.errstate(over="ignore"):
-        e = np.exp(np.add(np.log(-np.log(base)), delta, out=out), out=out)
-        return np.exp(np.negative(e, out=out), out=out)
+        return np.exp(-np.exp(np.log(-np.log(base)) + delta))

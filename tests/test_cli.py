@@ -413,11 +413,12 @@ class TestParamsReader:
 
 
 class TestInvalidSamplePath:
-    """A noisy SL fit whose sampled survival curves turn non-monotone by horizon 50."""
+    """A noisy SL fit whose sampled survival curves turn non-monotone by horizon 50.
 
-    NAMED = re.compile(
-        r"survival increases from age (\d+) to (\d+) in year (\d+) on sample path (\d+)$"
-    )
+    Where a curve rises from one age to the next, q at the older age is negative.
+    """
+
+    NAMED = re.compile(r"negative death_prob at sample path (\d+), age (\d+), year (\d+)$")
 
     def test_error_names_path_year_and_ages(self, tmp_path, capsys, monkeypatch):
         fit_dir = tmp_path / "fit"
@@ -440,8 +441,9 @@ class TestInvalidSamplePath:
         assert not (tmp_path / "fc").exists()
         match = self.NAMED.search(err)
         assert match, err
-        x, x_next, year, path = (int(g) for g in match.groups())
-        assert 60 <= x and x_next == x + 1 <= 94
+        path, x, year = (int(g) for g in match.groups())
+        # q at the base age, 1 - exp(-e), is never negative
+        assert 61 <= x <= 94
         assert 2010 <= year <= 2059 and 0 <= path < 500
 
         # the named path is the first bad one: the paths before it are valid
@@ -453,9 +455,10 @@ class TestInvalidSamplePath:
 
 
 class TestForecastOverflow:
-    """A horizon whose states overflow exp, or whose q rounds to 1, is a data error.
+    """A horizon whose q rounds to 1, and far beyond it overflows exp, is a data error.
 
-    The error names its cell in one stderr line. The noise-free fit
+    The error names its cell in one stderr line: the first year whose q
+    rounds to 1, not the later one where exp overflows. The noise-free fit
     calibrates a walk without noise, so every sample path is the central
     one and path 0 is the first bad path.
     """
@@ -463,11 +466,11 @@ class TestForecastOverflow:
     SAMPLE = ["--mode", "sample", "--paths", "3"]
 
     @pytest.mark.parametrize("model, mode, message", [
-        pytest.param("sl", [], "nonpositive survival at age 60, year 2228", id="sl-central"),
-        pytest.param("sl", SAMPLE, "nonpositive survival at sample path 0, age 60, year 2228",
+        pytest.param("sl", [], "death probability of 1 at age 60, year 2168", id="sl-central"),
+        pytest.param("sl", SAMPLE, "death probability of 1 at sample path 0, age 60, year 2168",
                      id="sl-sample"),
-        pytest.param("lc", [], "non-finite central_rate at age 60, year 16291", id="lc-central"),
-        pytest.param("lc", SAMPLE, "non-finite central_rate at sample path 0, age 60, year 16291",
+        pytest.param("lc", [], "death probability of 1 at age 60, year 2168", id="lc-central"),
+        pytest.param("lc", SAMPLE, "death probability of 1 at sample path 0, age 60, year 2168",
                      id="lc-sample"),
     ])
     def test_exit_data_with_one_line(self, tmp_path, capsys, model, mode, message):

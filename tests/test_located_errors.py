@@ -3,8 +3,8 @@
 The reference-curve errors name the first offending age, or the position
 where no ages are known. The texts are pinned in full; generated
 properties check the cell that ``check_surface_values`` names against a
-plain-loop oracle, and that SL's ``q_of`` fails exactly when its curves
-do, with that oracle's message.
+plain-loop oracle, and that SL's ``q_of`` never raises while a forecast's
+check on q names the cell a plain-loop search over that q finds.
 """
 
 import io
@@ -34,10 +34,10 @@ from mortcast import (
     l_transform,
     parse_hmd,
     surface_q_to_survival,
-    survival_to_q,
 )
 from mortcast.cli import _read_params
-from mortcast.lifetable import check_surface_values
+from mortcast.lifetable import _paths_first, check_surface_values
+from mortcast.timeseries import _raise_first_fault, q_surface
 
 AGES = AgeRange(60, 62)
 YEARS = YearRange(2000, 2002)
@@ -73,18 +73,27 @@ def sl_params(base_survival):
     )
 
 
+def checked_q(params, states, first_path=0):
+    """``params.q_of(states)`` over YEARS, through the check a forecast makes on q."""
+    q = params.q_of(np.array(states, dtype=float))
+    check_surface_values(
+        _paths_first(q), SurfaceKind.DEATH_PROB, params.ages, YEARS, first_path, below_one=True
+    )
+    return q
+
+
 def sl_q_of(states, first_path=0):
-    """SL death probabilities over YEARS; L0 = log(-log S) is -2.25, -1.50, -1.25."""
-    return sl_params([0.9, 0.8, 0.75]).q_of(np.array(states, dtype=float), YEARS, first_path)
+    """Checked SL death probabilities over YEARS; L0 = log(-log S) is -2.25, -1.50, -1.25."""
+    return checked_q(sl_params([0.9, 0.8, 0.75]), states, first_path)
 
 
 def lc_q_of(kappa):
-    """Lee-Carter death probabilities over YEARS from log m = -4 + beta_x * kappa_t."""
+    """Checked Lee-Carter death probabilities over YEARS from log m = -4 + beta_x * kappa_t."""
     params = LcParams(
         alpha_x=np.full(3, -4.0), beta_x=np.array([0.0, 0.25, 0.75]), kappa_t=np.zeros(3),
         ages=AGES, years=YEARS,
     )
-    return params.q_of(np.array(kappa, dtype=float)[:, None], YEARS)
+    return checked_q(params, np.array(kappa, dtype=float)[:, None])
 
 
 def cbd_forecast_of_one(n_paths=None):
@@ -203,22 +212,25 @@ CASES = {
         paths_block(SurfaceKind.SURVIVAL, 0.5, (1, 2, 1), 0.9),
         "survival increases from age 61 to 62 in year 2001 on sample path 11",
     ),
-    # (alpha1, alpha2) per year: alpha2 below -0.25 breaks ages 61-62, below -0.75 also 60-61
+    # (alpha1, alpha2) per year: alpha2 below -0.25 breaks ages 61-62, below -0.75 also
+    # 60-61; where survival rises into an age, q there is negative
     "SlParams.q_of survival increases": (
         lambda: sl_q_of([[0.0, -0.5], [0.0, -1.0], [0.0, 0.0]]),
-        "survival increases from age 60 to 61 in year 2001",
+        "negative death_prob at age 61, year 2001",
     ),
-    # exp overflows where L0 + delta passes 709: at 62 in 2000, at 61 and 62 in 2001
+    # exp overflows where L0 + delta passes 709: at 62 in 2000, at 61 and 62 in 2001,
+    # so q is 1 at those cells but NaN at 62 in 2001, where e_61 and e_62 are both inf
     "SlParams.q_of sample path overflow": (
         lambda: sl_q_of(
             np.stack([np.zeros((3, 2)), [[0, 1000], [1000, 1000], [0, 0]]], axis=-1), 10
         ),
-        "nonpositive survival at sample path 11, age 61, year 2001",
+        "death probability of 1 at sample path 11, age 61, year 2001",
     ),
-    # log m passes 709 at 62 in 2000, at 61 and 62 in 2001
+    # q rounds to 1 where log m passes about 3.6: at 61 and 62 in 2000 and 2001; log m
+    # overflows exp only at 62 in 2000 and at 61 and 62 in 2001
     "LcParams.q_of overflow": (
         lambda: lc_q_of([1000.0, 3000.0, 0.0]),
-        "non-finite central_rate at age 61, year 2001",
+        "death probability of 1 at age 61, year 2000",
     ),
     "forecast death probability of 1": (
         cbd_forecast_of_one,
@@ -317,48 +329,80 @@ def test_check_names_the_first_bad_cell(case):
 
 @st.composite
 def sl_blocks(draw):
-    """SL params and states; large states make curves underflow to 0 or rise in age."""
+    """SL params and states; large states make exp overflow or curves rise in age."""
     n_ages, n_years = draw(st.integers(2, 5)), draw(st.integers(1, 4))
     n_paths = draw(st.sampled_from([None, 1, 3]))
     ages = AgeRange(60, 60 + n_ages - 1)
     params = SlParams(
         alpha1=np.zeros(3), alpha2=np.zeros(3),
         kappa=draw(hnp.arrays(float, n_ages, elements=st.floats(-1.0, 1.0))),
-        # not necessarily falling in age, so some curves rise even at zero states
-        base_survival=draw(hnp.arrays(float, n_ages, elements=st.floats(0.01, 0.99))),
+        # a survival curve, falling or flat in age; large states make curves rise
+        base_survival=-np.sort(-draw(hnp.arrays(float, n_ages, elements=st.floats(0.01, 0.99)))),
         t0=YEARS.t_min - 1, ages=ages, years=YEARS,
     )
     shape = (n_years, 2) if n_paths is None else (n_years, 2, n_paths)
     state = st.one_of(st.floats(-8.0, 8.0), st.sampled_from([-1000.0, 1000.0]))
     states = draw(hnp.arrays(float, shape, elements=state))
     t_min = draw(st.integers(1900, 2100))
-    years = YearRange(t_min, t_min + n_years - 1)
-    return params, states, years, draw(st.integers(0, 10_000))
+    return params, states, YearRange(t_min, t_min + n_years - 1)
+
+
+def first_bad_q(q, ages, years, first_path=0):
+    """The message a forecast owes its q, found by plain loops; None if every q is in [0, 1).
+
+    ``q`` is (n_ages, n_years), or (n_ages, n_years, n_paths) path last, as
+    q_of returns it, whose first path has index ``first_path``. Each cell is
+    tested for a non-finite, then negative, then rounded-to-1 q, cell by
+    cell by path, then age, then year.
+    """
+    paths = q[..., None] if q.ndim == 2 else q
+    for p in range(paths.shape[2]):
+        for i in range(paths.shape[0]):
+            for j in range(paths.shape[1]):
+                v = float(paths[i, j, p])
+                if not math.isfinite(v):
+                    fault = "non-finite death_prob"
+                elif v < 0.0:
+                    fault = "negative death_prob"
+                elif v >= 1.0:
+                    fault = "death probability of 1"
+                else:
+                    continue
+                cell = f"age {ages.x_min + i}, year {years.t_min + j}"
+                if q.ndim == 3:
+                    cell = f"sample path {first_path + p}, {cell}"
+                return f"{fault} at {cell}"
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(faulty_grids())
+def test_forecast_check_names_the_first_bad_cell(case):
+    values, _, ages, years, first_path = case
+    expected = first_bad_q(values if values.ndim == 2 else np.moveaxis(values, 0, -1),
+                           ages, years, first_path)
+    args = (values, SurfaceKind.DEATH_PROB, ages, years, first_path)
+    if expected is None:
+        check_surface_values(*args, below_one=True)
+        return
+    with pytest.raises(DomainError) as exc:
+        check_surface_values(*args, below_one=True)
+    assert str(exc.value) == expected
 
 
 @settings(max_examples=200, deadline=None)
 @given(sl_blocks())
-def test_sl_q_of_fails_with_the_survival_grid_message(case):
-    params, states, years, first_path = case
-    # the oracle takes the paths first: (n_paths, n_years, 2) states give
-    # (n_paths, n_years, n_ages) curves
-    by_path = np.moveaxis(states, range(2, states.ndim), range(states.ndim - 2))
-    delta = by_path[..., :1] + by_path[..., 1:] * params.kappa
-    survival = invert_l_diff(delta, params.base_survival)
-    try:
-        expected = np.swapaxes(survival_to_q(survival), -1, -2)
-        expected = np.moveaxis(expected, range(expected.ndim - 2), range(2, expected.ndim))
-    except DomainError:
-        expected = None
-    if expected is not None:
-        got = params.q_of(states, years, first_path)
-        np.testing.assert_array_equal(
-            np.ascontiguousarray(got).view(np.uint64), np.ascontiguousarray(expected).view(np.uint64)
-        )
+def test_sl_forecast_names_the_first_bad_q_cell(case):
+    params, states, years = case
+    # q_of never raises, nor warns (warnings are errors here), and never gives -0.0
+    q = params.q_of(states)
+    assert q.shape == (len(params.ages), *states[:, 0].shape)
+    assert not np.any((q == 0.0) & np.signbit(q))
+    expected = first_bad_q(q, params.ages, years)
+    check = q_surface if q.ndim == 2 else _raise_first_fault
+    if expected is None:
+        check(params, states, years)
         return
-    grid = np.swapaxes(survival, -1, -2)
-    message = first_fault(grid, SurfaceKind.SURVIVAL, params.ages, years, first_path)
-    assert message is not None
     with pytest.raises(DomainError) as exc:
-        params.q_of(states, years, first_path)
-    assert str(exc.value) == message
+        check(params, states, years)
+    assert str(exc.value) == expected

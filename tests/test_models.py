@@ -89,7 +89,7 @@ def test_params_csv_round_trip(name, noise_sd, seed, x_min, n_ages):
     with mock.patch.object(evaluation, "mse", wraps=evaluation.mse) as scored:
         run_backtest(rates, config)
     _, in_sample = scored.call_args_list[0].args  # the fit-window score comes first
-    np.testing.assert_array_equal(bits(read.q_of(indices, read.years)), bits(in_sample))
+    np.testing.assert_array_equal(bits(read.q_of(indices)), bits(in_sample))
 
 
 @settings(max_examples=60, deadline=None)

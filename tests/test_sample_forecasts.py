@@ -26,7 +26,7 @@ from mortcast import (
 from mortcast import timeseries
 from mortcast.evaluation import MODELS as MODEL_CLASSES
 from mortcast.lifetable import check_surface_values, surface_central_rate_to_q
-from mortcast.timeseries import BLOCK_CELLS, QUANTILE_PROBS, forecast_years, time_indices
+from mortcast.timeseries import BLOCK_CELLS, QUANTILE_PROBS, time_indices
 
 AGES = AgeRange(60, 64)
 YEARS = YearRange(2000, 2004)
@@ -83,7 +83,7 @@ def bits(a):
 def oracle_bands(params, horizon, n_paths, seed):
     """numpy's quantiles over the whole (n_ages, horizon, n_paths) array of every path's q."""
     paths = simulate_paths(calibrate_rwd(time_indices(params)), horizon, n_paths, seed)
-    q = params.q_of(np.moveaxis(paths, 0, -1), forecast_years(params, horizon))
+    q = params.q_of(np.moveaxis(paths, 0, -1))
     return np.quantile(q, QUANTILE_PROBS, axis=-1)
 
 
@@ -141,16 +141,16 @@ class TestInvalidPaths:
     def test_non_monotone_path_is_named(self):
         kappa = np.array([-1.0, 1.0]) / np.sqrt(2.0)
         # alpha2 falls by 0.2 a year, exactly, so the walk has that drift and
-        # no noise; past -0.53 survival at 61 overtakes 60
+        # no noise; past -0.53 survival at 61 overtakes 60, and q at 61 turns negative
         params = SlParams(
             alpha1=np.zeros(3), alpha2=np.array([0.4, 0.2, 0.0]), kappa=kappa,
             base_survival=np.array([0.9, 0.8]), t0=1998,
             ages=AgeRange(60, 61), years=YearRange(1999, 2001),
         )
-        with pytest.raises(DomainError, match="from age 60 to 61 in year 2004$"):
+        with pytest.raises(DomainError, match="^negative death_prob at age 61, year 2004$"):
             sl_forecast(params, horizon=4)
         with pytest.raises(
-            DomainError, match="from age 60 to 61 in year 2004 on sample path 0$"
+            DomainError, match="^negative death_prob at sample path 0, age 61, year 2004$"
         ):
             sl_forecast(params, horizon=4, n_paths=3, seed=0)
 
@@ -158,17 +158,19 @@ class TestInvalidPaths:
         # ages x and x+1 keep their order while dL0_x + alpha2 * dkappa_x >= 0,
         # with L0 = log(-log(base_survival)). alpha2 falls by 0.1 a year with no
         # noise; pair 61-62 (dL0 0.25) breaks from 2005 on, pair 60-61 (dL0
-        # 0.75) from 2012. The named cell is the lower pair, not the earlier year.
+        # 0.75) from 2012, where q at the older age of the pair turns negative.
+        # The named cell is the lower pair's, at age 61, not the earlier year.
         params = SlParams(
             alpha1=np.zeros(3), alpha2=np.array([0.2, 0.1, 0.0]),
             kappa=np.array([-1.0, 0.0, 1.0]) / np.sqrt(2.0),
             base_survival=np.array([0.9, 0.8, 0.75]), t0=1998,
             ages=AgeRange(60, 62), years=YearRange(1999, 2001),
         )
-        text = "survival increases from age 60 to 61 in year 2012"
-        with pytest.raises(DomainError, match=f"^{text}$"):
+        with pytest.raises(DomainError, match="^negative death_prob at age 61, year 2012$"):
             sl_forecast(params, horizon=12)
-        with pytest.raises(DomainError, match=f"^{text} on sample path 0$"):
+        with pytest.raises(
+            DomainError, match="^negative death_prob at sample path 0, age 61, year 2012$"
+        ):
             sl_forecast(params, horizon=12, n_paths=3, seed=0)
 
     def test_check_names_path_age_and_year(self):

@@ -150,6 +150,10 @@ class TestParams:
         ):
             with pytest.raises(DomainError):
                 SlParams(**{**good, **bad})
+        with pytest.raises(DomainError, match="^survival increases between positions 0 and 1$"):
+            SlParams(**{**good, "base_survival": np.array([0.8, 0.9])})
+        # a flat curve is a survival curve
+        SlParams(**{**good, "base_survival": np.array([0.9, 0.9])})
 
 
 class TestInit:
