@@ -22,6 +22,7 @@ from .lifetable import (
     YearRange,
     _first_cell,
     _freeze_series,
+    surface_central_rate_to_q,
 )
 from .timeseries import forecast_q
 from .transforms import logistic, logit
@@ -71,7 +72,7 @@ class LcParams:
         return np.negative(m, out=m)
 
     @staticmethod
-    def fit(rates, q, fit_years, t0, config):
+    def fit(rates, fit_years, t0, config):
         return fit_lc(rates.subset(years=fit_years)), None
 
     def forecast(self, horizon, n_paths=None, seed=None):
@@ -113,8 +114,8 @@ class CbdParams:
         return logistic(eta, out=eta)
 
     @staticmethod
-    def fit(rates, q, fit_years, t0, config):
-        return fit_cbd(q.subset(years=fit_years)), None
+    def fit(rates, fit_years, t0, config):
+        return fit_cbd(surface_central_rate_to_q(rates.subset(years=fit_years))), None
 
     def forecast(self, horizon, n_paths=None, seed=None):
         return cbd_forecast(self, horizon, n_paths, seed)
@@ -186,9 +187,10 @@ def fit_cbd(q_surface: MortalitySurface) -> CbdParams:
         raise DomainError(f"expected a death_prob surface, got {q_surface.kind.value}")
     if len(q_surface.ages) < 2:
         raise DomainError("need at least 2 ages to fit an age slope")
-    outside = (q_surface.values <= 0.0) | (q_surface.values >= 1.0)
-    if outside.any():
-        x, t = _first_cell(outside, q_surface.ages, q_surface.years)
+    # a surface's q lies in [0, 1), so only a zero leaves the logit undefined
+    zero = q_surface.values <= 0.0
+    if zero.any():
+        x, t = _first_cell(zero, q_surface.ages, q_surface.years)
         raise DomainError(f"death probability outside (0, 1) at age {x}, year {t}: logit undefined")
     x_bar = (q_surface.ages.x_min + q_surface.ages.x_max) / 2.0
     cx = q_surface.ages.to_array() - x_bar

@@ -33,7 +33,7 @@ from .ingest import (
     write_csv,
     write_hmd,
 )
-from .lifetable import AGE, YEAR, AgeRange, MortalitySurface, YearRange, surface_central_rate_to_q
+from .lifetable import AGE, YEAR, AgeRange, MortalitySurface, YearRange
 from .sl_model import FitConfig
 from .timeseries import PATH_LIMIT, forecast_years
 
@@ -279,7 +279,7 @@ def cmd_fit(args) -> int:
     header = _resolved_header(args) + [f"input_sha256 = {digest}"]
     out_dir = Path(args.out)
 
-    params, diag = model.fit(rates, surface_central_rate_to_q(rates), fit_years, args.t0, config)
+    params, diag = model.fit(rates, fit_years, args.t0, config)
     if diag is not None:
         diag_header = header + [
             f"iterations = {diag.iterations}",

@@ -21,10 +21,11 @@ from .lifetable import survival_to_q  # noqa: F401
 from .sl_model import FitConfig, SlParams
 from .timeseries import q_surface, time_indices
 
-# The model table: each params class by its NAME. ``cls.fit(rates, q,
-# fit_years, t0, config)`` gets central rates and their death probabilities
-# over years that cover the fit window and, if REFERENCE_YEAR, t0; it returns
-# the params and the fit's diagnostics, or None for a closed-form fit.
+# The model table: each params class by its NAME. ``cls.fit(rates, fit_years,
+# t0, config)`` gets central rates over years that cover the fit window and,
+# if REFERENCE_YEAR, t0, and derives any death probabilities it needs from
+# them; it returns the params and the fit's diagnostics, or None for a
+# closed-form fit.
 # ``params.forecast(horizon, n_paths=None, seed=None)`` projects the walk of
 # the params' own time indices: a MortalitySurface when n_paths is None, else
 # the (3, n_ages, horizon) QUANTILE_PROBS bands over n_paths sample paths. Both
@@ -201,7 +202,7 @@ def run_backtest(
         if label not in config.models:
             continue
         model = MODELS[label.lower()]
-        params, diagnostics = model.fit(sub, q_all, config.fit_years, config.t0, config.fit)
+        params, diagnostics = model.fit(sub, config.fit_years, config.t0, config.fit)
         q_hat_fit = q_surface(params, time_indices(params), params.years).values
         forecast = params.forecast(len(config.forecast_years))
         estimates[label] = (q_hat_fit, forecast.values)

@@ -92,6 +92,7 @@ class SurfaceKind(str, Enum):
     """What quantity a MortalitySurface holds."""
 
     CENTRAL_RATE = "central_rate"
+    # q, in [0, 1): at q = 1 survival is zero, where log(-log S) and logit are undefined
     DEATH_PROB = "death_prob"
     # S_t(x): the chance of surviving from the lowest age of the window past age x
     SURVIVAL = "survival"
@@ -151,44 +152,36 @@ def _freeze_series(params) -> None:
 
 
 def check_surface_values(
-    values: np.ndarray, kind: SurfaceKind, ages: AgeRange, years: YearRange, first_path: int = 0,
-    below_one: bool = False,
+    values: np.ndarray, kind: SurfaceKind, ages: AgeRange, years: YearRange, first_path: int = 0
 ) -> None:
     """Finiteness and the admissible values of ``kind``, naming the first bad cell.
 
-    Death probabilities lie in [0, 1], survival in (0, 1] and non-increasing
-    in age, anything else is nonnegative. The faults are searched in that
-    order, each at its first cell by path, then age, then year. ``values``
-    is one (ages, years) grid, or a (paths, ages, years) block of sample
-    paths whose first path has index ``first_path``; the message then names
-    the path as well as the age and year.
-
-    With ``below_one``, the check a forecast's death probabilities get, q
-    must also lie below 1, and the first cell by path, then age, then year
-    whose q is non-finite, negative or 1 is named, with its fault: a
-    forecast's q rounds to 1 long before its hazard overflows.
+    Death probabilities lie in [0, 1), survival in (0, 1] and non-increasing
+    in age, anything else is nonnegative. ``values`` is one (ages, years)
+    grid, or a (paths, ages, years) block of sample paths whose first path
+    has index ``first_path``; the message then names the path as well as
+    the age and year. The first bad cell by path, then age, then year is
+    named with its first fault, tested in the order: non-finite; negative
+    (for survival, nonpositive or above 1); for q, above 1, then equal to
+    1. Only then is survival checked to fall in age.
     """
-
     survival = kind is SurfaceKind.SURVIVAL
-    # (bad cells, fault), in the order they are searched
+    # (bad cells, fault), in the order a cell is tested
     faults = [(~np.isfinite(values), f"non-finite {kind.value}")]
     if survival:
         faults += [(values <= 0.0, "nonpositive survival"), (values > 1.0, "survival above 1")]
     else:
         faults.append((values < 0.0, f"negative {kind.value}"))
-    if below_one:
-        faults.append((values >= 1.0, "death probability of 1"))
-        bad = np.logical_or.reduce([mask for mask, _ in faults])
-        if bad.any():
-            cell = tuple(np.argwhere(bad)[0])
-            fault = next(fault for mask, fault in faults if mask[cell])
-            raise DomainError(f"{fault} at {_locate(bad, ages, years, first_path)}")
-        return
     if kind is SurfaceKind.DEATH_PROB:
-        faults.append((values > 1.0, "death probability above 1"))
-    for mask, fault in faults:
-        if mask.any():
-            raise DomainError(f"{fault} at {_locate(mask, ages, years, first_path)}")
+        faults += [
+            (values > 1.0, "death probability above 1"),
+            (values == 1.0, "death probability of 1"),
+        ]
+    bad = np.logical_or.reduce([mask for mask, _ in faults])
+    if bad.any():
+        cell = tuple(np.argwhere(bad)[0])
+        fault = next(fault for mask, fault in faults if mask[cell])
+        raise DomainError(f"{fault} at {_locate(bad, ages, years, first_path)}")
     if survival:
         rising = values[..., 1:, :] > values[..., :-1, :]
         if rising.any():
@@ -353,13 +346,10 @@ def surface_central_rate_to_q(m_surface: MortalitySurface) -> MortalitySurface:
 def surface_q_to_survival(q_surface: MortalitySurface) -> MortalitySurface:
     """Columnwise lift of :func:`q_to_survival` over a death-probability surface.
 
-    The result is a survival surface anchored at the surface's lowest age.
-    Any q equal to 1 is rejected with the offending cell named.
+    The result is a survival surface anchored at the surface's lowest age;
+    it is positive, since every q of a MortalitySurface lies below 1.
     """
     if q_surface.kind is not SurfaceKind.DEATH_PROB:
         raise DomainError(f"expected a death_prob surface, got {q_surface.kind.value}")
-    if (q_surface.values >= 1.0).any():
-        x, t = _first_cell(q_surface.values >= 1.0, q_surface.ages, q_surface.years)
-        raise DomainError(f"death probability of 1 at age {x}, year {t}: survival hits zero")
     s = np.cumprod(1.0 - q_surface.values, axis=0)
     return MortalitySurface(q_surface.ages, q_surface.years, SurfaceKind.SURVIVAL, s)

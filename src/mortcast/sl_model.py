@@ -18,6 +18,7 @@ from .lifetable import (
     AgeRange,
     YearRange,
     _freeze_series,
+    surface_central_rate_to_q,
     surface_q_to_survival,
     survival_to_q,
 )
@@ -95,8 +96,9 @@ class SlParams:
         return np.subtract(0.0, e, out=e)
 
     @staticmethod
-    def fit(rates, q, fit_years, t0, config):
-        return fit_sl(build_l_diff(surface_q_to_survival(q), t0=t0, fit_years=fit_years), config)
+    def fit(rates, fit_years, t0, config):
+        survival = surface_q_to_survival(surface_central_rate_to_q(rates))
+        return fit_sl(build_l_diff(survival, t0=t0, fit_years=fit_years), config)
 
     def forecast(self, horizon, n_paths=None, seed=None):
         return sl_forecast(self, horizon, n_paths, seed)

@@ -305,13 +305,10 @@ def forecast_years(params, horizon: int) -> YearRange:
 def q_surface(params, states: np.ndarray, years: YearRange) -> MortalitySurface:
     """The MortalitySurface of ``params.q_of(states)``, states (n_years, dim) of ``years``.
 
-    A q that is non-finite, negative or rounds to 1 is a DomainError naming
-    the first such cell by age, then year: :func:`check_surface_values`
-    with ``below_one``.
+    A q that is non-finite, negative or rounds to 1 is a DomainError of the
+    surface's own check, naming the first such cell by age, then year.
     """
-    q = params.q_of(states)
-    check_surface_values(q, SurfaceKind.DEATH_PROB, params.ages, years, below_one=True)
-    return MortalitySurface(params.ages, years, SurfaceKind.DEATH_PROB, q)
+    return MortalitySurface(params.ages, years, SurfaceKind.DEATH_PROB, params.q_of(states))
 
 
 def _raise_first_fault(params, states: np.ndarray, years: YearRange) -> None:
@@ -319,15 +316,16 @@ def _raise_first_fault(params, states: np.ndarray, years: YearRange) -> None:
 
     ``states`` are the (horizon, dim, n_paths) states of all ``years``. Path
     chunks of the whole horizon are mapped by ``params.q_of`` as one
-    forecast block is, in order, and :func:`check_surface_values` with
-    ``below_one`` names the first bad cell by path, then age, then year.
-    Called only once a block has failed, so it raises on some chunk.
+    forecast block is, in order, and :func:`check_surface_values`, the
+    check of every death-probability surface, names the first bad cell by
+    path, then age, then year. Called only once a block has failed, so it
+    raises on some chunk.
     """
     ages = params.ages
     chunk = max(1, BLOCK_CELLS // (len(ages) * len(years)))
     for start in range(0, states.shape[-1], chunk):
         q = _paths_first(params.q_of(states[..., start : start + chunk]))
-        check_surface_values(q, SurfaceKind.DEATH_PROB, ages, years, start, below_one=True)
+        check_surface_values(q, SurfaceKind.DEATH_PROB, ages, years, start)
 
 
 def forecast_q(params, horizon: int, n_paths: int | None = None, seed: int | None = None):

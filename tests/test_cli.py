@@ -546,6 +546,35 @@ def test_data_error_leaves_no_output_directory(tmp_path, command):
     assert not out_dir.exists()
 
 
+# the gompertz synth over ages 0-109: q = 1 - exp(-m) rounds to 1 from age 100
+WHOLE_LIFE = ["--synth", "gompertz", "--x-min", "0", "--x-max", "109"]
+WHOLE_LIFE_FIT = [*WHOLE_LIFE, "--t-min", "1960", "--t-max", "2009"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # SL's q spans its reference year 1959, CBD's only the fit years
+        ["fit", "--model", "sl", *WHOLE_LIFE_FIT],
+        ["fit", "--model", "cbd", *WHOLE_LIFE_FIT],
+        # the observed q of the backtest spans its reference year, whatever the models
+        ["backtest", "--models", "lc", *WHOLE_LIFE],
+    ],
+    ids=["fit sl", "fit cbd", "backtest lc"],
+)
+def test_death_probability_of_1_is_named_where_q_is_built(tmp_path, capsys, argv):
+    out_dir = tmp_path / "out"
+    assert main([*argv, "--out", str(out_dir)]) == 3
+    year = 1960 if "cbd" in argv else 1959
+    err = capsys.readouterr().err
+    assert err == f"mortcast: error: death probability of 1 at age 100, year {year}\n"
+    assert not out_dir.exists()
+
+
+def test_lc_fits_rates_whose_death_probability_rounds_to_1(tmp_path):
+    assert main(["fit", "--model", "lc", *WHOLE_LIFE_FIT, "--out", str(tmp_path / "fit")]) == 0
+
+
 class TestNegativeSeed:
     """A negative --seed is a usage error (exit 1) in every subcommand."""
 

@@ -92,8 +92,11 @@ class TestMortalitySurface:
             make_surface([[-0.1, 0.2], [0.3, 0.4]])
 
     def test_death_prob_bounds(self):
-        make_surface([[0.0, 1.0]], kind=SurfaceKind.DEATH_PROB)  # closed interval ok
-        with pytest.raises(DomainError):
+        # [0, 1): a q of 1 would make survival zero, where log(-log S) and logit are undefined
+        make_surface([[0.0, np.nextafter(1.0, 0.0)]], kind=SurfaceKind.DEATH_PROB)
+        with pytest.raises(DomainError, match="^death probability of 1 at age 60, year 2001$"):
+            make_surface([[0.0, 1.0]], kind=SurfaceKind.DEATH_PROB)
+        with pytest.raises(DomainError, match="^death probability above 1 at age 60, year 2001$"):
             make_surface([[0.5, 1.1]], kind=SurfaceKind.DEATH_PROB)
 
     def test_values_frozen(self):

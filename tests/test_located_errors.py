@@ -2,12 +2,13 @@
 
 The reference-curve errors name the first offending age, or the position
 where no ages are known. The texts are pinned in full; generated
-properties check the cell that ``check_surface_values`` names against a
-plain-loop oracle, and that SL's ``q_of`` never raises while a forecast's
-check on q names the cell a plain-loop search over that q finds.
+properties check the cell and fault that ``check_surface_values`` names
+against a plain-loop oracle, over any grid and over SL's q, whose ``q_of``
+never raises.
 """
 
 import io
+import itertools
 import math
 
 import numpy as np
@@ -76,9 +77,7 @@ def sl_params(base_survival):
 def checked_q(params, states, first_path=0):
     """``params.q_of(states)`` over YEARS, through the check a forecast makes on q."""
     q = params.q_of(np.array(states, dtype=float))
-    check_surface_values(
-        _paths_first(q), SurfaceKind.DEATH_PROB, params.ages, YEARS, first_path, below_one=True
-    )
+    check_surface_values(_paths_first(q), SurfaceKind.DEATH_PROB, params.ages, YEARS, first_path)
     return q
 
 
@@ -129,13 +128,14 @@ CASES = {
         lambda: fit_lc(grid(SurfaceKind.CENTRAL_RATE, 0.01, 0.0)),
         "nonpositive central rate at age 61, year 2001: log rate undefined",
     ),
+    # a q of 1 cannot reach fit_cbd, nor surface_q_to_survival: the surface refuses it
     "fit_cbd": (
-        lambda: fit_cbd(grid(SurfaceKind.DEATH_PROB, 0.01, 1.0)),
+        lambda: fit_cbd(grid(SurfaceKind.DEATH_PROB, 0.01, 0.0)),
         "death probability outside (0, 1) at age 61, year 2001: logit undefined",
     ),
     "surface_q_to_survival": (
         lambda: surface_q_to_survival(grid(SurfaceKind.DEATH_PROB, 0.01, 1.0)),
-        "death probability of 1 at age 61, year 2001: survival hits zero",
+        "death probability of 1 at age 61, year 2001",
     ),
     "build_l_diff base year": (
         lambda: build_l_diff(survival([[1, 0.9, 0.9], [1, 0.8, 0.8], [0.7, 0.7, 0.7]]), t0=2000),
@@ -183,6 +183,14 @@ CASES = {
     "death probability above 1": (
         lambda: grid(SurfaceKind.DEATH_PROB, 0.01, 1.5),
         "death probability above 1 at age 61, year 2001",
+    ),
+    # the first bad cell is named with its own fault, not the cell of the first kind of fault
+    "first bad cell, whatever its fault": (
+        lambda: MortalitySurface(
+            AGES, YEARS, SurfaceKind.DEATH_PROB,
+            np.array([[0.01, 0.01, 0.01], [0.01, 1.0, 0.01], [np.nan, -1.0, 0.01]]),
+        ),
+        "death probability of 1 at age 61, year 2001",
     ),
     "survival non-finite": (
         lambda: survival([[1.0, 1.0, 1.0], [0.9, np.inf, 0.9], [np.nan, 0.8, 0.8]]),
@@ -251,36 +259,42 @@ def test_message_text(case):
     assert str(exc.value) == text
 
 
-def first_fault(values, kind, ages, years, first_path):
-    """The message check_surface_values owes ``values``, found by plain loops; None if valid."""
+def first_fault(values, kind, ages, years, first_path=0):
+    """The message check_surface_values owes ``values``, found by plain loops; None if valid.
+
+    ``values`` is an (ages, years) grid, or a (paths, ages, years) block
+    whose first path has index ``first_path``. The first bad cell by path,
+    then age, then year is named with its first fault; only a survival block
+    with no bad cell is then searched for a rise in age.
+    """
     paths = values if values.ndim == 3 else values[None]
-    survival = kind is SurfaceKind.SURVIVAL
+    cells = list(itertools.product(*map(range, paths.shape)))
 
-    def cells():
-        for p in range(paths.shape[0]):
-            for i in range(paths.shape[1]):
-                for j in range(paths.shape[2]):
-                    yield p, i, j, float(paths[p, i, j])
+    def fault(v):
+        if not math.isfinite(v):
+            return f"non-finite {kind.value}"
+        if kind is SurfaceKind.SURVIVAL:
+            if v <= 0.0:
+                return "nonpositive survival"
+            return "survival above 1" if v > 1.0 else None
+        if v < 0.0:
+            return f"negative {kind.value}"
+        if kind is SurfaceKind.DEATH_PROB and v > 1.0:
+            return "death probability above 1"
+        if kind is SurfaceKind.DEATH_PROB and v == 1.0:
+            return "death probability of 1"
+        return None
 
-    def at(p, i, j):
-        cell = f"age {ages.x_min + i}, year {years.t_min + j}"
-        return f"sample path {first_path + p}, {cell}" if values.ndim == 3 else cell
-
-    rules = [(lambda v: not math.isfinite(v), f"non-finite {kind.value}")]
-    if survival:
-        rules.append((lambda v: v <= 0.0, "nonpositive survival"))
-        rules.append((lambda v: v > 1.0, "survival above 1"))
-    else:
-        rules.append((lambda v: v < 0.0, f"negative {kind.value}"))
-        if kind is SurfaceKind.DEATH_PROB:
-            rules.append((lambda v: v > 1.0, "death probability above 1"))
-    for bad, what in rules:
-        for p, i, j, v in cells():
-            if bad(v):
-                return f"{what} at {at(p, i, j)}"
-    if survival:
-        for p, i, j, v in cells():
-            if i > 0 and v > paths[p, i - 1, j]:
+    for p, i, j in cells:
+        what = fault(float(paths[p, i, j]))
+        if what is not None:
+            cell = f"age {ages.x_min + i}, year {years.t_min + j}"
+            if values.ndim == 3:
+                cell = f"sample path {first_path + p}, {cell}"
+            return f"{what} at {cell}"
+    if kind is SurfaceKind.SURVIVAL:
+        for p, i, j in cells:
+            if i > 0 and paths[p, i, j] > paths[p, i - 1, j]:
                 x, t = ages.x_min + i - 1, years.t_min + j
                 on = f" on sample path {first_path + p}" if values.ndim == 3 else ""
                 return f"survival increases from age {x} to {x + 1} in year {t}{on}"
@@ -299,7 +313,9 @@ def faulty_grids(draw):
     values = np.cumprod(u, axis=-2) if kind is SurfaceKind.SURVIVAL else 1.0 - u
     for _ in range(draw(st.integers(0, 3))):
         cell = tuple(draw(st.integers(0, n - 1)) for n in shape)
-        fault = draw(st.sampled_from(["nan", "inf", "negative", "zero", "above 1", "rising"]))
+        fault = draw(
+            st.sampled_from(["nan", "inf", "negative", "zero", "one", "above 1", "rising"])
+        )
         if fault == "rising":
             *path, i, j = cell
             if i > 0:
@@ -307,7 +323,7 @@ def faulty_grids(draw):
                 values[cell], values[above] = values[above], values[above] / 2.0
         else:
             values[cell] = {
-                "nan": np.nan, "inf": -np.inf, "negative": -5e-324, "zero": 0.0,
+                "nan": np.nan, "inf": -np.inf, "negative": -5e-324, "zero": 0.0, "one": 1.0,
                 "above 1": np.nextafter(1.0, 2.0),
             }[fault]
     first_path = draw(st.integers(0, 10_000))
@@ -318,12 +334,37 @@ def faulty_grids(draw):
 @settings(max_examples=200, deadline=None)
 @given(faulty_grids())
 def test_check_names_the_first_bad_cell(case):
-    expected = first_fault(*case)
+    values, _, *window = case
+    # the grid is drawn valid for its own kind, then faulted; it is checked as every kind
+    for kind in SurfaceKind:
+        expected = first_fault(values, kind, *window)
+        if expected is None:
+            check_surface_values(values, kind, *window)
+            continue
+        with pytest.raises(DomainError) as exc:
+            check_surface_values(values, kind, *window)
+        assert str(exc.value) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(faulty_grids())
+def test_forecast_check_names_the_first_bad_cell(case):
+    values, _, ages, years, first_path = case
+    # q as a forecast holds it: path last, as q_of returns it, then checked path first
+    q = values if values.ndim == 2 else np.moveaxis(values, 0, -1)
+    expected = first_fault(values, SurfaceKind.DEATH_PROB, ages, years, first_path)
+
+    def check():
+        if q.ndim == 2:
+            MortalitySurface(ages, years, SurfaceKind.DEATH_PROB, q)
+        else:
+            check_surface_values(_paths_first(q), SurfaceKind.DEATH_PROB, ages, years, first_path)
+
     if expected is None:
-        check_surface_values(*case)
+        check()
         return
     with pytest.raises(DomainError) as exc:
-        check_surface_values(*case)
+        check()
     assert str(exc.value) == expected
 
 
@@ -347,49 +388,6 @@ def sl_blocks(draw):
     return params, states, YearRange(t_min, t_min + n_years - 1)
 
 
-def first_bad_q(q, ages, years, first_path=0):
-    """The message a forecast owes its q, found by plain loops; None if every q is in [0, 1).
-
-    ``q`` is (n_ages, n_years), or (n_ages, n_years, n_paths) path last, as
-    q_of returns it, whose first path has index ``first_path``. Each cell is
-    tested for a non-finite, then negative, then rounded-to-1 q, cell by
-    cell by path, then age, then year.
-    """
-    paths = q[..., None] if q.ndim == 2 else q
-    for p in range(paths.shape[2]):
-        for i in range(paths.shape[0]):
-            for j in range(paths.shape[1]):
-                v = float(paths[i, j, p])
-                if not math.isfinite(v):
-                    fault = "non-finite death_prob"
-                elif v < 0.0:
-                    fault = "negative death_prob"
-                elif v >= 1.0:
-                    fault = "death probability of 1"
-                else:
-                    continue
-                cell = f"age {ages.x_min + i}, year {years.t_min + j}"
-                if q.ndim == 3:
-                    cell = f"sample path {first_path + p}, {cell}"
-                return f"{fault} at {cell}"
-    return None
-
-
-@settings(max_examples=200, deadline=None)
-@given(faulty_grids())
-def test_forecast_check_names_the_first_bad_cell(case):
-    values, _, ages, years, first_path = case
-    expected = first_bad_q(values if values.ndim == 2 else np.moveaxis(values, 0, -1),
-                           ages, years, first_path)
-    args = (values, SurfaceKind.DEATH_PROB, ages, years, first_path)
-    if expected is None:
-        check_surface_values(*args, below_one=True)
-        return
-    with pytest.raises(DomainError) as exc:
-        check_surface_values(*args, below_one=True)
-    assert str(exc.value) == expected
-
-
 @settings(max_examples=200, deadline=None)
 @given(sl_blocks())
 def test_sl_forecast_names_the_first_bad_q_cell(case):
@@ -398,7 +396,7 @@ def test_sl_forecast_names_the_first_bad_q_cell(case):
     q = params.q_of(states)
     assert q.shape == (len(params.ages), *states[:, 0].shape)
     assert not np.any((q == 0.0) & np.signbit(q))
-    expected = first_bad_q(q, params.ages, years)
+    expected = first_fault(_paths_first(q), SurfaceKind.DEATH_PROB, params.ages, years)
     check = q_surface if q.ndim == 2 else _raise_first_fault
     if expected is None:
         check(params, states, years)

@@ -25,7 +25,7 @@ from mortcast import (
 )
 from mortcast.cli import _read_params, main
 from mortcast.evaluation import MODELS
-from mortcast.lifetable import AGE, YEAR, surface_central_rate_to_q
+from mortcast.lifetable import AGE, YEAR
 from mortcast.timeseries import time_indices
 
 T0 = 1989
@@ -62,7 +62,7 @@ def test_params_csv_round_trip(name, noise_sd, seed, x_min, n_ages):
         ages=ages, fit_years=FIT_YEARS, forecast_years=HOLDOUT, t0=T0,
         models=(name.upper(),), mi_age=x_min,
     )
-    params, diag = model.fit(rates, surface_central_rate_to_q(rates), FIT_YEARS, T0, config.fit)
+    params, diag = model.fit(rates, FIT_YEARS, T0, config.fit)
 
     with tempfile.TemporaryDirectory() as tmp:
         data = Path(tmp) / "rates.txt"

@@ -25,7 +25,7 @@ from mortcast import (
 )
 from mortcast import timeseries
 from mortcast.evaluation import MODELS as MODEL_CLASSES
-from mortcast.lifetable import check_surface_values, surface_central_rate_to_q
+from mortcast.lifetable import check_surface_values
 from mortcast.timeseries import BLOCK_CELLS, QUANTILE_PROBS, time_indices
 
 AGES = AgeRange(60, 64)
@@ -124,9 +124,7 @@ def test_sample_forecast_memory_stays_below_half_the_paths(model):
     # against the 22.4 MB that every path's q over 35 ages would take
     rates = generate_synthetic(SynthConfig(noise_sd=0.01, seed=1))
     fit_years = YearRange(1960, 2009)
-    params, _ = MODEL_CLASSES[model].fit(
-        rates, surface_central_rate_to_q(rates), fit_years, 1959, FitConfig()
-    )
+    params, _ = MODEL_CLASSES[model].fit(rates, fit_years, 1959, FitConfig())
     n_paths, horizon = 2000, 40
     tracemalloc.start()
     try:
