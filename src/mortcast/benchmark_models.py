@@ -191,7 +191,7 @@ def fit_cbd(q_surface: MortalitySurface) -> CbdParams:
     zero = q_surface.values <= 0.0
     if zero.any():
         x, t = _first_cell(zero, q_surface.ages, q_surface.years)
-        raise DomainError(f"death probability outside (0, 1) at age {x}, year {t}: logit undefined")
+        raise DomainError(f"death probability of 0 at age {x}, year {t}: logit undefined")
     x_bar = (q_surface.ages.x_min + q_surface.ages.x_max) / 2.0
     cx = q_surface.ages.to_array() - x_bar
     y = logit(q_surface.values)

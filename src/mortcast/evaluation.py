@@ -191,9 +191,11 @@ def run_backtest(
         )
 
     sub = data.subset(ages=config.ages, years=span)
-    q_all = surface_central_rate_to_q(sub)
-    q_fit_obs = q_all.subset(years=config.fit_years)
-    q_out_obs = q_all.subset(years=config.forecast_years)
+    q_obs = surface_central_rate_to_q(sub).values
+    q_fit_obs, q_out_obs = (
+        q_obs[:, span.index(years.t_min) : span.index(years.t_max) + 1]
+        for years in (config.fit_years, config.forecast_years)
+    )
 
     # per model: in-sample q from the fitted time indices, central forecast q
     estimates: dict[str, tuple[np.ndarray, np.ndarray]] = {}
@@ -212,23 +214,23 @@ def run_backtest(
     metrics = [
         ModelMetrics(
             model=label,
-            fit_mse=mse(q_fit_obs.values, q_hat_fit),
-            fit_mape=mape(q_fit_obs.values, q_hat_fit),
-            forecast_mse=mse(q_out_obs.values, q_hat_out),
-            forecast_mape=mape(q_out_obs.values, q_hat_out),
+            fit_mse=mse(q_fit_obs, q_hat_fit),
+            fit_mape=mape(q_fit_obs, q_hat_fit),
+            forecast_mse=mse(q_out_obs, q_hat_out),
+            forecast_mape=mape(q_out_obs, q_hat_out),
         )
         for label, (q_hat_fit, q_hat_out) in estimates.items()
     ]
 
     i = config.ages.index(config.mi_age)
     # improvement rates are taken against the last fit year
-    q_ref = float(q_fit_obs.values[i, -1])
+    q_ref = float(q_fit_obs[i, -1])
     return BacktestReport(
         country=country,
         sex=sex,
         config=config,
         metrics=tuple(metrics),
-        mi_observed=mi_rate(q_out_obs.values[i, :], q_ref),
+        mi_observed=mi_rate(q_out_obs[i, :], q_ref),
         mi_forecast={label: mi_rate(out[i, :], q_ref) for label, (_, out) in estimates.items()},
         sl_converged=sl_converged,
     )

@@ -115,22 +115,11 @@ def _first_cell(mask: np.ndarray, ages: AgeRange, years: YearRange) -> tuple[int
     return (*path, ages.x_min + i, years.t_min + j)
 
 
-def _locate(mask: np.ndarray, ages: AgeRange, years: YearRange, first_path: int = 0) -> str:
-    """"age X, year Y" of the first True cell of ``mask``, by age, then year.
-
-    For a (paths, ages, years) block whose first path has index
-    ``first_path``, "sample path P, " leads.
-    """
-    *path, x, t = _first_cell(mask, ages, years)
-    cell = f"age {x}, year {t}"
-    return f"sample path {first_path + path[0]}, {cell}" if path else cell
-
-
 def _paths_first(values: np.ndarray) -> np.ndarray:
     """A view of an (ages, years) grid, or an (ages, years, paths) block, with the paths first.
 
     The forecasts compute sample blocks path-last; :func:`check_surface_values`
-    and :func:`_locate` take them path-first.
+    takes them path-first.
     """
     return np.moveaxis(values, range(2, values.ndim), range(values.ndim - 2))
 
@@ -151,24 +140,17 @@ def _freeze_series(params) -> None:
             object.__setattr__(params, attr, values)
 
 
-def check_surface_values(
-    values: np.ndarray, kind: SurfaceKind, ages: AgeRange, years: YearRange, first_path: int = 0
-) -> None:
-    """Finiteness and the admissible values of ``kind``, naming the first bad cell.
+def _first_fault(values: np.ndarray, kind: SurfaceKind) -> tuple[tuple[int, ...], str] | None:
+    """Index of the first value of ``values``, in C order, outside ``kind``'s range, with its fault.
 
-    Death probabilities lie in [0, 1), survival in (0, 1] and non-increasing
-    in age, anything else is nonnegative. ``values`` is one (ages, years)
-    grid, or a (paths, ages, years) block of sample paths whose first path
-    has index ``first_path``; the message then names the path as well as
-    the age and year. The first bad cell by path, then age, then year is
-    named with its first fault, tested in the order: non-finite; negative
+    Death probabilities lie in [0, 1), survival in (0, 1], anything else is
+    nonnegative. The faults are tested in the order: non-finite; negative
     (for survival, nonpositive or above 1); for q, above 1, then equal to
-    1. Only then is survival checked to fall in age.
+    1. None if every value is admissible.
     """
-    survival = kind is SurfaceKind.SURVIVAL
-    # (bad cells, fault), in the order a cell is tested
+    # (bad values, fault), in the order a value is tested
     faults = [(~np.isfinite(values), f"non-finite {kind.value}")]
-    if survival:
+    if kind is SurfaceKind.SURVIVAL:
         faults += [(values <= 0.0, "nonpositive survival"), (values > 1.0, "survival above 1")]
     else:
         faults.append((values < 0.0, f"negative {kind.value}"))
@@ -178,11 +160,31 @@ def check_surface_values(
             (values == 1.0, "death probability of 1"),
         ]
     bad = np.logical_or.reduce([mask for mask, _ in faults])
-    if bad.any():
-        cell = tuple(np.argwhere(bad)[0])
-        fault = next(fault for mask, fault in faults if mask[cell])
-        raise DomainError(f"{fault} at {_locate(bad, ages, years, first_path)}")
-    if survival:
+    if not bad.any():
+        return None
+    index = tuple(np.argwhere(bad)[0].tolist())
+    return index, next(fault for mask, fault in faults if mask[index])
+
+
+def check_surface_values(
+    values: np.ndarray, kind: SurfaceKind, ages: AgeRange, years: YearRange, first_path: int = 0
+) -> None:
+    """Finiteness and the admissible values of ``kind``, naming the first bad cell.
+
+    ``values`` is one (ages, years) grid, or a (paths, ages, years) block of
+    sample paths whose first path has index ``first_path``; the message then
+    names the path as well as the age and year. The first bad cell by path,
+    then age, then year is named with its first fault, as
+    :func:`_first_fault` finds it. Only then is survival checked to fall in
+    age.
+    """
+    found = _first_fault(values, kind)
+    if found:
+        (*path, i, j), fault = found
+        cell = f"age {ages.x_min + i}, year {years.t_min + j}"
+        where = f"sample path {first_path + path[0]}, {cell}" if path else cell
+        raise DomainError(f"{fault} at {where}")
+    if kind is SurfaceKind.SURVIVAL:
         rising = values[..., 1:, :] > values[..., :-1, :]
         if rising.any():
             *path, x, t = _first_cell(rising, ages, years)
@@ -244,10 +246,17 @@ class MortalitySurface:
         return MortalitySurface(ages, years, self.kind, block)
 
 
-def _as_float_array(x, name: str) -> np.ndarray:
+def _checked_array(x, kind: SurfaceKind) -> np.ndarray:
+    """``x`` as a float array, refused at its first value outside ``kind``'s range.
+
+    The fault is the one :func:`_first_fault` finds, named by its position;
+    a scalar has no position, so its text is the fault alone.
+    """
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} must be finite")
+    found = _first_fault(arr, kind)
+    if found:
+        index, fault = found
+        raise DomainError(f"{fault} at position {', '.join(map(str, index))}" if index else fault)
     return arr
 
 
@@ -257,32 +266,18 @@ def central_rate_to_q(m):
     Accepts scalars or arrays; elementwise on arrays. The rate must be
     finite and nonnegative.
     """
-    arr = _as_float_array(m, "central rate")
-    if np.any(arr < 0.0):
-        raise DomainError("central rate must be nonnegative")
-    return -np.expm1(-arr)
+    return -np.expm1(-_checked_array(m, SurfaceKind.CENTRAL_RATE))
 
 
 def q_to_central_rate(q):
     """Central death rate -log(1 - q) from a death probability in [0, 1)."""
-    arr = _as_float_array(q, "death probability")
-    if np.any(arr < 0.0) or np.any(arr >= 1.0):
-        raise DomainError("death probability must lie in [0, 1)")
-    return -np.log1p(-arr)
+    return -np.log1p(-_checked_array(q, SurfaceKind.DEATH_PROB))
 
 
 def _validate_q_vector(q_col) -> np.ndarray:
-    q = _as_float_array(q_col, "death probabilities")
+    q = _checked_array(q_col, SurfaceKind.DEATH_PROB)
     if q.ndim != 1 or q.size == 0:
         raise DomainError("expected a non-empty 1-d vector of death probabilities")
-    if np.any(q < 0.0):
-        raise DomainError("death probabilities must be nonnegative")
-    if np.any(q >= 1.0):
-        x = int(np.argmax(q >= 1.0))
-        raise DomainError(
-            f"death probability of 1 at position {x}: survival hits zero, "
-            "downstream transforms are undefined"
-        )
     return q
 
 
@@ -302,16 +297,11 @@ def survival_to_q(s_col) -> np.ndarray:
     Exact inverse of :func:`q_to_survival` along the last axis: q at the
     base age is 1 - S(x0), and q_x = 1 - S(x)/S(x-1) above it. Takes one
     curve of shape (n_ages,) or a stack of shape (..., n_ages) and returns
-    the same shape. The curves must be positive, at most 1 at the base age
-    and non-increasing in age.
+    the same shape. The curves must lie in (0, 1] and not increase in age.
     """
-    s = _as_float_array(s_col, "survival values")
+    s = _checked_array(s_col, SurfaceKind.SURVIVAL)
     if s.ndim == 0 or s.shape[-1] == 0:
         raise DomainError("expected non-empty survival curves")
-    if np.any(s <= 0.0):
-        raise DomainError("survival values must be strictly positive")
-    if np.any(s[..., 0] > 1.0):
-        raise DomainError(f"survival at the base age must be <= 1, got {np.max(s[..., 0])}")
     rising = s[..., 1:] > s[..., :-1]
     if np.any(rising):
         *curve, x = (int(i) for i in np.argwhere(rising)[0])

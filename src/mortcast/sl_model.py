@@ -63,7 +63,8 @@ class SlParams:
             raise DomainError(f"reference year must be an integer, got {self.t0!r}")
         if self.t0 >= self.years.t_min:
             raise DomainError(f"reference year {self.t0} must precede fit years")
-        check_l_domain(self.base_survival, "base_survival", (self.ages, self.t0))
+        reference = (self.ages, YearRange(self.t0, self.t0))
+        check_l_domain(self.base_survival, "base_survival", reference)
         # a curve that rises in age has a negative q at t0, which survival_to_q rejects
         survival_to_q(self.base_survival)
 
@@ -97,6 +98,8 @@ class SlParams:
 
     @staticmethod
     def fit(rates, fit_years, t0, config):
+        # SL reads q only in t0 and the fit years
+        rates = rates.subset(years=YearRange(t0, fit_years.t_max))
         survival = surface_q_to_survival(surface_central_rate_to_q(rates))
         return fit_sl(build_l_diff(survival, t0=t0, fit_years=fit_years), config)
 

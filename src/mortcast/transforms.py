@@ -18,8 +18,6 @@ from .lifetable import (
     MortalitySurface,
     SurfaceKind,
     YearRange,
-    _as_float_array,
-    _first_cell,
     _freeze,
 )
 
@@ -28,22 +26,32 @@ from .lifetable import (
 _ONE_BOUNDARY = 1.0 - 1e-15
 
 
+def _as_float_array(x, name: str) -> np.ndarray:
+    arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{name} must be finite")
+    return arr
+
+
 def check_l_domain(
-    values: np.ndarray, what: str, reference: tuple[AgeRange, int] | None = None
+    values: np.ndarray, what: str, window: tuple[AgeRange, YearRange] | None = None
 ) -> None:
     """Reject survival values outside (0, 1 - 1e-15), NaN too: there log(-log s) is undefined.
 
-    ``reference`` is the (ages, t0) of a reference year's survival curve;
-    the first offending value is named by its age and that year when it is
-    given, else by position.
+    ``window`` is the (ages, years) of ``values``: a grid over them, or,
+    for a single year, one curve over the ages. The first offending value
+    is named by its age and year when it is given, else by position.
     """
     arr = np.atleast_1d(values)
+    if window:
+        ages, years = window
+        # one year's curve is a grid of one column
+        arr = arr.reshape(len(ages), len(years))
     outside = ~((arr > 0.0) & (arr < _ONE_BOUNDARY))
     if outside.any():
         pos = tuple(np.argwhere(outside)[0].tolist())
-        if reference:
-            ages, t0 = reference
-            where = f"age {ages.x_min + pos[0]}, year {t0}"
+        if window:
+            where = f"age {ages.x_min + pos[0]}, year {years.t_min + pos[1]}"
         else:
             where = "position " + ", ".join(map(str, pos))
         raise DomainError(f"{what} {float(arr[pos])} at {where} is outside (0, 1 - 1e-15)")
@@ -54,7 +62,7 @@ def l_transform(s):
 
     Accepts scalars or arrays. Values within 1e-15 of 1 are rejected.
     """
-    arr = _as_float_array(s, "survival value")
+    arr = np.asarray(s, dtype=float)
     check_l_domain(arr, "survival value")
     return np.log(-np.log(arr))
 
@@ -108,7 +116,7 @@ class LDiffSurface:
         values = _freeze(self.values)
         if base.ndim != 1 or base.shape[0] != len(self.ages):
             raise DomainError("base survival must be a vector over the age window")
-        check_l_domain(base, "base survival", (self.ages, self.t0))
+        check_l_domain(base, "base survival", (self.ages, YearRange(self.t0, self.t0)))
         if values.shape != (len(self.ages), len(self.years)):
             raise DomainError(
                 f"values shape {values.shape} does not match "
@@ -136,8 +144,8 @@ def build_l_diff(
     fit_years : YearRange, optional
         Years to difference. Defaults to every year after t0 in ``surv``.
 
-    Any survival value equal to 1 (within 1e-15) in a needed cell is a
-    domain error naming the age and year, since L is undefined there.
+    A survival value within 1e-15 of 1 in t0 or a fit year is a domain
+    error naming its age and year, since L is undefined there.
     """
     if surv.kind is not SurfaceKind.SURVIVAL:
         raise DomainError(f"expected a survival surface, got {surv.kind.value}")
@@ -151,11 +159,7 @@ def build_l_diff(
     j0 = surv.years.index(fit_years.t_min)
     block = surv.values[:, j0 : j0 + len(fit_years)]
     base = surv.column(t0)
-    if (block >= _ONE_BOUNDARY).any():
-        x, t = _first_cell(block >= _ONE_BOUNDARY, surv.ages, fit_years)
-        raise DomainError(
-            f"survival of 1 at age {x}, year {t}: the log(-log) transform is undefined there"
-        )
+    check_l_domain(block, "survival", (surv.ages, fit_years))
     # LDiffSurface checks t0 and the reference curve; a base survival of 1
     # makes its log(-log) -inf here, which that check then rejects
     with np.errstate(divide="ignore"):
@@ -178,7 +182,7 @@ def invert_l_diff(delta_col, base_survival) -> np.ndarray:
     the same shape. Where exp overflows, the survival is 0.
     """
     delta = _as_float_array(delta_col, "difference values")
-    base = _as_float_array(base_survival, "base survival")
+    base = np.asarray(base_survival, dtype=float)
     if base.ndim != 1 or delta.ndim == 0 or delta.shape[-1] != base.shape[0]:
         raise DomainError("base survival must be a vector as long as the last axis of the differences")
     check_l_domain(base, "base survival")

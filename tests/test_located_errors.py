@@ -1,10 +1,11 @@
 """Every error that names the first offending cell of a grid, by age, then year.
 
 The reference-curve errors name the first offending age, or the position
-where no ages are known. The texts are pinned in full; generated
-properties check the cell and fault that ``check_surface_values`` names
-against a plain-loop oracle, over any grid and over SL's q, whose ``q_of``
-never raises.
+where no ages are known; the array conversions name the first offending
+value by its position. The texts are pinned in full; generated properties
+check the cell and fault that ``check_surface_values`` and the array
+conversions name against a plain-loop oracle, over any grid and over SL's
+q, whose ``q_of`` never raises.
 """
 
 import io
@@ -29,12 +30,17 @@ from mortcast import (
     SurfaceKind,
     YearRange,
     build_l_diff,
+    central_rate_to_q,
+    curve_of_deaths,
     fit_cbd,
     fit_lc,
     invert_l_diff,
     l_transform,
     parse_hmd,
+    q_to_central_rate,
+    q_to_survival,
     surface_q_to_survival,
+    survival_to_q,
 )
 from mortcast.cli import _read_params
 from mortcast.lifetable import _paths_first, check_surface_values
@@ -131,7 +137,7 @@ CASES = {
     # a q of 1 cannot reach fit_cbd, nor surface_q_to_survival: the surface refuses it
     "fit_cbd": (
         lambda: fit_cbd(grid(SurfaceKind.DEATH_PROB, 0.01, 0.0)),
-        "death probability outside (0, 1) at age 61, year 2001: logit undefined",
+        "death probability of 0 at age 61, year 2001: logit undefined",
     ),
     "surface_q_to_survival": (
         lambda: surface_q_to_survival(grid(SurfaceKind.DEATH_PROB, 0.01, 1.0)),
@@ -143,7 +149,7 @@ CASES = {
     ),
     "build_l_diff fit year": (
         lambda: build_l_diff(survival([[0.9, 0.9, 1], [0.8, 0.8, 1], [0.7, 0.7, 0.7]]), t0=2000),
-        "survival of 1 at age 60, year 2002: the log(-log) transform is undefined there",
+        "survival 1.0 at age 60, year 2002 is outside (0, 1 - 1e-15)",
     ),
     "LDiffSurface reference curve": (
         lambda: LDiffSurface(
@@ -167,6 +173,38 @@ CASES = {
     "l_transform": (
         lambda: l_transform(np.array([[0.5, 0.9], [1.0, 0.0]])),
         "survival value 1.0 at position 1, 0 is outside (0, 1 - 1e-15)",
+    ),
+    "l_transform non-finite": (
+        lambda: l_transform(np.array([0.5, np.nan])),
+        "survival value nan at position 1 is outside (0, 1 - 1e-15)",
+    ),
+    # the array conversions name the first bad value by position, with the surface's faults
+    "curve_of_deaths": (
+        lambda: curve_of_deaths([0.2, 1.5]),
+        "death probability above 1 at position 1",
+    ),
+    "q_to_survival": (
+        lambda: q_to_survival([0.2, 0.1, np.nan]),
+        "non-finite death_prob at position 2",
+    ),
+    "q_to_central_rate": (
+        lambda: q_to_central_rate([0.1, 1.0]),
+        "death probability of 1 at position 1",
+    ),
+    "central_rate_to_q first value": (
+        lambda: central_rate_to_q([[0.01, -0.01], [np.nan, 0.01]]),
+        "negative central_rate at position 0, 1",
+    ),
+    "central_rate_to_q scalar": (
+        lambda: central_rate_to_q(-0.001),
+        "negative central_rate",
+    ),
+    # 1.2 also rises in age, but the values are checked first
+    "survival_to_q stack": (
+        lambda: survival_to_q(
+            [[[0.9, 0.8, 0.7], [0.9, 0.8, 0.7]], [[0.9, 0.8, 0.7], [0.9, 1.2, 0.7]]]
+        ),
+        "survival above 1 at position 1, 1, 1",
     ),
     "parse_hmd": (
         lambda: parse_hmd(hmd_without_bad_cells(), "total", AGES, YEARS),
@@ -259,6 +297,29 @@ def test_message_text(case):
     assert str(exc.value) == text
 
 
+def first_bad_value(values, kind):
+    """(index, fault) of the first value of ``values`` in C order that ``kind`` does not admit.
+
+    Found by plain loops and comparisons; None if every value is admissible.
+    """
+    for index in itertools.product(*map(range, values.shape)):
+        v = float(values[index])
+        if not math.isfinite(v):
+            return index, f"non-finite {kind.value}"
+        if kind is SurfaceKind.SURVIVAL:
+            if v <= 0.0:
+                return index, "nonpositive survival"
+            if v > 1.0:
+                return index, "survival above 1"
+        elif v < 0.0:
+            return index, f"negative {kind.value}"
+        elif kind is SurfaceKind.DEATH_PROB and v > 1.0:
+            return index, "death probability above 1"
+        elif kind is SurfaceKind.DEATH_PROB and v == 1.0:
+            return index, "death probability of 1"
+    return None
+
+
 def first_fault(values, kind, ages, years, first_path=0):
     """The message check_surface_values owes ``values``, found by plain loops; None if valid.
 
@@ -268,32 +329,15 @@ def first_fault(values, kind, ages, years, first_path=0):
     with no bad cell is then searched for a rise in age.
     """
     paths = values if values.ndim == 3 else values[None]
-    cells = list(itertools.product(*map(range, paths.shape)))
-
-    def fault(v):
-        if not math.isfinite(v):
-            return f"non-finite {kind.value}"
-        if kind is SurfaceKind.SURVIVAL:
-            if v <= 0.0:
-                return "nonpositive survival"
-            return "survival above 1" if v > 1.0 else None
-        if v < 0.0:
-            return f"negative {kind.value}"
-        if kind is SurfaceKind.DEATH_PROB and v > 1.0:
-            return "death probability above 1"
-        if kind is SurfaceKind.DEATH_PROB and v == 1.0:
-            return "death probability of 1"
-        return None
-
-    for p, i, j in cells:
-        what = fault(float(paths[p, i, j]))
-        if what is not None:
-            cell = f"age {ages.x_min + i}, year {years.t_min + j}"
-            if values.ndim == 3:
-                cell = f"sample path {first_path + p}, {cell}"
-            return f"{what} at {cell}"
+    found = first_bad_value(paths, kind)
+    if found is not None:
+        (p, i, j), what = found
+        cell = f"age {ages.x_min + i}, year {years.t_min + j}"
+        if values.ndim == 3:
+            cell = f"sample path {first_path + p}, {cell}"
+        return f"{what} at {cell}"
     if kind is SurfaceKind.SURVIVAL:
-        for p, i, j in cells:
+        for p, i, j in itertools.product(*map(range, paths.shape)):
             if i > 0 and paths[p, i, j] > paths[p, i - 1, j]:
                 x, t = ages.x_min + i - 1, years.t_min + j
                 on = f" on sample path {first_path + p}" if values.ndim == 3 else ""
@@ -331,6 +375,15 @@ def faulty_grids(draw):
     return values, kind, ages, years, first_path
 
 
+# the array conversion of each kind; survival_to_q reads its last axis as age, so a
+# trailing axis of one makes each cell a curve of its own, which cannot rise in age
+CONVERSIONS = {
+    SurfaceKind.CENTRAL_RATE: central_rate_to_q,
+    SurfaceKind.DEATH_PROB: q_to_central_rate,
+    SurfaceKind.SURVIVAL: lambda s: survival_to_q(s[..., None]),
+}
+
+
 @settings(max_examples=200, deadline=None)
 @given(faulty_grids())
 def test_check_names_the_first_bad_cell(case):
@@ -340,10 +393,20 @@ def test_check_names_the_first_bad_cell(case):
         expected = first_fault(values, kind, *window)
         if expected is None:
             check_surface_values(values, kind, *window)
+        else:
+            with pytest.raises(DomainError) as exc:
+                check_surface_values(values, kind, *window)
+            assert str(exc.value) == expected
+        # the conversion names the cell the grid check names by age and year, by position
+        found = first_bad_value(values, kind)
+        if found is None:
+            CONVERSIONS[kind](values)
             continue
+        index, fault = found
+        index += (0,) * (kind is SurfaceKind.SURVIVAL)
         with pytest.raises(DomainError) as exc:
-            check_surface_values(values, kind, *window)
-        assert str(exc.value) == expected
+            CONVERSIONS[kind](values)
+        assert str(exc.value) == f"{fault} at position {', '.join(map(str, index))}"
 
 
 @settings(max_examples=200, deadline=None)
