@@ -63,8 +63,7 @@ class SlParams:
             raise DomainError(f"reference year must be an integer, got {self.t0!r}")
         if self.t0 >= self.years.t_min:
             raise DomainError(f"reference year {self.t0} must precede fit years")
-        reference = (self.ages, YearRange(self.t0, self.t0))
-        check_l_domain(self.base_survival, "base_survival", reference)
+        check_l_domain(self.base_survival, "base_survival", (self.ages, YearRange(self.t0, self.t0)))
         # a curve that rises in age has a negative q at t0, which survival_to_q rejects
         survival_to_q(self.base_survival)
 
