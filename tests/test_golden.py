@@ -3,8 +3,10 @@
 The golden bodies were produced by the CLI from fixed synthetic inputs
 (noisy Gompertz, sd 0.01, seed 0, ages 60-94): fits over 1960-2009 with
 their central and sample forecasts, and one backtest of all three models
-over the default windows (fit 1960-1989, holdout 1990-2009). Headers carry
-artifact paths, so only non-comment lines are compared. After a deliberate
+over the default windows (fit 1960-1989, holdout 1990-2009). Each model's
+exact manifold is pinned too: the HMD table that ``synth --manifold`` writes
+over ages 60-94 and 1959-2009. Headers and the table's title line carry
+artifact paths, so only the lines after them are compared. After a deliberate
 change to artifact bytes, regenerate with::
 
     PYTHONPATH=src python tests/test_golden.py
@@ -66,10 +68,19 @@ def _backtest_artifacts(work: Path) -> dict[str, list[str]]:
     return {f"backtest_{name}": _body(out / name) for name in ("report.csv", "mi_rates.csv")}
 
 
+def _manifold_artifacts(model: str, work: Path) -> dict[str, list[str]]:
+    """The lines after the title of the HMD table of one model's exact manifold."""
+    out = work / f"{model}_manifold.txt"
+    assert main(["synth", "--manifold", model, "--x-min", "60", "--x-max", "94",
+                 "--t-min", "1959", "--t-max", "2009", "--out", str(out)]) == 0
+    return {f"{model}_manifold.txt": out.read_text().splitlines()[1:]}
+
+
 def _all_artifacts(work: Path) -> dict[str, list[str]]:
     bodies = _backtest_artifacts(work)
     for model in MODELS:
         bodies |= _fit_artifacts(model, work) | _forecast_artifacts(model, work)
+        bodies |= _manifold_artifacts(model, work)
     return bodies
 
 
@@ -93,6 +104,11 @@ def test_fit_bodies_match_golden(model, tmp_path):
 
 def test_backtest_bodies_match_golden(tmp_path):
     _assert_golden(_backtest_artifacts(tmp_path))
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_manifold_bodies_match_golden(model, tmp_path):
+    _assert_golden(_manifold_artifacts(model, tmp_path))
 
 
 if __name__ == "__main__":
