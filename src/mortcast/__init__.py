@@ -23,10 +23,7 @@ from .ingest import (
     export_csv,
     export_mi_csv,
     export_quantiles_csv,
-    generate_cbd_exact,
-    generate_lc_exact,
     generate_manifold,
-    generate_sl_exact,
     generate_synthetic,
     parse_hmd,
     write_hmd,
@@ -94,10 +91,7 @@ __all__ = [
     "fit_lc",
     "fit_sl",
     "forecast_states",
-    "generate_cbd_exact",
-    "generate_lc_exact",
     "generate_manifold",
-    "generate_sl_exact",
     "generate_synthetic",
     "init_sl",
     "invert_l_diff",

@@ -22,6 +22,8 @@ from .lifetable import (
     YearRange,
     _first_cell,
     _freeze_series,
+    check_surface_values,
+    q_to_central_rate,
     surface_central_rate_to_q,
 )
 from .timeseries import forecast_q
@@ -78,6 +80,23 @@ class LcParams:
     def forecast(self, horizon, n_paths=None, seed=None):
         return lc_forecast(self, horizon, n_paths, seed)
 
+    @staticmethod
+    def manifold(ages: AgeRange, years: YearRange) -> MortalitySurface:
+        """Rates exactly on the Lee-Carter manifold with an affine time index.
+
+        The age shape and loadings are curved so the surface sits off the
+        other models' manifolds; the time index is affine in t, so a random
+        walk with drift continues it exactly.
+        """
+        dx = (ages.to_array() - ages.x_min).astype(float)
+        n = len(ages)
+        alpha = np.log(0.004) + 0.095 * dx - 0.0009 * dx * dx
+        beta = (1.0 + 0.6 * np.sin(2.0 * np.pi * dx / n)) / n
+        t_mid = 0.5 * (years.t_min + years.t_max)
+        kappa = -0.45 * (years.to_array() - t_mid)
+        m = np.exp(alpha[:, None] + beta[:, None] * kappa[None, :])
+        return MortalitySurface(ages, years, SurfaceKind.CENTRAL_RATE, m)
+
 
 @dataclass(frozen=True)
 class CbdParams:
@@ -119,6 +138,21 @@ class CbdParams:
 
     def forecast(self, horizon, n_paths=None, seed=None):
         return cbd_forecast(self, horizon, n_paths, seed)
+
+    @staticmethod
+    def manifold(ages: AgeRange, years: YearRange) -> MortalitySurface:
+        """Rates whose death probabilities are exactly logit-affine in age.
+
+        Both CBD time indices are affine in t. A q of 1 is named by age and year.
+        """
+        x_bar = 0.5 * (ages.x_min + ages.x_max)
+        cx = ages.to_array() - x_bar
+        dt = (years.to_array() - years.t_min).astype(float)
+        k1 = -4.0 - 0.028 * dt
+        k2 = 0.12 + 0.0009 * dt
+        q = logistic(k1[None, :] + cx[:, None] * k2[None, :])
+        check_surface_values(q, SurfaceKind.DEATH_PROB, ages, years)
+        return MortalitySurface(ages, years, SurfaceKind.CENTRAL_RATE, q_to_central_rate(q))
 
 
 def fit_lc(m_surface: MortalitySurface) -> LcParams:

@@ -20,9 +20,9 @@ import numpy as np
 from .errors import MortcastError, ParseError
 from .evaluation import MODELS, BacktestConfig, run_backtest
 from .ingest import (
-    _MANIFOLDS,
     SynthConfig,
     _write_text,
+    check_text,
     decode_utf8,
     export_csv,
     export_mi_csv,
@@ -43,7 +43,7 @@ EXIT_NO_CONVERGENCE = 2
 EXIT_DATA = 3
 
 _SEX_COLUMN = {"f": "female", "m": "male", "total": "total"}
-_SYNTH = ["gompertz", *_MANIFOLDS]
+_SYNTH = ["gompertz", *MODELS]
 class _UsageError(MortcastError):
     """A flag value failed a module precondition before any computation."""
 
@@ -332,8 +332,7 @@ def cmd_forecast(args) -> int:
 
 def cmd_backtest(args) -> int:
     # the label is one cell of report.csv
-    if "," in args.country:
-        raise _UsageError(f"--country must hold no comma, got {args.country!r}")
+    _checked(check_text, args.country, "--country", cell=True)
     if args.t0 is None:
         args.t0 = args.fit_from - 1
     models = tuple(m.strip().upper() for m in args.models.split(",") if m.strip())
@@ -401,8 +400,8 @@ def main(argv=None) -> int:
     try:
         # every flag value is written into the artifact headers, one line each
         for key, value in vars(args).items():
-            if isinstance(value, str) and not value.isprintable():
-                raise _UsageError(f"--{key.replace('_', '-')} must be printable, got {value!r}")
+            if isinstance(value, str):
+                _checked(check_text, value, f"--{key.replace('_', '-')}")
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"mortcast: usage error: {exc}", file=sys.stderr)

@@ -30,7 +30,8 @@ from .timeseries import q_surface, time_indices
 # the params' own time indices: a MortalitySurface when n_paths is None, else
 # the (3, n_ages, horizon) QUANTILE_PROBS bands over n_paths sample paths. Both
 # call their module's functions by name, so a wrapper installed there sees
-# every call.
+# every call. ``cls.manifold(ages, years)`` is the central-rate surface that
+# the model fits exactly: the data of ``synth --manifold`` and ``--synth``.
 MODELS = {cls.NAME: cls for cls in (SlParams, LcParams, CbdParams)}
 MODEL_ORDER = tuple(name.upper() for name in MODELS)
 

@@ -1,9 +1,11 @@
 """Data ingestion and every artifact format.
 
 Reads Human Mortality Database period 1x1 central death rate (Mx) tables,
-generates synthetic surfaces for desk-scale verification, and writes HMD
-tables and every CSV artifact. The reader rejects malformed input with a
-line number; it never repairs.
+generates the Gompertz synthetic surface for desk-scale verification, and
+writes HMD tables and every CSV artifact. Each model owns the surface it
+fits exactly, as its params class's ``manifold``; :func:`generate_manifold`
+looks the model up in ``evaluation.MODELS``. The reader rejects malformed
+input with a line number; it never repairs.
 """
 
 from __future__ import annotations
@@ -16,19 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, ParseError
-from .evaluation import BacktestReport
-from .lifetable import (
-    AgeRange,
-    MortalitySurface,
-    SurfaceKind,
-    YearRange,
-    _first_cell,
-    q_to_central_rate,
-    q_to_survival,
-    survival_to_q,
-)
+from .evaluation import MODELS, BacktestReport
+from .lifetable import AgeRange, MortalitySurface, SurfaceKind, YearRange, _first_cell
 from .timeseries import QUANTILE_PROBS
-from .transforms import invert_l_diff, logistic
 
 _HMD_HEADER = ("Year", "Age", "Female", "Male", "Total")
 _COLUMNS = {"female": 0, "male": 1, "total": 2}  # index among a row's three values
@@ -176,86 +168,11 @@ def generate_synthetic(config: SynthConfig) -> MortalitySurface:
     )
 
 
-def _q_grid_to_m(q: np.ndarray, ages: AgeRange, years: YearRange) -> MortalitySurface:
-    return MortalitySurface(
-        ages=ages, years=years, kind=SurfaceKind.CENTRAL_RATE, values=q_to_central_rate(q)
-    )
-
-
-def generate_lc_exact(ages: AgeRange, years: YearRange) -> MortalitySurface:
-    """Rates exactly on the Lee-Carter manifold with an affine time index.
-
-    The age shape and loadings are curved so the surface sits off the
-    other models' manifolds; the time index is affine in t, so a random
-    walk with drift continues it exactly.
-    """
-    dx = (ages.to_array() - ages.x_min).astype(float)
-    n = len(ages)
-    alpha = np.log(0.004) + 0.095 * dx - 0.0009 * dx * dx
-    beta = (1.0 + 0.6 * np.sin(2.0 * np.pi * dx / n)) / n
-    t_mid = 0.5 * (years.t_min + years.t_max)
-    kappa = -0.45 * (years.to_array() - t_mid)
-    m = np.exp(alpha[:, None] + beta[:, None] * kappa[None, :])
-    return MortalitySurface(ages=ages, years=years, kind=SurfaceKind.CENTRAL_RATE, values=m)
-
-
-def generate_cbd_exact(ages: AgeRange, years: YearRange) -> MortalitySurface:
-    """Rates whose death probabilities are exactly logit-affine in age.
-
-    Both CBD time indices are affine in t.
-    """
-    x_bar = 0.5 * (ages.x_min + ages.x_max)
-    cx = ages.to_array() - x_bar
-    dt = (years.to_array() - years.t_min).astype(float)
-    k1 = -4.0 - 0.028 * dt
-    k2 = 0.12 + 0.0009 * dt
-    q = logistic(k1[None, :] + cx[:, None] * k2[None, :])
-    return _q_grid_to_m(q, ages, years)
-
-
-def generate_sl_exact(ages: AgeRange, years: YearRange) -> MortalitySurface:
-    """Rates generated through the survival-transform model itself.
-
-    The first year of ``years`` acts as the reference year carrying a
-    Gompertz mortality curve; later years apply delta = alpha1_t +
-    alpha2_t * kappa_x with a curved normalized kappa and time processes
-    affine in t. The implied survival stays monotone on the default
-    windows.
-    """
-    dx = (ages.to_array() - ages.x_min).astype(float)
-    q0 = 1.0 - np.exp(-0.006 * np.exp(0.088 * dx))
-    s0 = q_to_survival(q0)
-
-    raw = dx - 0.022 * dx * dx
-    raw = raw - raw.mean()
-    kappa = raw / np.linalg.norm(raw)
-    if kappa[-1] < 0.0:
-        kappa = -kappa
-
-    h = (years.to_array() - years.t_min).astype(float)
-    alpha1 = -0.016 * h
-    alpha2 = 0.06 + 0.010 * h
-
-    q = np.empty((len(ages), len(years)))
-    q[:, 0] = q0
-    # one survival curve per later year, age on the last axis
-    delta = alpha1[1:, None] + alpha2[1:, None] * kappa
-    q[:, 1:] = survival_to_q(invert_l_diff(delta, s0)).T
-    return _q_grid_to_m(q, ages, years)
-
-
-_MANIFOLDS = {
-    "lc": generate_lc_exact,
-    "cbd": generate_cbd_exact,
-    "sl": generate_sl_exact,
-}
-
-
 def generate_manifold(manifold: str, ages: AgeRange, years: YearRange) -> MortalitySurface:
-    """Dispatch to one of the exact-manifold generators by name."""
-    if manifold not in _MANIFOLDS:
-        raise DomainError(f"unknown manifold {manifold!r}; choose from {sorted(_MANIFOLDS)}")
-    return _MANIFOLDS[manifold](ages, years)
+    """The rates that the model named ``manifold`` fits exactly: its class's ``manifold``."""
+    if manifold not in MODELS:
+        raise DomainError(f"unknown manifold {manifold!r}; choose from {sorted(MODELS)}")
+    return MODELS[manifold].manifold(ages, years)
 
 
 def write_hmd(surface: MortalitySurface, destination, title: str = "synthetic") -> None:
@@ -263,8 +180,9 @@ def write_hmd(surface: MortalitySurface, destination, title: str = "synthetic") 
 
     The surface's values land in all three sex columns. A surface with an
     age above _OPEN_AGE or a year before _FIRST_YEAR, which parse_hmd
-    rejects, is refused before anything is written.
+    rejects, is refused before anything is written, and so is an unprintable title.
     """
+    check_text(title, "title")
     if surface.ages.x_max > _OPEN_AGE:
         age = max(surface.ages.x_min, _OPEN_AGE + 1)
         raise DomainError(f"HMD tables hold ages 0-{_OPEN_AGE}, cannot write age {age}")
@@ -303,24 +221,40 @@ def _write_text(destination, text: str) -> None:
         raise
 
 
+def check_text(text: str, what: str, cell: bool = False) -> None:
+    """Refuse text that is not one printable line, or a CSV ``cell`` that needs quotes."""
+    if not text.isprintable():
+        raise DomainError(f"{what} must be printable, got {text!r}")
+    if cell and ("," in text or '"' in text):
+        raise DomainError(f"{what} must hold no comma or double quote, got {text!r}")
+
+
 def write_csv(destination, header, rows, comments=()) -> None:
     """Write "# " comment lines, the header and one comma-joined line per row.
 
     Floats carry 17 significant digits, so they read back bit for bit; other
     cells are written with ``str``. ``destination`` is a path or an open text
-    stream. ``rows`` may be a generator.
+    stream. ``rows`` may be a generator. A comment line or text cell that
+    fails :func:`check_text` is named by its line, or by its row (from 1,
+    after the header) and column, and nothing is written.
     """
     out = io.StringIO()
-    out.writelines(f"# {line}\n" for line in comments)
+    for k, line in enumerate(comments, start=1):
+        check_text(line, f"comment line {k}")
+        out.write(f"# {line}\n")
     out.write(",".join(header) + "\n")
-    # one %-template per sequence of cell types; %.17g formats as f"{v:.17g}" does
+    # a %-template and the text cells' columns per sequence of cell types;
+    # %.17g formats as f"{v:.17g}" does
     fmt = {}
-    for row in rows:
+    for r, row in enumerate(rows, start=1):
         key = tuple(map(type, row))
-        line = fmt.get(key)
-        if line is None:
-            line = fmt[key] = ",".join("%.17g" if issubclass(t, float) else "%s" for t in key) + "\n"
-        out.write(line % tuple(row))
+        if key not in fmt:
+            template = ",".join("%.17g" if issubclass(t, float) else "%s" for t in key) + "\n"
+            fmt[key] = template, [j for j, t in enumerate(key) if issubclass(t, str)]
+        template, texts = fmt[key]
+        for j in texts:
+            check_text(row[j], f"text cell at row {r}, column {j + 1}", cell=True)
+        out.write(template % tuple(row))
     _write_text(destination, out.getvalue())
 
 

@@ -16,14 +16,19 @@ from .lifetable import (
     AGE,
     YEAR,
     AgeRange,
+    MortalitySurface,
+    SurfaceKind,
     YearRange,
     _freeze_series,
+    check_surface_values,
+    q_to_central_rate,
+    q_to_survival,
     surface_central_rate_to_q,
     surface_q_to_survival,
     survival_to_q,
 )
 from .timeseries import forecast_q
-from .transforms import LDiffSurface, build_l_diff, check_l_domain
+from .transforms import LDiffSurface, build_l_diff, check_l_domain, invert_l_diff
 
 
 @dataclass(frozen=True)
@@ -104,6 +109,38 @@ class SlParams:
 
     def forecast(self, horizon, n_paths=None, seed=None):
         return sl_forecast(self, horizon, n_paths, seed)
+
+    @staticmethod
+    def manifold(ages: AgeRange, years: YearRange) -> MortalitySurface:
+        """Rates generated through the survival-transform model itself.
+
+        The first year of ``years`` acts as the reference year carrying a
+        Gompertz mortality curve; later years apply delta = alpha1_t +
+        alpha2_t * kappa_x with a curved normalized kappa and time processes
+        affine in t. The implied survival stays monotone on the default
+        windows. A q of 1 is named by age and year, the reference year's first.
+        """
+        dx = (ages.to_array() - ages.x_min).astype(float)
+        q = np.empty((len(ages), len(years)))
+        q[:, 0] = 1.0 - np.exp(-0.006 * np.exp(0.088 * dx))
+        check_surface_values(q[:, :1], SurfaceKind.DEATH_PROB, ages, years)
+        s0 = q_to_survival(q[:, 0])
+
+        raw = dx - 0.022 * dx * dx
+        raw = raw - raw.mean()
+        kappa = raw / np.linalg.norm(raw)
+        if kappa[-1] < 0.0:
+            kappa = -kappa
+
+        h = (years.to_array() - years.t_min).astype(float)
+        alpha1 = -0.016 * h
+        alpha2 = 0.06 + 0.010 * h
+
+        # one survival curve per later year, age on the last axis
+        delta = alpha1[1:, None] + alpha2[1:, None] * kappa
+        q[:, 1:] = survival_to_q(invert_l_diff(delta, s0)).T
+        check_surface_values(q, SurfaceKind.DEATH_PROB, ages, years)
+        return MortalitySurface(ages, years, SurfaceKind.CENTRAL_RATE, q_to_central_rate(q))
 
     def fitted_surface(self) -> np.ndarray:
         """alpha1_t + alpha2_t * kappa_x as an (n_ages, n_years) array."""

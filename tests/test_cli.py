@@ -552,20 +552,23 @@ WHOLE_LIFE_FIT = [*WHOLE_LIFE, "--t-min", "1960", "--t-max", "2009"]
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, year",
     [
         # SL's q spans its reference year 1959, CBD's only the fit years
-        ["fit", "--model", "sl", *WHOLE_LIFE_FIT],
-        ["fit", "--model", "cbd", *WHOLE_LIFE_FIT],
+        (["fit", "--model", "sl", *WHOLE_LIFE_FIT], 1959),
+        (["fit", "--model", "cbd", *WHOLE_LIFE_FIT], 1960),
         # the observed q of the backtest spans its reference year, whatever the models
-        ["backtest", "--models", "lc", *WHOLE_LIFE],
+        (["backtest", "--models", "lc", *WHOLE_LIFE], 1959),
+        # the SL manifold's q rounds to 1 from age 100 in its reference year, its first
+        (["synth", "--manifold", "sl", "--x-min", "0", "--x-max", "110",
+          "--t-min", "1950", "--t-max", "2020"], 1950),
+        (["backtest", "--synth", "sl", "--x-min", "0", "--x-max", "110"], 1959),
     ],
-    ids=["fit sl", "fit cbd", "backtest lc"],
+    ids=["fit sl", "fit cbd", "backtest lc", "synth sl manifold", "backtest sl manifold"],
 )
-def test_death_probability_of_1_is_named_where_q_is_built(tmp_path, capsys, argv):
+def test_death_probability_of_1_is_named_where_q_is_built(tmp_path, capsys, argv, year):
     out_dir = tmp_path / "out"
     assert main([*argv, "--out", str(out_dir)]) == 3
-    year = 1960 if "cbd" in argv else 1959
     err = capsys.readouterr().err
     assert err == f"mortcast: error: death probability of 1 at age 100, year {year}\n"
     assert not out_dir.exists()
@@ -706,7 +709,7 @@ class TestBacktest:
         ) == 1
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("country", ["A,B", "A\nB", "A\rB"])
+    @pytest.mark.parametrize("country", ["A,B", 'A"B', "A\nB", "A\rB"])
     def test_country_breaking_a_cell_or_line_is_usage_error(self, tmp_path, capsys, country):
         out_dir = tmp_path / "bt"
         code = main(

@@ -1,5 +1,6 @@
 import io
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from mortcast import (
     run_backtest,
     write_hmd,
 )
+from mortcast.evaluation import MODELS
 from mortcast.ingest import write_csv
 
 from conftest import read_export_csv
@@ -211,6 +213,9 @@ class TestManifoldGenerators:
     def test_dispatch_and_kind(self):
         for name in ("lc", "cbd", "sl"):
             out = generate_manifold(name, self.AGES, self.YEARS)
+            # the model table is the one registry: each class owns its manifold
+            own = MODELS[name].manifold(self.AGES, self.YEARS)
+            np.testing.assert_array_equal(out.values.view(np.uint64), own.values.view(np.uint64))
             assert out.kind is SurfaceKind.CENTRAL_RATE
             assert np.all(out.values > 0.0)
             assert np.all(out.values < 1.0)
@@ -282,6 +287,14 @@ class TestWriteHmd:
         male = parse_hmd(path, "male", out.ages, out.years)
         np.testing.assert_array_equal(male.values, out.values)
 
+    @pytest.mark.parametrize("title", ["a\nb", "a\rb", "tab\there"])
+    def test_title_must_be_one_printable_line(self, tmp_path, title):
+        path = tmp_path / "new" / "table.txt"
+        with pytest.raises(DomainError) as exc:
+            write_hmd(surface([[0.01]], SurfaceKind.CENTRAL_RATE), path, title=title)
+        assert str(exc.value) == f"title must be printable, got {title!r}"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSurfaceCsv:
     def test_layout(self):
@@ -335,12 +348,42 @@ class TestWriteCsv:
         path = tmp_path / "out.csv"
         if earlier is not None:
             path.write_bytes(earlier)
-        # a lone surrogate cannot be encoded as UTF-8, so the write fails midway
-        rows = [("x", 1.0)] * 1000 + [("\ud800", 2.0)]
+        # a lone surrogate cannot be encoded as UTF-8, so the write fails midway; it is
+        # in the header, the program's own text, since a text cell holding it is refused
+        # before anything is written
+        rows = [("x", 1.0)] * 1000
         with pytest.raises(UnicodeEncodeError):
-            write_csv(path, ("a", "b"), rows)
+            write_csv(path, ("a", "\ud800"), rows)
         assert [p.name for p in tmp_path.iterdir()] == ([] if earlier is None else ["out.csv"])
         if earlier is not None:
+            assert path.read_bytes() == earlier
+
+    @pytest.mark.parametrize(
+        "comments, rows, message",
+        [
+            (["x = 1", "a\nb"], [], "comment line 2 must be printable, got 'a\\nb'"),
+            ([], [("x", 1.0), ("A,B", 2.0)],
+             "text cell at row 2, column 1 must hold no comma or double quote, got 'A,B'"),
+            ([], [(1, 'A"B')],
+             "text cell at row 1, column 2 must hold no comma or double quote, got 'A\"B'"),
+            ([], [("x\ty", 1.0)], "text cell at row 1, column 1 must be printable, got 'x\\ty'"),
+        ],
+        ids=["comment line break", "comma", "double quote", "tab"],
+    )
+    @pytest.mark.parametrize("earlier", [None, b"a,b\n1,2\n"])
+    def test_refuses_what_it_cannot_write_unquoted(self, tmp_path, earlier, comments, rows,
+                                                   message):
+        path = tmp_path / "new" / "out.csv"
+        if earlier is not None:
+            path.parent.mkdir()
+            path.write_bytes(earlier)
+        with pytest.raises(DomainError) as exc:
+            write_csv(path, ("a", "b"), iter(rows), comments)
+        assert str(exc.value) == message
+        if earlier is None:
+            assert list(tmp_path.iterdir()) == []
+        else:
+            assert [p.name for p in path.parent.iterdir()] == ["out.csv"]
             assert path.read_bytes() == earlier
 
 
@@ -394,6 +437,22 @@ class TestReportCsv:
             fields = line.split(",")
             assert fields[0] == "XX" and fields[1] == "f"
             assert float(fields[5]) == 1e4 * float(fields[4])
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            (("A,B", "f"),
+             "text cell at row 1, column 1 must hold no comma or double quote, got 'A,B'"),
+            (("XX", "x\ny"), "text cell at row 1, column 2 must be printable, got 'x\\ny'"),
+        ],
+    )
+    def test_labels_that_would_break_a_row_are_refused(self, labels, message):
+        report = replace(self.report(), country=labels[0], sex=labels[1])
+        buf = io.StringIO()
+        with pytest.raises(DomainError) as exc:
+            export_csv(report, buf)
+        assert str(exc.value) == message
+        assert buf.getvalue() == ""
 
     def test_mi_rows(self):
         report = self.report()

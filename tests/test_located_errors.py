@@ -34,6 +34,7 @@ from mortcast import (
     curve_of_deaths,
     fit_cbd,
     fit_lc,
+    generate_manifold,
     invert_l_diff,
     l_transform,
     parse_hmd,
@@ -205,6 +206,21 @@ CASES = {
             [[[0.9, 0.8, 0.7], [0.9, 0.8, 0.7]], [[0.9, 0.8, 0.7], [0.9, 1.2, 0.7]]]
         ),
         "survival above 1 at position 1, 1, 1",
+    ),
+    # the SL manifold's q rounds to 1 from age 100 in its reference year, the first of the
+    # window: over 1950-2020 as synth writes it, over 1959-2009 as a default backtest reads it
+    "SL manifold, synth window": (
+        lambda: generate_manifold("sl", AgeRange(0, 110), YearRange(1950, 2020)),
+        "death probability of 1 at age 100, year 1950",
+    ),
+    "SL manifold, backtest window": (
+        lambda: generate_manifold("sl", AgeRange(0, 110), YearRange(1959, 2009)),
+        "death probability of 1 at age 100, year 1959",
+    ),
+    # the CBD manifold's logit passes about 36.7 only on age windows hundreds of years wide
+    "CBD manifold": (
+        lambda: generate_manifold("cbd", AgeRange(0, 800), YearRange(1950, 2020)),
+        "death probability of 1 at age 634, year 2020",
     ),
     "parse_hmd": (
         lambda: parse_hmd(hmd_without_bad_cells(), "total", AGES, YEARS),

@@ -1,6 +1,9 @@
 """Sample-mode forecasts: QUANTILE_PROBS bands over paths mapped in blocks of years."""
 
+import math
 import tracemalloc
+from dataclasses import replace
+from statistics import NormalDist
 from unittest import mock
 
 import numpy as np
@@ -185,3 +188,74 @@ class TestInvalidPaths:
             check_surface_values(
                 block, SurfaceKind.DEATH_PROB, AGES, YearRange(2000, 2001), first_path=10
             )
+
+
+# The LC and CBD bands have closed forms: each model's q at an age is a monotone
+# function of one Gaussian, so the p-band is that function at the Gaussian's
+# p-quantile. A sample p-quantile of n draws has a spread of sqrt(p(1-p)/n) /
+# phi(z_p) sds of the draws; mapped through dq/dstate, SPREAD such spreads bound
+# the gap in every cell. One sample quantile strays SPREAD spreads with chance
+# 2e-9; each test checks 3 bands x 35 ages x 20 years of correlated ones.
+N_ORACLE, H_ORACLE = 20_000, 20
+SPREAD = 6.0
+NORMAL = NormalDist()
+
+
+def fitted(model):
+    rates = generate_synthetic(SynthConfig(noise_sd=0.01, seed=0))
+    params, _ = MODEL_CLASSES[model].fit(rates, YearRange(1960, 2009), 1959, FitConfig())
+    return params
+
+
+def quantile_spread(p):
+    """Spread of the sample p-quantile of N_ORACLE normal draws, in sds of the draws."""
+    return math.sqrt(p * (1.0 - p) / N_ORACLE) / NORMAL.pdf(NORMAL.inv_cdf(p))
+
+
+def assert_near_closed_form(bands, closed_form):
+    """``closed_form(p, z_p)`` is (q, |dq/dstate| * sd of the state) at every cell."""
+    for band, p in zip(bands, QUANTILE_PROBS):
+        q, slope = closed_form(p, NORMAL.inv_cdf(p))
+        gap = np.abs(band - q)
+        assert np.all(gap <= SPREAD * quantile_spread(p) * slope), (p, np.max(gap / q))
+
+
+def test_lc_bands_are_q_at_the_quantiles_of_kappa():
+    params = fitted("lc")
+    # a zero-sum tilt keeps sum(beta) = 1 and loads the young ages negatively,
+    # so q falls in kappa there and rises at the old ages
+    tilt = 0.1 * np.linspace(-1.0, 1.0, len(params.ages))
+    params = replace(params, beta_x=params.beta_x + tilt)
+    assert (params.beta_x < 0).any() and (params.beta_x > 0).any()
+    walk = calibrate_rwd(time_indices(params))
+    h = np.arange(1, H_ORACLE + 1)
+    # kappa at horizon h is N(k_T + h d, h sigma^2)
+    mean = walk.last_state[0] + h * walk.drift[0]
+    sd = np.sqrt(h) * walk.innovation_factor[0, 0]
+    beta, alpha = params.beta_x[:, None], params.alpha_x[:, None]
+
+    def closed_form(p, z):
+        # the p-quantile of q is q at kappa's p-quantile where beta > 0, else its (1-p)-quantile
+        kappa = mean + np.where(beta > 0.0, z, -z) * sd
+        m = np.exp(alpha + beta * kappa)
+        q = -np.expm1(-m)
+        return q, (1.0 - q) * m * np.abs(beta) * sd
+
+    assert_near_closed_form(params.forecast(H_ORACLE, n_paths=N_ORACLE, seed=0), closed_form)
+
+
+def test_cbd_bands_are_the_logistic_of_gaussian_logit_quantiles():
+    params = fitted("cbd")
+    walk = calibrate_rwd(time_indices(params))
+    h = np.arange(1, H_ORACLE + 1)
+    # logit q_x = a'(k1, k2) with a = (1, x - x_bar): N(a'(k_T + h d), h a' Sigma a)
+    a = np.column_stack([np.ones(len(params.ages)), params.ages.to_array() - params.x_bar])
+    sigma = walk.innovation_factor @ walk.innovation_factor.T
+    mean = a @ (walk.last_state[:, None] + walk.drift[:, None] * h)
+    sd = np.sqrt(np.einsum("xi,ij,xj->x", a, sigma, a)[:, None] * h)
+
+    def closed_form(p, z):
+        q = 1.0 / (1.0 + np.exp(-(mean + z * sd)))
+        return q, q * (1.0 - q) * sd
+
+    assert_near_closed_form(params.forecast(H_ORACLE, n_paths=N_ORACLE, seed=0), closed_form)
