@@ -21,17 +21,16 @@ from .lifetable import survival_to_q  # noqa: F401
 from .sl_model import FitConfig, SlParams
 from .timeseries import q_surface, time_indices
 
-# The model table: each params class by its NAME. ``cls.fit(rates, fit_years,
-# t0, config)`` gets central rates over years that cover the fit window and,
-# if REFERENCE_YEAR, t0, and derives any death probabilities it needs from
-# them; it returns the params and the fit's diagnostics, or None for a
-# closed-form fit.
+# The model table, and the only one: each params class by its NAME.
+# ``cls.fit(rates, fit_years, t0, config)`` gets central rates over years that
+# cover the fit window and, if REFERENCE_YEAR, t0, and derives any death
+# probabilities it needs from them; it returns the params and the fit's
+# diagnostics, or None for a closed-form fit.
 # ``params.forecast(horizon, n_paths=None, seed=None)`` projects the walk of
 # the params' own time indices: a MortalitySurface when n_paths is None, else
 # the (3, n_ages, horizon) QUANTILE_PROBS bands over n_paths sample paths. Both
 # call their module's functions by name, so a wrapper installed there sees
-# every call. ``cls.manifold(ages, years)`` is the central-rate surface that
-# the model fits exactly: the data of ``synth --manifold`` and ``--synth``.
+# every call. ``cls.manifold(ages, years)`` is central rates it fits exactly.
 MODELS = {cls.NAME: cls for cls in (SlParams, LcParams, CbdParams)}
 MODEL_ORDER = tuple(name.upper() for name in MODELS)
 

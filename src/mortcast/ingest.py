@@ -1,11 +1,9 @@
 """Data ingestion and every artifact format.
 
 Reads Human Mortality Database period 1x1 central death rate (Mx) tables,
-generates the Gompertz synthetic surface for desk-scale verification, and
-writes HMD tables and every CSV artifact. Each model owns the surface it
-fits exactly, as its params class's ``manifold``; :func:`generate_manifold`
-looks the model up in ``evaluation.MODELS``. The reader rejects malformed
-input with a line number; it never repairs.
+generates the Gompertz synthetic surface (each model owns its exact
+manifold), and writes HMD tables and every CSV artifact. The reader rejects
+malformed input with a line number; it never repairs.
 """
 
 from __future__ import annotations
@@ -234,17 +232,16 @@ def write_csv(destination, header, rows, comments=()) -> None:
 
     Floats carry 17 significant digits, so they read back bit for bit; other
     cells are written with ``str``. ``destination`` is a path or an open text
-    stream. ``rows`` may be a generator. A comment line or text cell that
-    fails :func:`check_text` is named by its line, or by its row (from 1,
-    after the header) and column, and nothing is written.
+    stream. ``rows`` may be a generator. Comment lines and text cells must
+    pass :func:`check_text`, or nothing is written; a cell is named by its
+    row, the first after the header being 1, and its column.
     """
     out = io.StringIO()
     for k, line in enumerate(comments, start=1):
         check_text(line, f"comment line {k}")
         out.write(f"# {line}\n")
     out.write(",".join(header) + "\n")
-    # a %-template and the text cells' columns per sequence of cell types;
-    # %.17g formats as f"{v:.17g}" does
+    # per sequence of cell types, a %-template (%.17g is f"{v:.17g}") and the text columns
     fmt = {}
     for r, row in enumerate(rows, start=1):
         key = tuple(map(type, row))

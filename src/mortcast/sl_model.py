@@ -118,13 +118,14 @@ class SlParams:
         Gompertz mortality curve; later years apply delta = alpha1_t +
         alpha2_t * kappa_x with a curved normalized kappa and time processes
         affine in t. The implied survival stays monotone on the default
-        windows. A q of 1 is named by age and year, the reference year's first.
+        windows. A fault is named by age and year: a q of 1 in the reference
+        year first, then a survival curve that rises in age, then any q of 1.
         """
         dx = (ages.to_array() - ages.x_min).astype(float)
-        q = np.empty((len(ages), len(years)))
+        q, s = np.empty((2, len(ages), len(years)))
         q[:, 0] = 1.0 - np.exp(-0.006 * np.exp(0.088 * dx))
         check_surface_values(q[:, :1], SurfaceKind.DEATH_PROB, ages, years)
-        s0 = q_to_survival(q[:, 0])
+        s[:, 0] = q_to_survival(q[:, 0])
 
         raw = dx - 0.022 * dx * dx
         raw = raw - raw.mean()
@@ -138,7 +139,9 @@ class SlParams:
 
         # one survival curve per later year, age on the last axis
         delta = alpha1[1:, None] + alpha2[1:, None] * kappa
-        q[:, 1:] = survival_to_q(invert_l_diff(delta, s0)).T
+        s[:, 1:] = invert_l_diff(delta, s[:, 0]).T
+        check_surface_values(s, SurfaceKind.SURVIVAL, ages, years)
+        q[:, 1:] = survival_to_q(s[:, 1:].T).T
         check_surface_values(q, SurfaceKind.DEATH_PROB, ages, years)
         return MortalitySurface(ages, years, SurfaceKind.CENTRAL_RATE, q_to_central_rate(q))
 
