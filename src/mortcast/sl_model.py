@@ -118,14 +118,12 @@ class SlParams:
         Gompertz mortality curve; later years apply delta = alpha1_t +
         alpha2_t * kappa_x with a curved normalized kappa and time processes
         affine in t. The implied survival stays monotone on the default
-        windows. A fault is named by age and year: a q of 1 in the reference
-        year first, then a survival curve that rises in age, then any q of 1.
+        windows. A q of 1 is named by age and year, the reference year first.
         """
         dx = (ages.to_array() - ages.x_min).astype(float)
-        q, s = np.empty((2, len(ages), len(years)))
-        q[:, 0] = 1.0 - np.exp(-0.006 * np.exp(0.088 * dx))
-        check_surface_values(q[:, :1], SurfaceKind.DEATH_PROB, ages, years)
-        s[:, 0] = q_to_survival(q[:, 0])
+        q0 = 1.0 - np.exp(-0.006 * np.exp(0.088 * dx))
+        check_surface_values(q0[:, None], SurfaceKind.DEATH_PROB, ages, years)
+        s0 = q_to_survival(q0)
 
         raw = dx - 0.022 * dx * dx
         raw = raw - raw.mean()
@@ -137,11 +135,11 @@ class SlParams:
         alpha1 = -0.016 * h
         alpha2 = 0.06 + 0.010 * h
 
+        q = np.empty((len(ages), len(years)))
+        q[:, 0] = q0
         # one survival curve per later year, age on the last axis
         delta = alpha1[1:, None] + alpha2[1:, None] * kappa
-        s[:, 1:] = invert_l_diff(delta, s[:, 0]).T
-        check_surface_values(s, SurfaceKind.SURVIVAL, ages, years)
-        q[:, 1:] = survival_to_q(s[:, 1:].T).T
+        q[:, 1:] = survival_to_q(invert_l_diff(delta, s0)).T
         check_surface_values(q, SurfaceKind.DEATH_PROB, ages, years)
         return MortalitySurface(ages, years, SurfaceKind.CENTRAL_RATE, q_to_central_rate(q))
 

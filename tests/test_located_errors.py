@@ -217,11 +217,6 @@ CASES = {
         lambda: generate_manifold("sl", AgeRange(0, 110), YearRange(1959, 2009)),
         "death probability of 1 at age 100, year 1959",
     ),
-    # alpha2 grows with the year, and centuries out the SL manifold's curve rises in age
-    "SL manifold, rising survival": (
-        lambda: generate_manifold("sl", AgeRange(60, 94), YearRange(1959, 2500)),
-        "survival increases from age 90 to 91 in year 2480",
-    ),
     # the CBD manifold's logit passes about 36.7 only on age windows hundreds of years wide
     "CBD manifold": (
         lambda: generate_manifold("cbd", AgeRange(0, 800), YearRange(1950, 2020)),
