@@ -20,6 +20,7 @@ import numpy as np
 from .errors import MortcastError, ParseError
 from .evaluation import MODELS, BacktestConfig, run_backtest
 from .ingest import (
+    DecodedText,
     SynthConfig,
     _write_text,
     check_text,
@@ -176,10 +177,12 @@ def _digest(data: bytes) -> str:
 def _load_rates(args, ages: AgeRange, years: YearRange) -> tuple[MortalitySurface, str]:
     """Rate surface over the requested window plus its content digest."""
     if args.input is not None:
+        # one read: the digest and the parse see the same bytes, dropped once decoded
         raw = Path(args.input).read_bytes()
-        text = io.StringIO(decode_utf8(raw, args.input))
-        surface = parse_hmd(text, _SEX_COLUMN[args.sex], ages, years)
-        return surface, _digest(raw)
+        digest = _digest(raw)
+        text = DecodedText(decode_utf8(raw, args.input))
+        del raw
+        return parse_hmd(text, _SEX_COLUMN[args.sex], ages, years), digest
     surface = _synthesize(args.synth, ages, years, noise_sd=args.noise_sd, seed=args.seed)
     buf = io.StringIO()
     export_csv(surface, buf)

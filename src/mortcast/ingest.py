@@ -37,6 +37,24 @@ def decode_utf8(data: bytes, name) -> str:
         ) from None
 
 
+class DecodedText:
+    """A file's decoded text as a read-only text stream, held without a copy.
+
+    ``io.StringIO(text)`` copies ``text`` into a buffer of 4 bytes per
+    character; ``read`` here returns ``text`` itself, and so does
+    ``getvalue``, which perfbench's tracer calls to count the lines of an
+    in-memory source as it does for a StringIO.
+    """
+
+    def __init__(self, text: str):
+        self._text = text
+
+    def read(self) -> str:
+        return self._text
+
+    getvalue = read
+
+
 def _number(token: str, convert, what: str, line_no: int):
     try:
         return convert(token)
@@ -44,16 +62,30 @@ def _number(token: str, convert, what: str, line_no: int):
         raise ParseError(f"line {line_no}: unparseable {what} {token!r}") from None
 
 
+def _row(fields: list[str], open_age: bool, line_no: int):
+    """A row's year, age and three values, "." read as missing (None).
+
+    parse_hmd's rows come here only when a plain conversion fails, so that
+    a "." is read and a bad field is named, the year first, then the age,
+    then the values from left to right.
+    """
+    year = _number(fields[0], int, "year", line_no)
+    age = _OPEN_AGE if open_age else _number(fields[1], int, "age", line_no)
+    cells = [None if t == "." else _number(t, float, "value", line_no) for t in fields[2:]]
+    return year, age, cells
+
+
 def parse_hmd(source, column: str, ages: AgeRange, years: YearRange) -> MortalitySurface:
     """Read one column of an HMD Mx 1x1 table into a central-rate surface.
 
-    ``source`` is an open text stream or the path of a UTF-8 file. The file
-    must carry a title line, a blank line, and the header "Year Age Female
-    Male Total" before the data rows. Every row is checked in full: five
-    fields, a year from 1750, an age in [0, 110] or "110+", and three
-    numbers or "." (missing). Rows outside the requested window are then
-    skipped; inside it, a missing value, the open "110+" group, a duplicate
-    cell, or an uncovered cell is an error naming the line.
+    ``source`` is an open text stream, such as :class:`DecodedText`, or the
+    path of a UTF-8 file. The file must carry a title line, a blank line,
+    and the header "Year Age Female Male Total" before the data rows. Every
+    row is checked in full: five fields, a year from 1750, an age in
+    [0, 110] or "110+", and three numbers or "." (missing). Rows outside the
+    requested window are then skipped; inside it, a missing value, the open
+    "110+" group, a duplicate cell, or an uncovered cell is an error naming
+    the line.
     """
     if column not in _COLUMNS:
         raise DomainError(f"unknown column {column!r}; choose female, male, or total")
@@ -70,6 +102,8 @@ def parse_hmd(source, column: str, ages: AgeRange, years: YearRange) -> Mortalit
 
     col = _COLUMNS[column]
     open_token = f"{_OPEN_AGE}+"
+    # the window as plain ints, so the row loop calls no range methods
+    x_min, x_max, t_min, t_max = ages.x_min, ages.x_max, years.t_min, years.t_max
     values = np.empty((len(ages), len(years)))
     seen = np.zeros(values.shape, dtype=bool)
     for line_no, line in enumerate(lines[3:], start=4):
@@ -78,28 +112,31 @@ def parse_hmd(source, column: str, ages: AgeRange, years: YearRange) -> Mortalit
             continue
         if len(fields) != 5:
             raise ParseError(f"line {line_no}: expected 5 fields, got {len(fields)}")
-        year = _number(fields[0], int, "year", line_no)
         open_age = fields[1] == open_token
-        age = _OPEN_AGE if open_age else _number(fields[1], int, "age", line_no)
-        cells = [None if t == "." else _number(t, float, "value", line_no) for t in fields[2:]]
+        try:
+            year = int(fields[0])
+            age = _OPEN_AGE if open_age else int(fields[1])
+            cells = [float(fields[2]), float(fields[3]), float(fields[4])]
+        except ValueError:
+            year, age, cells = _row(fields, open_age, line_no)
         if year < _FIRST_YEAR:
             raise ParseError(f"line {line_no}: implausible year {year}")
         if not 0 <= age <= _OPEN_AGE:
             raise ParseError(f"line {line_no}: age {age} outside [0, {_OPEN_AGE}]")
-        if year not in years:
+        if not t_min <= year <= t_max:
             continue
         if open_age:
-            if age in ages:
+            if x_min <= _OPEN_AGE <= x_max:
                 raise ParseError(
                     f"line {line_no}: open age group {_OPEN_AGE}+ inside requested window {ages}"
                 )
             continue
-        if age not in ages:
+        if not x_min <= age <= x_max:
             continue
         v = cells[col]
         if v is None:
             raise ParseError(f"line {line_no}: missing {column} value at age {age}, year {year}")
-        i, j = age - ages.x_min, year - years.t_min
+        i, j = age - x_min, year - t_min
         if seen[i, j]:
             raise ParseError(f"line {line_no}: duplicate row for age {age}, year {year}")
         seen[i, j] = True
@@ -179,6 +216,7 @@ def write_hmd(surface: MortalitySurface, destination, title: str = "synthetic") 
     The surface's values land in all three sex columns. A surface with an
     age above _OPEN_AGE or a year before _FIRST_YEAR, which parse_hmd
     rejects, is refused before anything is written, and so is an unprintable title.
+    The table is written one year at a time.
     """
     check_text(title, "title")
     if surface.ages.x_max > _OPEN_AGE:
@@ -187,32 +225,39 @@ def write_hmd(surface: MortalitySurface, destination, title: str = "synthetic") 
     if surface.years.t_min < _FIRST_YEAR:
         year = surface.years.t_min
         raise DomainError(f"HMD tables start in {_FIRST_YEAR}, cannot write year {year}")
-    lines = [title, "", "   ".join(_HMD_HEADER)]
-    for t, column in zip(surface.years, surface.values.T.tolist()):
-        for x, value in zip(surface.ages, column):
-            v = f"{value:.17g}"
-            lines.append(f"{t}   {x}   {v}   {v}   {v}")
-    _write_text(destination, "\n".join(lines) + "\n")
+
+    def chunks():
+        yield f"{title}\n\n{'   '.join(_HMD_HEADER)}\n"
+        for t, column in zip(surface.years, surface.values.T):
+            yield "".join(
+                f"{t}   {x}   {v}   {v}   {v}\n"
+                for x, v in zip(surface.ages, map("{:.17g}".format, column.tolist()))
+            )
+
+    _write_text(destination, chunks())
 
 
-def _write_text(destination, text: str) -> None:
-    """Write ``text`` to an open text stream, or as UTF-8 to a path.
+def _write_text(destination, chunks) -> None:
+    """Write ``chunks``, one str or an iterable of them, to an open text stream or a path.
 
-    Every artifact file goes through here. A path's parent directory is
-    created on the first write into it, so a command that fails before
-    writing leaves no directory behind. The text goes to a temporary file
-    beside the path, which replaces the path only once it is complete: a
-    failed write leaves no temporary, and any earlier file keeps its bytes.
+    Every artifact file goes through here, as UTF-8. A path's parent
+    directory is created on the first write into it, so a command that fails
+    before writing leaves no directory behind. The chunks go to a temporary
+    file beside the path, which replaces the path only once it is complete:
+    a failed write leaves no temporary, and any earlier file keeps its bytes.
     """
+    if isinstance(chunks, str):
+        chunks = (chunks,)
     if hasattr(destination, "write"):
-        destination.write(text)
+        destination.writelines(chunks)
         return
     path = Path(destination)
     path.parent.mkdir(parents=True, exist_ok=True)
     # the process id keeps two commands writing one path apart
     partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        partial.write_text(text, encoding="utf-8")
+        with open(partial, "w", encoding="utf-8") as out:
+            out.writelines(chunks)
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)
@@ -233,13 +278,16 @@ def write_csv(destination, header, rows, comments=()) -> None:
     Floats carry 17 significant digits, so they read back bit for bit; other
     cells are written with ``str``. ``destination`` is a path or an open text
     stream. ``rows`` may be a generator. Comment lines and text cells must
-    pass :func:`check_text`, or nothing is written; a cell is named by its
-    row, the first after the header being 1, and its column.
+    pass :func:`check_text`, or nothing is written, and so must header
+    cells; a cell is named by its column and, below the header, its row,
+    the first after the header being 1.
     """
     out = io.StringIO()
     for k, line in enumerate(comments, start=1):
         check_text(line, f"comment line {k}")
         out.write(f"# {line}\n")
+    for j, cell in enumerate(header, start=1):
+        check_text(cell, f"header cell at column {j}", cell=True)
     out.write(",".join(header) + "\n")
     # per sequence of cell types, a %-template (%.17g is f"{v:.17g}") and the text columns
     fmt = {}

@@ -1,4 +1,5 @@
 import io
+import os
 import re
 from dataclasses import replace
 
@@ -25,7 +26,8 @@ from mortcast import (
     run_backtest,
     write_hmd,
 )
-from mortcast.ingest import write_csv
+from mortcast import ingest
+from mortcast.ingest import DecodedText, _write_text, write_csv
 
 from conftest import read_export_csv
 
@@ -65,6 +67,14 @@ class TestParseHmd:
             io.StringIO(HMD_SAMPLE), "female", AgeRange(60, 60), YearRange(1991, 1991)
         )
         assert fem.values[0, 0] == 0.012
+
+    def test_reads_decoded_text_as_a_stream(self):
+        window = AgeRange(60, 61), YearRange(1990, 1991)
+        text = parse_hmd(DecodedText(HMD_SAMPLE), "female", *window)
+        stream = parse_hmd(io.StringIO(HMD_SAMPLE), "female", *window)
+        np.testing.assert_array_equal(text.values, stream.values)
+        with pytest.raises(ParseError, match="^line 9: unparseable value 'zero'$"):
+            parse_hmd(DecodedText(HMD_SAMPLE + "1990 60 zero 0.02 0.015\n"), "female", *window)
 
     def test_reads_from_path(self, tmp_path):
         path = tmp_path / "rates.txt"
@@ -283,6 +293,16 @@ class TestWriteHmd:
         male = parse_hmd(path, "male", out.ages, out.years)
         np.testing.assert_array_equal(male.values, out.values)
 
+    def test_stream_and_path_get_the_same_bytes(self, tmp_path):
+        out = generate_synthetic(
+            SynthConfig(ages=AgeRange(0, 3), years=YearRange(1990, 1994), noise_sd=0.02, seed=5)
+        )
+        buf = io.StringIO()
+        write_hmd(out, buf, title="one table")
+        write_hmd(out, tmp_path / "table.txt", title="one table")
+        assert (tmp_path / "table.txt").read_bytes() == buf.getvalue().encode()
+        assert buf.getvalue().count("\n") == 3 + 4 * 5
+
     @pytest.mark.parametrize("title", ["a\nb", "a\rb", "tab\there"])
     def test_title_must_be_one_printable_line(self, tmp_path, title):
         path = tmp_path / "new" / "table.txt"
@@ -340,16 +360,20 @@ class TestWriteCsv:
         assert path.read_text() == "a,b\n"
 
     @pytest.mark.parametrize("earlier", [None, b"a,b\n1,2\n"])
-    def test_failed_write_leaves_no_partial_file(self, tmp_path, earlier):
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, earlier, monkeypatch):
         path = tmp_path / "out.csv"
         if earlier is not None:
             path.write_bytes(earlier)
-        # a lone surrogate cannot be encoded as UTF-8, so the write fails midway; it is
-        # in the header, the program's own text, since a text cell holding it is refused
-        # before anything is written
+
+        # every cell that could fail to encode is refused before the temporary file
+        # is opened, so the write fails at its last step, the move into place
+        def refuse(src, dst):
+            raise OSError("move refused")
+
+        monkeypatch.setattr(ingest.os, "replace", refuse)
         rows = [("x", 1.0)] * 1000
-        with pytest.raises(UnicodeEncodeError):
-            write_csv(path, ("a", "\ud800"), rows)
+        with pytest.raises(OSError, match="move refused"):
+            write_csv(path, ("a", "b"), rows)
         assert [p.name for p in tmp_path.iterdir()] == ([] if earlier is None else ["out.csv"])
         if earlier is not None:
             assert path.read_bytes() == earlier
@@ -381,6 +405,56 @@ class TestWriteCsv:
         else:
             assert [p.name for p in path.parent.iterdir()] == ["out.csv"]
             assert path.read_bytes() == earlier
+
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            (("a,b", "c"), "header cell at column 1 must hold no comma or double quote, got 'a,b'"),
+            (("a", "b\nc"), "header cell at column 2 must be printable, got 'b\\nc'"),
+        ],
+        ids=["comma", "line break"],
+    )
+    @pytest.mark.parametrize("earlier", [None, b"a,b\n1,2\n"])
+    def test_header_cells_that_need_quotes_are_refused(self, tmp_path, earlier, header, message):
+        path = tmp_path / "new" / "out.csv"
+        if earlier is not None:
+            path.parent.mkdir()
+            path.write_bytes(earlier)
+        with pytest.raises(DomainError) as exc:
+            write_csv(path, header, [("x", 1.0)])
+        assert str(exc.value) == message
+        if earlier is None:
+            assert list(tmp_path.iterdir()) == []
+        else:
+            assert [p.name for p in path.parent.iterdir()] == ["out.csv"]
+            assert path.read_bytes() == earlier
+
+
+class TestWriteText:
+    @pytest.mark.parametrize("earlier", [None, b"earlier\n"])
+    def test_failure_after_the_first_chunk_keeps_the_earlier_file(self, tmp_path, earlier):
+        path = tmp_path / "out.txt"
+        if earlier is not None:
+            path.write_bytes(earlier)
+        partial = tmp_path / f".out.txt.{os.getpid()}.tmp"
+
+        def chunks():
+            yield "first chunk\n"
+            assert partial.exists()  # the failure comes mid-stream, into the temporary
+            raise RuntimeError("second chunk failed")
+
+        with pytest.raises(RuntimeError, match="second chunk failed"):
+            _write_text(path, chunks())
+        assert [p.name for p in tmp_path.iterdir()] == ([] if earlier is None else ["out.txt"])
+        if earlier is not None:
+            assert path.read_bytes() == earlier
+
+    def test_chunks_and_one_text_write_the_same_bytes(self, tmp_path):
+        _write_text(tmp_path / "a.txt", ["ab", "", "c\n", "\u00e9\n"])
+        _write_text(tmp_path / "b.txt", "abc\n\u00e9\n")
+        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+        assert (tmp_path / "a.txt").read_bytes() == "abc\n\u00e9\n".encode()
 
 
 class TestQuantilesCsv:
