@@ -365,8 +365,8 @@ class TestWriteCsv:
         if earlier is not None:
             path.write_bytes(earlier)
 
-        # every cell that could fail to encode is refused before the temporary file
-        # is opened, so the write fails at its last step, the move into place
+        # text that could fail to encode (a lone surrogate) is refused before the
+        # temporary file is opened, so this write fails at its last step, the move
         def refuse(src, dst):
             raise OSError("move refused")
 
