@@ -26,7 +26,6 @@ from mortcast import (
     run_backtest,
     write_hmd,
 )
-from mortcast import ingest
 from mortcast.ingest import DecodedText, _write_text, write_csv
 
 from conftest import read_export_csv
@@ -370,7 +369,7 @@ class TestWriteCsv:
         def refuse(src, dst):
             raise OSError("move refused")
 
-        monkeypatch.setattr(ingest.os, "replace", refuse)
+        monkeypatch.setattr(os, "replace", refuse)
         rows = [("x", 1.0)] * 1000
         with pytest.raises(OSError, match="move refused"):
             write_csv(path, ("a", "b"), rows)
@@ -405,7 +404,6 @@ class TestWriteCsv:
         else:
             assert [p.name for p in path.parent.iterdir()] == ["out.csv"]
             assert path.read_bytes() == earlier
-
 
     @pytest.mark.parametrize(
         "header, message",
@@ -453,8 +451,8 @@ class TestWriteText:
     def test_chunks_and_one_text_write_the_same_bytes(self, tmp_path):
         _write_text(tmp_path / "a.txt", ["ab", "", "c\n", "\u00e9\n"])
         _write_text(tmp_path / "b.txt", "abc\n\u00e9\n")
-        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
-        assert (tmp_path / "a.txt").read_bytes() == "abc\n\u00e9\n".encode()
+        for name in ("a.txt", "b.txt"):
+            assert (tmp_path / name).read_bytes() == "abc\n\u00e9\n".encode()
 
 
 class TestQuantilesCsv:
